@@ -14,7 +14,6 @@ from .elliptic import (
     BranchPoint,
     CosineSeries,
     branch_point,
-    branch_sweep,
     equilibrium_profile,
     h_of_lambda,
     homogeneous_equilibria,
@@ -80,7 +79,6 @@ from .spectrum import (
     homogeneous_spectrum,
     morse_index_homogeneous,
     perturbation_mu,
-    target_spectrum,
 )
 from .waves import (
     C_CRITICAL,

@@ -29,7 +29,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -92,18 +91,36 @@ def _emit(args, columns, rows, meta):
                 print(f"{k}={meta[k]}", file=sys.stderr)
 
 
-def _parse_complex(re_str, im: float = 0.0) -> complex:
-    return complex(float(re_str), float(im))
+def _profile_arg(text: str) -> tuple[int, float]:
+    """'N,H' as a branch index and a modulus."""
+    try:
+        n, h = text.split(",")
+        return int(n), float(h)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected N,H, got {text!r}") from None
+
+
+def _complex_arg(text: str) -> complex:
+    """'RE,IM' as a complex number."""
+    try:
+        re_part, im_part = text.split(",")
+        return complex(float(re_part), float(im_part))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected RE,IM, got {text!r}") from None
+
+
+def _roots_arg(text: str) -> list[complex]:
+    """'RE,IM;RE,IM;...' as a list of complex roots."""
+    return [_complex_arg(part) for part in text.split(";")]
 
 
 def _initial_field(args, lam):
     if args.profile:
-        n_str, h_str = args.profile.split(",")
-        bp = elliptic.branch_point(int(n_str), float(h_str))
+        bp = elliptic.branch_point(*args.profile)
         return evolve.cosine_field(bp.profile, N=args.modes), bp.lam
     if args.mono is not None:
-        return evolve.monochromatic_field(complex(args.mono), N=args.modes), lam
-    w0 = _parse_complex(args.constant, args.imag)
+        return evolve.monochromatic_field(args.mono, N=args.modes), lam
+    w0 = complex(args.constant, args.imag)
     return evolve.constant_field(w0, N=args.modes), lam
 
 
@@ -145,25 +162,19 @@ def _cmd_spectrum(args):
     return ["k", "mu", "morse_index"], rows, meta
 
 
-def _resonance_row(n):
-    cert = resonance.identical_resonance_check(n)
-    wit = ";".join(f"j={j} m={m}" for j, m in cert.witnesses)
-    return (cert.n, cert.verdict, cert.asserted, cert.search_bound,
-            "+".join(str(o) for o in cert.orders), cert.order1_vacuous, wit)
-
-
 def _cmd_resonance(args):
     if args.n is not None:
         ns, asserted_upto = [args.n], args.n
     else:
         ns = list(range(1, args.n_max + 2))
         asserted_upto = args.n_max
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_resonance_row, ns))
-    else:
-        rows = [_resonance_row(n) for n in ns]
-    rows = [r[:2] + (r[2] and r[0] <= asserted_upto,) + r[3:] for r in rows]
+    rows = []
+    for n in ns:
+        cert = resonance.identical_resonance_check(n)
+        wit = ";".join(f"j={j} m={m}" for j, m in cert.witnesses)
+        rows.append((cert.n, cert.verdict, cert.asserted and cert.n <= asserted_upto,
+                     cert.search_bound, "+".join(str(o) for o in cert.orders),
+                     cert.order1_vacuous, wit))
     cols = ["n", "verdict", "asserted", "search_bound", "orders", "order1_vacuous", "witnesses"]
     return cols, rows, {}
 
@@ -212,9 +223,7 @@ def _ode_field(args):
     if args.cyclotomic:
         return scalar_ode.PolyField.cyclotomic(args.cyclotomic)
     if args.roots:
-        rts = [complex(float(p.split(",")[0]), float(p.split(",")[1]))
-               for p in args.roots.split(";")]
-        return scalar_ode.PolyField(rts)
+        return scalar_ode.PolyField(args.roots)
     return scalar_ode.PolyField.quadratic()
 
 
@@ -228,9 +237,8 @@ def _cmd_ode(args):
         meta = {"closure": lat.closure,
                 "degenerate_subsets": str(lat.degenerate_subsets)}
         return ["j", "re_generator", "im_generator"], rows, meta
-    w0 = _parse_complex(args.w0.split(",")[0], float(args.w0.split(",")[1]))
     path = [1j * args.t_end] if args.imag_time else [args.t_end]
-    traj = scalar_ode.integrate(fld, w0, path, t_eval_per_unit=args.samples_per_unit)
+    traj = scalar_ode.integrate(fld, args.w0, path, t_eval_per_unit=args.samples_per_unit)
     rows = [
         (float(s), float(t.real), float(t.imag), float(w.real), float(w.imag))
         for s, t, w in zip(traj.sigma, traj.t, traj.w)
@@ -265,9 +273,7 @@ def _portrait_field(args):
         pts = rng.normal(size=4) + 1j * rng.normal(size=4)
         return scalar_ode.PolyField(pts)
     if args.roots:
-        rts = [complex(float(p.split(",")[0]), float(p.split(",")[1]))
-               for p in args.roots.split(";")]
-        return scalar_ode.PolyField(rts)
+        return scalar_ode.PolyField(args.roots)
     return scalar_ode.PolyField.cyclotomic(args.cyclotomic or 3)
 
 
@@ -358,14 +364,13 @@ def _cmd_waves(args):
 def _add_common(p):
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="write table here plus OUT.run.json descriptor")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers where supported")
 
 
 def _add_field_args(p):
-    p.add_argument("--constant", default="0.0", help="Re of constant initial data")
+    p.add_argument("--constant", type=float, default=0.0, help="Re of constant initial data")
     p.add_argument("--imag", type=float, default=0.0, help="Im of constant initial data")
-    p.add_argument("--profile", default=None, help="N,H equilibrium initial data")
-    p.add_argument("--mono", default=None, help="amplitude of e^(2 pi i x) initial data")
+    p.add_argument("--profile", type=_profile_arg, default=None, help="N,H equilibrium initial data")
+    p.add_argument("--mono", type=complex, default=None, help="amplitude of e^(2 pi i x) initial data")
     p.add_argument("--modes", type=int, default=256)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
 
@@ -421,8 +426,8 @@ def build_parser(env_tol: float | None = None) -> _Parser:
     p = sub.add_parser("ode", help="scalar polynomial ODE in complex time")
     p.add_argument("--quadratic", action="store_true")
     p.add_argument("--cyclotomic", type=int, default=None)
-    p.add_argument("--roots", default=None, help='"re,im;re,im;..."')
-    p.add_argument("--w0", default="0.0,0.0")
+    p.add_argument("--roots", type=_roots_arg, default=None, help='"re,im;re,im;..."')
+    p.add_argument("--w0", type=_complex_arg, default="0.0,0.0", help="re,im")
     p.add_argument("--t-end", type=float, default=5.0)
     p.add_argument("--imag-time", action="store_true")
     p.add_argument("--samples-per-unit", type=int, default=20)
@@ -432,7 +437,7 @@ def build_parser(env_tol: float | None = None) -> _Parser:
 
     p = sub.add_parser("portrait", help="compactified phase portrait")
     p.add_argument("--cyclotomic", type=int, default=None)
-    p.add_argument("--roots", default=None)
+    p.add_argument("--roots", type=_roots_arg, default=None, help='"re,im;re,im;..."')
     p.add_argument("--random-quartic", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fig3", action="store_true", help="separatrix traces for d = 3, 4")

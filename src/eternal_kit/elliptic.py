@@ -339,8 +339,3 @@ def branch_point(n: int, h: float, tail_tol: float = 1e-13) -> BranchPoint:
         theta=theta_of_h(h),
         profile=equilibrium_profile(n, h, tail_tol=tail_tol),
     )
-
-
-def branch_sweep(n: int, h_values, tail_tol: float = 1e-13) -> list[BranchPoint]:
-    """Branch points at each modulus in h_values (order preserved)."""
-    return [branch_point(n, h, tail_tol=tail_tol) for h in h_values]

@@ -12,8 +12,9 @@ Schrodinger evolution i psi_s = psi_xx + 6 psi^2 - lambda forward in s
     PERIODIC_UNIT  FFT-ordered exponential coefficients on the unit circle
 
 with complex coefficients in both (no reality constraint anywhere: complex
-data is the whole point).  Quadratic products are computed on a 4N grid,
-which represents the product exactly, so there is no aliasing to remove.
+data is the whole point).  Both bases go to a uniform grid and back through
+one cached index map (`_grid_map`).  Quadratic products are computed on a
+4N grid, which represents the product exactly, so there is no aliasing.
 
 The stepper is the standard fourth-order exponential time differencing
 Runge-Kutta scheme; its phi-function coefficients are evaluated by contour
@@ -53,6 +54,50 @@ REASON_HORIZON = "HORIZON"
 _TWO_PI = 2.0 * math.pi
 
 
+def _wavenumbers(basis: str, N: int) -> np.ndarray:
+    """Wavenumber of each coefficient: 0..N-1 (cosine) or FFT order (circle)."""
+    if basis == NEUMANN_HALF:
+        return np.arange(N, dtype=float)
+    return np.fft.fftfreq(N, d=1.0 / N)
+
+
+@lru_cache(maxsize=32)
+def _grid_map(basis: str, N: int, M: int):
+    """Read-only grid modes of N coefficients on M points: (modes, mirror).
+
+    Cosine coefficient k >= 1 is the pair e^(+-2 pi i k x), half of it at
+    modes[k] = k and half at mirror[k - 1] = M - k; the circle has no mirror.
+    """
+    k = _wavenumbers(basis, N).astype(int)
+    if M < 2 * np.max(np.abs(k)) + 2:
+        raise DomainError(f"grid of {M} points too coarse for {N} modes of {basis}")
+    modes = np.mod(k, M)
+    mirror = M - modes[1:] if basis == NEUMANN_HALF else modes[:0]
+    for arr in (modes, mirror):
+        arr.setflags(write=False)
+    return modes, mirror
+
+
+def _to_grid(coeffs: np.ndarray, basis: str, M: int) -> np.ndarray:
+    """Point values at x_j = j / M of the series with these coefficients."""
+    modes, mirror = _grid_map(basis, len(coeffs), M)
+    full = np.zeros(M, dtype=complex)
+    full[modes] = coeffs
+    if mirror.size:
+        full[modes[1:]] = full[mirror] = coeffs[1:] / 2.0
+    return np.fft.ifft(full) * M
+
+
+def _from_grid(values: np.ndarray, basis: str, N: int) -> np.ndarray:
+    """The N coefficients of the grid function `values` (assumed even for cosines)."""
+    M = len(values)
+    modes, mirror = _grid_map(basis, N, M)
+    out = (np.fft.fft(values) / M)[modes]
+    if mirror.size:
+        out[1:] *= 2.0
+    return out
+
+
 @dataclass
 class ComplexField:
     """Spectral state on a complex time ray."""
@@ -77,9 +122,7 @@ class ComplexField:
         return len(self.coeffs)
 
     def wavenumbers(self) -> np.ndarray:
-        if self.basis == NEUMANN_HALF:
-            return np.arange(self.N, dtype=float)
-        return np.fft.fftfreq(self.N, d=1.0 / self.N)
+        return _wavenumbers(self.basis, self.N)
 
     @property
     def sectorial(self) -> bool:
@@ -88,21 +131,7 @@ class ComplexField:
 
     def values(self, M: int | None = None) -> np.ndarray:
         """Complex point values on the uniform grid x_j = j / M."""
-        if M is None:
-            M = 4 * self.N
-        full = np.zeros(M, dtype=complex)
-        if self.basis == NEUMANN_HALF:
-            if M < 2 * self.N:
-                raise DomainError("grid too coarse for the cosine band")
-            full[0] = self.coeffs[0]
-            full[1: self.N] = self.coeffs[1:] / 2.0
-            full[M - self.N + 1:] = self.coeffs[:0:-1] / 2.0
-        else:
-            k = self.wavenumbers().astype(int)
-            if M < 2 * np.max(np.abs(k)) + 2:
-                raise DomainError("grid too coarse for the Fourier band")
-            full[np.mod(k, M)] = self.coeffs
-        return np.fft.ifft(full) * M
+        return _to_grid(self.coeffs, self.basis, 4 * self.N if M is None else M)
 
     def at_zero(self) -> complex:
         return complex(np.sum(self.coeffs))
@@ -171,11 +200,7 @@ _CONTOUR = np.exp(2j * math.pi * (np.arange(32) + 0.5) / 32.0)
 
 @lru_cache(maxsize=64)
 def _etdrk4_tables(basis: str, N: int, theta: float, dr: float):
-    if basis == NEUMANN_HALF:
-        k = np.arange(N, dtype=float)
-    else:
-        k = np.fft.fftfreq(N, d=1.0 / N)
-    L = np.exp(1j * theta) * (-((_TWO_PI * k) ** 2))
+    L = np.exp(1j * theta) * (-((_TWO_PI * _wavenumbers(basis, N)) ** 2))
     z = dr * L
     E = np.exp(z)
     E2 = np.exp(z / 2.0)
@@ -210,25 +235,8 @@ def _etdrk4_tables(basis: str, N: int, theta: float, dr: float):
 
 def _square(coeffs: np.ndarray, basis: str) -> np.ndarray:
     """Coefficients of w^2, exactly (4N grid holds every product mode)."""
-    N = len(coeffs)
-    M = 4 * N
-    full = np.zeros(M, dtype=complex)
-    if basis == NEUMANN_HALF:
-        full[0] = coeffs[0]
-        full[1:N] = coeffs[1:] / 2.0
-        full[M - N + 1:] = coeffs[:0:-1] / 2.0
-    else:
-        k = np.fft.fftfreq(N, d=1.0 / N).astype(int)
-        full[np.mod(k, M)] = coeffs
-    u = np.fft.ifft(full) * M
-    chat = np.fft.fft(u * u) / M
-    if basis == NEUMANN_HALF:
-        out = np.empty(N, dtype=complex)
-        out[0] = chat[0]
-        out[1:] = 2.0 * chat[1:N]
-        return out
-    k = np.fft.fftfreq(N, d=1.0 / N).astype(int)
-    return chat[np.mod(k, M)]
+    u = _to_grid(coeffs, basis, 4 * len(coeffs))
+    return _from_grid(u * u, basis, len(coeffs))
 
 
 def _nonlinear(coeffs: np.ndarray, basis: str, theta: float, lam: float) -> np.ndarray:
@@ -664,9 +672,6 @@ def analyticity_boundary(
     r_cap: float = 2.0,
     err_target: float = 1e-9,
     norm_threshold: float = 1e8,
-    refine: bool = True,
-    refine_iters: int = 30,
-    refine_width: float = 1e-6,
 ) -> BoundaryScan:
     """Estimate r*(s): existence length of the theta = 0 ray started at i s.
 
@@ -675,9 +680,9 @@ def analyticity_boundary(
     (censored at r_cap when it does not).  The vertical legs are advanced
     incrementally and reused across the grid.  When the vertical leg itself
     diverges before reaching s, that sample and the more distant ones on the
-    same side are recorded as undefined.  Divergent horizontal legs are
-    refined by bisection from the last checkpoint below half threshold, at
-    most refine_iters rounds.
+    same side are recorded as undefined.  A divergent horizontal leg that
+    passed norm_threshold / 4 is refined by bisection on the crossing
+    arclength (see _refine_crossing); the s = 0 leg is not refined.
 
     The reported corner (r0, s0) is the sample minimizing r_star; it is
     descriptive (a rectangle certificate corner), not asserted against any
@@ -714,11 +719,8 @@ def analyticity_boundary(
                 norm_threshold=norm_threshold, err_target=err_target,
             )
             r_star = rec.r_star_lower
-            if rec.diverged and refine:
-                r_star = _refine_crossing(
-                    start, lam, rec, norm_threshold, err_target,
-                    refine_iters, refine_width,
-                )
+            if rec.diverged:
+                r_star = _refine_crossing(start, lam, rec, norm_threshold, err_target)
             samples[s] = BoundarySample(
                 s=s, r_star=float(r_star), defined=True,
                 censored=not rec.diverged,
@@ -743,29 +745,26 @@ def analyticity_boundary(
     return BoundaryScan(samples=ordered, corner=corner, r_cap=r_cap, lam=float(lam))
 
 
-def _refine_crossing(start, lam, rec, norm_threshold, err_target, iters, width):
+_REFINE_ITERS = 30
+_REFINE_WIDTH = 1e-6   # relative width at which the crossing bisection stops
+
+
+def _refine_crossing(start, lam, rec, norm_threshold, err_target):
     """Bisection sharpening of the threshold-crossing arclength.
 
     Restarts from the last recorded state below norm_threshold / 4 (re-run
-    cheaply to that checkpoint) and bisects on the crossing radius.
+    cheaply to that checkpoint) and bisects on the crossing radius.  A leg
+    that ended below norm_threshold / 4 never crossed and is returned as is.
     """
-    hist_r = rec.history["r"]
-    hist_h1 = rec.history["h1"]
-    below = np.nonzero(hist_h1 < norm_threshold / 4.0)[0]
-    if len(below) == 0:
+    below = np.nonzero(rec.history["h1"] < norm_threshold / 4.0)[0]
+    if len(below) == 0 or below[-1] == len(rec.history["r"]) - 1:
         return rec.r_star_lower
-    r_ck = float(hist_r[below[-1]])
-    ck, status = _advance(
-        ComplexField(start.coeffs.copy(), start.basis, 0.0, 0.0),
-        r_ck, lam, err_target=err_target,
-    )
+    lo, hi = float(rec.history["r"][below[-1]]), float(rec.r_star_lower)
+    ck, status = _advance(start.copy(), lo, lam, err_target=err_target)
     if status != REASON_HORIZON:
         return rec.r_star_lower
-    lo, hi = r_ck, float(rec.r_star_lower)
-    if hi <= lo:
-        return rec.r_star_lower
-    for _ in range(iters):
-        if hi - lo < width * max(1.0, hi):
+    for _ in range(_REFINE_ITERS):
+        if hi - lo < _REFINE_WIDTH * max(1.0, hi):
             break
         mid = 0.5 * (lo + hi)
         probe, status = _advance(

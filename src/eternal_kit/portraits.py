@@ -557,7 +557,3 @@ def trace_and_extract(
         degenerate_subsets=degenerate,
         saddle_connections=connections,
     )
-
-
-#: alias matching the "draw me the portrait" reading of the API
-portrait = trace_and_extract

@@ -168,11 +168,6 @@ def homogeneous_spectrum(lam: float, count: int = 8, equilibrium: str = "upper")
     return sign * 2.0 * math.sqrt(6.0 * lam) - (_TWO_PI * k) ** 2
 
 
-def target_spectrum(lam: float, count: int = 8) -> np.ndarray:
-    """Decay rates at the heteroclinic target -sqrt(lam/6) (all negative)."""
-    return homogeneous_spectrum(lam, count, equilibrium="lower")
-
-
 def morse_index_homogeneous(lam: float) -> int:
     """Unstable dimension of +sqrt(lam/6): #{k >= 0 : (2 pi k)^2 < 2 sqrt(6 lam)}."""
     lam = float(lam)

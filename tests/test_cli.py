@@ -103,14 +103,6 @@ class TestOutDescriptor:
         assert Path(target + ".run.json").read_text() == desc1
 
 
-class TestJobs:
-    def test_parallel_resonance_matches_serial(self):
-        rc1, out1, _ = run_cli(["resonance", "--n-max", "6", "--jobs", "1"])
-        rc2, out2, _ = run_cli(["resonance", "--n-max", "6", "--jobs", "2"])
-        assert rc1 == rc2 == 0
-        assert out1 == out2
-
-
 class TestExitCodes:
     def test_success(self):
         assert run_cli(["trees", "--d", "4"])[0] == 0
@@ -139,6 +131,22 @@ class TestExitCodes:
         rc, _, err = run_cli(["resonance"])
         assert rc == 64
         assert "usage error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--profile", "1"],
+        ["boundary", "--profile", "1,2,3"],
+        ["ode", "--w0", "1"],
+        ["evolve", "--constant", "abc"],
+        ["evolve", "--mono", "zz"],
+        ["portrait", "--roots", "1,2;3"],
+        ["ode", "--roots", "x"],
+    ])
+    def test_malformed_field_strings(self, argv):
+        rc, out, err = run_cli(argv)
+        assert rc == 64
+        assert out == ""
+        assert err.startswith("usage error: ")
+        assert "Traceback" not in err
 
     def test_bad_env_tolerance(self, monkeypatch):
         monkeypatch.setenv("ETERNAL_KIT_TOL", "not-a-number")

@@ -101,6 +101,31 @@ class TestStep:
         assert np.all(slopes >= 3.5)
 
 
+class TestSquare:
+    @pytest.mark.parametrize("N", [2, 5, 16, 64])
+    def test_cosine_square_matches_exact_product(self, N):
+        rng = np.random.default_rng(N)
+        c = rng.normal(size=N) + 1j * rng.normal(size=N)
+        series = elliptic.CosineSeries(c)
+        want = elliptic.cosine_product(series, series).coeffs[:N]
+        got = evolve._square(c, evolve.NEUMANN_HALF)
+        assert np.max(np.abs(got - want)) < 1e-14 * np.sum(np.abs(c)) ** 2
+
+    @pytest.mark.parametrize("N", [2, 5, 16, 64])
+    def test_periodic_square_matches_direct_convolution(self, N):
+        rng = np.random.default_rng(N)
+        c = rng.normal(size=N) + 1j * rng.normal(size=N)
+        k = np.fft.fftfreq(N, d=1.0 / N).astype(int)
+        slot = {m: j for j, m in enumerate(k)}
+        want = np.zeros(N, dtype=complex)
+        for i in range(N):
+            for j in range(N):
+                if k[i] + k[j] in slot:
+                    want[slot[k[i] + k[j]]] += c[i] * c[j]
+        got = evolve._square(c, evolve.PERIODIC_UNIT)
+        assert np.max(np.abs(got - want)) < 1e-14 * np.sum(np.abs(c)) ** 2
+
+
 class TestDetectBlowup:
     def test_real_ray_constant_data_matches_tanh(self):
         # Spatially constant data obeys dw/dr = 6 w^2 - 6; from zero the
@@ -258,3 +283,49 @@ class TestAnalyticityBoundary:
             assert not by_s[s].defined
             assert by_s[s].r_star is None
         assert scan.corner is None
+
+
+class TestRefineCrossing:
+    # Constant data w0 at lambda = 6 a^2 poles at r* = ln((w0 + a)/(w0 - a)) / (12 a)
+    # and again at r* + i pi / (6 a): a horizontal leg started at i pi / (6 a)
+    # meets the same singularity.
+    W0, LAM = 1.5, 6.0
+
+    def _pole_row_leg(self, norm_threshold):
+        a = math.sqrt(self.LAM / 6.0)
+        up = evolve.constant_field(self.W0, N=16, theta=-math.pi / 2)
+        top, status = evolve._advance(up, math.pi / (6.0 * a), self.LAM, err_target=1e-10)
+        assert status == evolve.REASON_HORIZON
+        start = evolve.ComplexField(top.coeffs.copy(), top.basis)
+        rec = evolve.detect_blowup(start, self.LAM, 1.0, norm_threshold=norm_threshold)
+        assert rec.diverged
+        return start, rec
+
+    def _refine(self, monkeypatch, start, rec, norm_threshold):
+        calls = []
+        advance = evolve._advance
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return advance(*args, **kwargs)
+
+        monkeypatch.setattr(evolve, "_advance", counted)
+        return evolve._refine_crossing(start, self.LAM, rec, norm_threshold, 1e-9), len(calls)
+
+    def test_leg_below_quarter_threshold_is_not_rerun(self, monkeypatch):
+        start, rec = self._pole_row_leg(1e8)
+        assert rec.final_h1 < 1e8 / 4.0
+        r_star, calls = self._refine(monkeypatch, start, rec, 1e8)
+        assert calls == 0
+        assert r_star == rec.r_star_lower
+
+    def test_crossing_leg_is_bisected_below_the_pole(self, monkeypatch):
+        a = math.sqrt(self.LAM / 6.0)
+        exact = math.log((self.W0 + a) / (self.W0 - a)) / (12.0 * a)
+        start, rec = self._pole_row_leg(1e3)
+        assert rec.reason == evolve.REASON_NORM
+        r_star, calls = self._refine(monkeypatch, start, rec, 1e3)
+        assert calls > 1
+        assert r_star <= rec.r_star_lower
+        assert r_star <= exact
+        assert exact - r_star < 1e-3

@@ -28,11 +28,6 @@ def test_homogeneous_lower_equilibrium_spectrum():
     assert all(m < 0 for m in mus)
 
 
-def test_target_spectrum_is_lower_equilibrium_alias():
-    assert np.array_equal(spectrum.target_spectrum(3.0, count=4),
-                          spectrum.homogeneous_spectrum(3.0, count=4, equilibrium="lower"))
-
-
 @pytest.mark.parametrize("n", range(1, 9))
 def test_homogeneous_morse_index_counts_branch_index(n):
     lam = (2.0 / 3.0) * (n * math.pi) ** 4

@@ -26,6 +26,7 @@ GOLDEN_CASES = {
     "ode_lattice.csv": ["ode", "--cyclotomic", "4", "--lattice"],
     "portrait.csv": ["portrait", "--cyclotomic", "3"],
     "trees.csv": ["trees", "--d-min", "2", "--d-max", "12"],
+    "trees_codes.csv": ["trees", "--codes", "10"],
     "waves.csv": ["waves", "--c-min", "0", "--c-max", "3", "--points", "7"],
     "waves_resonant.csv": ["waves", "--resonant", "4"],
 }

@@ -1,5 +1,6 @@
 """Disk-compactified portraits: tracing, trees, chord diagrams, census."""
 
+import itertools
 import math
 
 import numpy as np
@@ -154,6 +155,43 @@ class TestChordDiagrams:
             portraits.ChordDiagram.from_code("0110")  # close before any open
         with pytest.raises(DomainError):
             portraits.ChordDiagram.from_code("1110")  # unbalanced
+
+
+def dyck_words(m):
+    """Every balanced opener/closer string with m chords, by brute force."""
+    for bits in itertools.product("10", repeat=2 * m):
+        depth = 0
+        for ch in bits:
+            depth += 1 if ch == "1" else -1
+            if depth < 0:
+                break
+        if depth == 0:
+            yield "".join(bits)
+
+
+def reference_canonical_code(dg):
+    return min(dg.rotate(t).code() for t in range(dg.n_slots))
+
+
+class TestCanonicalReference:
+    """The canonical forms against the rotate-everything definition."""
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_canonical_code_is_least_rotation(self, m):
+        words = list(dyck_words(m))
+        assert len(words) == math.comb(2 * m, m) // (m + 1)
+        for word in words:
+            dg = portraits.ChordDiagram.from_code(word)
+            ref = reference_canonical_code(dg)
+            assert dg.canonical_code() == ref, word
+            assert dg.canonical().code() == ref, word
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_enumeration_equals_reference_classes(self, d):
+        codes = {reference_canonical_code(portraits.ChordDiagram.from_code(w))
+                 for w in dyck_words(d - 1)}
+        reference = [portraits.ChordDiagram.from_code(c) for c in sorted(codes)]
+        assert portraits.enumerate_diagrams(d) == reference
 
 
 def test_tree_chord_bijection_at_degree_six():

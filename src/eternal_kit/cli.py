@@ -325,8 +325,12 @@ def _cmd_trees(args):
         return ["d", "code"], rows, {"count": len(diagrams)}
     if args.d is not None:
         args.d_min = args.d_max = args.d
+    degrees = range(args.d_min, args.d_max + 1)
+    if args.enumerate:
+        for d in degrees:
+            portraits.check_enumerable(d)
     rows = []
-    for d in range(args.d_min, args.d_max + 1):
+    for d in degrees:
         cnt = portraits.count_portraits(d)
         if args.enumerate:
             enum = len(portraits.enumerate_diagrams(d))

@@ -193,11 +193,15 @@ class ChordDiagram:
         return ChordDiagram(tuple(((a + t) % n, (b + t) % n) for a, b in self.pairs))
 
     def canonical_code(self) -> str:
-        return min(self.rotate(t).code() for t in range(self.n_slots))
+        """Least code over all rotations of the diagram."""
+        n = self.n_slots
+        offsets = [0] * n
+        for a, b in self.pairs:
+            offsets[a], offsets[b] = b - a, n - (b - a)
+        return _canonical_code(offsets)
 
     def canonical(self) -> "ChordDiagram":
-        best = min(range(self.n_slots), key=lambda t: self.rotate(t).code())
-        return self.rotate(best)
+        return ChordDiagram.from_code(self.canonical_code())
 
     @classmethod
     def from_code(cls, code: str) -> "ChordDiagram":
@@ -305,34 +309,99 @@ def chord_to_tree(diagram: ChordDiagram) -> PlanarTree:
     return PlanarTree(dict(neighbors))
 
 
-def _noncrossing_matchings(slots: tuple[int, ...]):
-    if not slots:
-        yield ()
+#: largest degree `enumerate_diagrams` accepts
+ENUMERATE_MAX_D = 14
+
+#: Dyck words up to this many chords are kept in memory while enumerating
+_MEMO_CHORDS = 6
+
+
+def _canonical_code(offsets) -> str:
+    """Least opener/closer code over the rotations of a chord diagram.
+
+    `offsets` holds (partner(s) - s) mod n for each slot s.  Rotating the
+    diagram to start at slot c keeps the opener/closer bit of every chord
+    that does not straddle the cut before c and swaps the two bits of every
+    chord that does.  The straddling chords are tracked as one bit mask
+    while c advances, so each rotation costs a few integer operations, and
+    slot 0 is the most significant bit so integer order is string order.
+    """
+    n = len(offsets)
+    code = 0
+    for s, off in enumerate(offsets):
+        if s + off < n:
+            code |= 1 << (n - 1 - s)
+    full = (1 << n) - 1
+    best = code
+    straddling = 0
+    for c in range(1, n):
+        s = c - 1
+        straddling ^= (1 << (n - 1 - s)) | (1 << (n - 1 - (s + offsets[s]) % n))
+        rotated = code ^ straddling
+        rotated = ((rotated << c) | (rotated >> (n - c))) & full
+        if rotated < best:
+            best = rotated
+    return format(best, f"0{n}b")
+
+
+def _dyck_offsets(m: int, n: int, memo: dict):
+    """Stream the Dyck words with m chords as offset sequences mod n.
+
+    A word is 1 A 0 B for Dyck words A and B.  Offsets do not depend on
+    where a word sits, so the offsets of the word are those of its first
+    chord around those of A, followed by those of B.  `memo` holds the
+    short words; longer ones are regenerated, so no list of all
+    Catalan(m) words is ever built.
+    """
+    if m in memo:
+        yield from memo[m]
         return
-    s0 = slots[0]
-    for i in range(1, len(slots), 2):
-        for inner in _noncrossing_matchings(slots[1:i]):
-            for outer in _noncrossing_matchings(slots[i + 1:]):
-                yield ((s0, slots[i]),) + inner + outer
+    for i in range(m):
+        opener, closer = bytes((2 * i + 1,)), bytes((n - 2 * i - 1,))
+        for inner in _dyck_offsets(i, n, memo):
+            head = opener + inner + closer
+            for tail in _dyck_offsets(m - 1 - i, n, memo):
+                yield head + tail
+
+
+def check_enumerable(d: int) -> None:
+    """Raise DomainError unless `enumerate_diagrams(d)` accepts d."""
+    if d < 2:
+        raise DomainError("need d >= 2")
+    if d > ENUMERATE_MAX_D:
+        raise DomainError(f"enumeration beyond d = {ENUMERATE_MAX_D} is unreasonably large")
 
 
 def enumerate_diagrams(d: int) -> list[ChordDiagram]:
     """Canonical representatives of all rotation classes with d - 1 chords.
 
-    Generates the Catalan(d-1) noncrossing matchings and keeps one per
-    rotation class, sorted by canonical code.
+    A diagram's offsets (partner(s) - s) mod 2(d-1) rotate with it, and
+    they determine it.  In each class exactly one diagram has the least
+    rotation of its offsets as its own offsets.  That diagram has a chord
+    from slot 0 to slot 1, since the least offset is 1, so only the
+    Catalan(d-2) words 1 0 W are streamed.  Each diagram that passes is
+    turned into its class's canonical code.  The representatives are
+    built from those codes, sorted, one `ChordDiagram` per class.
     """
-    if d < 2:
-        raise DomainError("need d >= 2")
-    if d > 14:
-        raise DomainError("enumeration beyond d = 14 is unreasonably large")
-    classes: dict[str, ChordDiagram] = {}
-    for pairs in _noncrossing_matchings(tuple(range(2 * (d - 1)))):
-        diag = ChordDiagram(pairs)
-        code = diag.canonical_code()
-        if code not in classes:
-            classes[code] = diag.canonical()
-    return [classes[c] for c in sorted(classes)]
+    check_enumerable(d)
+    m = d - 1
+    n = 2 * m
+    memo: dict = {0: [b""]}
+    for k in range(1, min(m - 1, _MEMO_CHORDS + 1)):
+        memo[k] = list(_dyck_offsets(k, n, memo))
+    lead = bytes((1, n - 1))
+    codes = []
+    for tail in _dyck_offsets(m - 1, n, memo):
+        offsets = lead + tail
+        twice = offsets + offsets
+        # the least rotation starts at an offset 1; keep the word if no
+        # other such start reads smaller
+        c = offsets.find(1, 2)
+        while c != -1 and twice[c:c + n] >= offsets:
+            c = offsets.find(1, c + 1)
+        if c == -1:
+            codes.append(_canonical_code(offsets))
+    return [ChordDiagram.from_code(code) for code in sorted(codes)]
 
 
 def _totient(n: int) -> int:
@@ -542,7 +611,7 @@ def trace_and_extract(
             else:
                 first[e] = s
         chord = ChordDiagram(tuple(pairs)).canonical()
-        code = chord.canonical_code()
+        code = chord.code()
 
     return PortraitGraph(
         roots=fld.roots.copy(),

@@ -25,6 +25,13 @@ When d - 1 < n / sqrt(2) (exact integer form: 2 (d-1)^2 < n^2) even the
 crudest gap argument rules out order-0 solutions without any search; the
 worst cases of that bound come from near-isoceles Pythagorean triples
 generated by the Pell recurrence, see `pythagorean_worst_cases`.
+
+Scope.  The certificate passes at orders h^0..h^2, in exact integers and
+Fractions, for every n <= 60, not only for n <= 22.  The paper's limit
+i(W_n) <= 22 therefore comes from an argument this check does not
+implement.  The `asserted` column of `eternal-kit resonance` only echoes
+`--n-max`: it is true for the rows n <= n_max and false for the one row
+past it, whatever the verdict.
 """
 
 from __future__ import annotations

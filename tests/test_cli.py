@@ -149,6 +149,22 @@ class TestExitCodes:
         assert err.startswith("usage error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["trees", "--d-max", "15", "--enumerate"],
+        ["trees", "--codes", "15"],
+    ])
+    def test_census_past_the_cap_fails_before_enumerating(self, argv, monkeypatch):
+        from eternal_kit import portraits
+        calls = []
+        real = portraits.enumerate_diagrams
+        monkeypatch.setattr(portraits, "enumerate_diagrams",
+                            lambda d: calls.append(d) or real(d))
+        rc, out, err = run_cli(argv)
+        assert rc == 1
+        assert out == ""
+        assert err == "domain error: enumeration beyond d = 14 is unreasonably large\n"
+        assert all(d > portraits.ENUMERATE_MAX_D for d in calls)
+
     def test_bad_env_tolerance(self, monkeypatch):
         monkeypatch.setenv("ETERNAL_KIT_TOL", "not-a-number")
         assert run_cli(["waves", "--resonant", "2"])[0] == 64

@@ -220,9 +220,16 @@ def test_census_formula_matches_printed_sequence(d):
     assert portraits.count_portraits(d) == TREE_COUNTS[d - 2]
 
 
-@pytest.mark.parametrize("d", range(2, 11))
+@pytest.mark.parametrize("d", range(2, portraits.ENUMERATE_MAX_D + 1))
 def test_enumeration_cardinality_matches_formula(d):
     assert len(portraits.enumerate_diagrams(d)) == portraits.count_portraits(d)
+
+
+def test_enumeration_refuses_degrees_past_the_cap():
+    with pytest.raises(DomainError, match="beyond d = 14"):
+        portraits.enumerate_diagrams(portraits.ENUMERATE_MAX_D + 1)
+    with pytest.raises(DomainError):
+        portraits.enumerate_diagrams(1)
 
 
 def test_enumerated_diagrams_are_canonical_and_distinct():

@@ -111,6 +111,37 @@ def test_perturbation_coefficients_reject_bad_indices():
         spectrum.perturbation_mu_coefficients(2, -1)
 
 
+def mu2_closed_form(n, k):
+    """h^2 coefficient of mu_{n,k}(h) / (4 pi^2); 48 n^2 at k = n / 2."""
+    if 2 * k == n:
+        return Fraction(48 * n * n)
+    return Fraction(24 * n * n * (11 * n * n + 4 * k * k), n * n - 4 * k * k)
+
+
+def test_mu2_fractions_match_extrapolated_galerkin_spectra():
+    """The resonance certificate's exact mu2 against spectra at +-h, +-2h.
+
+    The symmetric second difference of mu / (4 pi^2) at step h is mu2 +
+    O(h^2); one Richardson step against step 2h removes the h^2 term.  The
+    step must be small: near-resonant denominators n^2 - 4 k^2 shrink the
+    radius of the expansion, and at h = 1e-3 the estimate is off by 2%.
+    """
+    h = 3e-5
+    for n in range(1, 24):
+        mus = {hh: spectrum.eigen(elliptic.branch_point(n, hh).profile).eigenvalues[:n]
+               / (4.0 * math.pi ** 2)
+               for hh in (h, -h, 2 * h, -2 * h)}
+        for k in range(n):
+            exact = mu2_closed_form(n, k)
+            assert spectrum.perturbation_mu_coefficients(n, k)[2] == exact
+            mu0 = n * n - k * k
+            d1 = (mus[h][k] + mus[-h][k] - 2.0 * mu0) / (2.0 * h * h)
+            d2 = (mus[2 * h][k] + mus[-2 * h][k] - 2.0 * mu0) / (8.0 * h * h)
+            got = (4.0 * d1 - d2) / 3.0
+            err = abs(got - float(exact)) / abs(float(exact))
+            assert err < 1e-5, (n, k, got, exact)
+
+
 def _defect_slope(n, k, hs):
     defects = []
     for h in hs:

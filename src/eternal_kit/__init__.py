@@ -33,8 +33,8 @@ from .errors import (
 from .evolve import (
     NEUMANN_HALF,
     PERIODIC_UNIT,
-    BlowupRecord,
     ComplexField,
+    RayRun,
     analyticity_boundary,
     constant_field,
     cosine_field,
@@ -57,6 +57,7 @@ from .portraits import (
 from .resonance import (
     ResonanceCertificate,
     fast_bound_check,
+    fast_d_max,
     homogeneous_resonant_lambdas,
     identical_resonance_check,
     numeric_resonance_scan,

@@ -163,19 +163,15 @@ def _cmd_spectrum(args):
 
 
 def _cmd_resonance(args):
-    if args.n is not None:
-        ns, asserted_upto = [args.n], args.n
-    else:
-        ns = list(range(1, args.n_max + 2))
-        asserted_upto = args.n_max
+    ns = [args.n] if args.n is not None else list(range(1, args.n_max + 2))
     rows = []
     for n in ns:
         cert = resonance.identical_resonance_check(n)
         wit = ";".join(f"j={j} m={m}" for j, m in cert.witnesses)
-        rows.append((cert.n, cert.verdict, cert.asserted and cert.n <= asserted_upto,
+        rows.append((cert.n, cert.verdict, resonance.fast_d_max(cert.n),
                      cert.search_bound, "+".join(str(o) for o in cert.orders),
                      cert.order1_vacuous, wit))
-    cols = ["n", "verdict", "asserted", "search_bound", "orders", "order1_vacuous", "witnesses"]
+    cols = ["n", "verdict", "fast_d_max", "search_bound", "orders", "order1_vacuous", "witnesses"]
     return cols, rows, {}
 
 
@@ -213,7 +209,7 @@ def _cmd_boundary(args):
         (b.s, "" if b.r_star is None else float(b.r_star), b.defined, b.censored, b.reason)
         for b in scan.samples
     ]
-    meta = {"lambda": lam, "r_cap": scan.r_cap}
+    meta = {"lambda": lam, "r_cap": args.r_cap}
     if scan.corner:
         meta["corner_r"], meta["corner_s"] = scan.corner
     return ["s", "r_star", "defined", "censored", "reason"], rows, meta

@@ -27,9 +27,11 @@ H^1 distance over 2^4 - 1.
 
 Blow-up is reported, never guessed: a run ends with NORM_THRESHOLD when the
 H^1 norm passes the threshold, STEP_COLLAPSE when the accepted step falls
-below dr_min, or HORIZON when the requested arclength is reached.  The
-reported r_star_lower is the arclength actually reached with finite norm, a
-certified lower bound for the existence time along that ray.
+below dr_min, CAPTURED when the caller's on_accept hook stops it, or HORIZON
+when the requested arclength is reached.  Every ray driver returns a RayRun
+holding the final state, that reason and the history of accepted steps.  Its
+r_star_lower is the arclength actually reached with finite norm, a certified
+lower bound for the existence time along that ray.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from itertools import zip_longest
 
 import numpy as np
 
@@ -50,6 +53,7 @@ PERIODIC_UNIT = "PERIODIC_UNIT"
 REASON_NORM = "NORM_THRESHOLD"
 REASON_STEP = "STEP_COLLAPSE"
 REASON_HORIZON = "HORIZON"
+REASON_CAPTURED = "CAPTURED"
 
 _TWO_PI = 2.0 * math.pi
 
@@ -283,21 +287,15 @@ class _History:
     grad: list = dc_field(default_factory=list)
     w0: list = dc_field(default_factory=list)
 
-    def push(self, state: ComplexField):
+    def push(self, state: ComplexField, h1: float):
         self.r.append(state.r)
-        self.h1.append(state.h1_norm())
+        self.h1.append(h1)
         self.sup.append(state.sup_norm())
         self.grad.append(state.grad_norm())
         self.w0.append(state.at_zero())
 
     def arrays(self) -> dict:
-        return {
-            "r": np.array(self.r),
-            "h1": np.array(self.h1),
-            "sup": np.array(self.sup),
-            "grad": np.array(self.grad),
-            "w0": np.array(self.w0),
-        }
+        return {name: np.array(values) for name, values in vars(self).items()}
 
 
 def _advance(
@@ -316,7 +314,7 @@ def _advance(
 
     err_target is the relative H^1 error budget per unit ray length,
     estimated by step doubling.  on_accept(prev, new) may return False to
-    stop the run early (status "CAPTURED").
+    stop the run early (status CAPTURED).
     """
     if r_target < state.r:
         raise DomainError("r_target must lie ahead of the current position")
@@ -327,8 +325,6 @@ def _advance(
     # dr and dr/2 are then reused across steps instead of rebuilt
     span = max(r_target - u.r, dr_min)
     dr = dr_min * 2.0 ** max(0, math.floor(math.log2(min(dr_init, span) / dr_min)))
-    if history is not None and not history.r:
-        history.push(u)
 
     while u.r < r_target * (1.0 - 1e-15) and r_target > u.r:
         dr_try = min(dr, r_target - u.r)
@@ -341,7 +337,8 @@ def _advance(
                 return u, REASON_STEP
             continue
         err = _h1_diff(u_full, u_half) / 15.0
-        scale = max(1.0, u_half.h1_norm())
+        h1 = u_half.h1_norm()
+        scale = max(1.0, h1)
         tol = err_target * dr_try * scale
         if not math.isfinite(err):
             dr /= 4.0
@@ -351,10 +348,10 @@ def _advance(
         if err <= tol:
             prev, u = u, u_half
             if history is not None:
-                history.push(u)
+                history.push(u, h1)
             if on_accept is not None and on_accept(prev, u) is False:
-                return u, "CAPTURED"
-            if norm_threshold is not None and u.h1_norm() >= norm_threshold:
+                return u, REASON_CAPTURED
+            if norm_threshold is not None and h1 >= norm_threshold:
                 return u, REASON_NORM
             # doubling is taken only when the fifth-order estimate predicts
             # the doubled step still passes with a 20% margin
@@ -368,51 +365,87 @@ def _advance(
 
 
 # ---------------------------------------------------------------------------
-# blow-up detection
+# ray runs
 
 
 @dataclass
-class BlowupRecord:
-    """Outcome of a single-ray run with divergence monitoring."""
+class RayRun:
+    """One ray advanced through ascending stops: where it ended and why.
 
-    r_star_lower: float       # arclength certified with finite H^1 norm
-    diverged: bool
-    reason: str               # NORM_THRESHOLD | STEP_COLLAPSE | HORIZON
-    final_h1: float
-    final_sup: float
-    theta: float
-    lam: float
-    norm_threshold: float
-    history: dict
-    h1_growth_ok: bool
-    sectorial: bool
-    near_resonant_lambda: bool
-    final_state: ComplexField | None = None
-
-
-def _near_resonant(lam: float, n_max: int = 3, m_max: int = 40, rel: float = 1e-9) -> bool:
-    from .resonance import homogeneous_resonant_lambdas
-
-    for n in range(1, n_max + 1):
-        for _m, lp in homogeneous_resonant_lambdas(n, m_max):
-            if abs(lam - lp) <= rel * lp:
-                return True
-    return False
-
-
-def _growth_monitor(hist: dict) -> bool:
-    """Check ||w_x(r)|| <= ||w_x(0)|| exp(12 C r) with 10% slack.
-
-    C is the largest sup norm observed on the run; the bound is the
-    Gronwall envelope for the gradient of solutions bounded by C.
+    history holds r, h1, sup, grad and w0 of the start and of every accepted
+    step; fields holds a copy of the state at each stop reached.
     """
-    r = hist["r"]
-    grad = hist["grad"]
-    if len(r) == 0:
-        return True
-    C = float(np.max(hist["sup"]))
-    envelope = grad[0] * np.exp(np.minimum(12.0 * C * (r - r[0]), 700.0)) * 1.1 + 1e-12
-    return bool(np.all(grad <= envelope))
+
+    final_state: ComplexField
+    reason: str               # NORM_THRESHOLD | STEP_COLLAPSE | CAPTURED | HORIZON
+    lam: float
+    history: dict
+    fields: list[ComplexField]
+
+    @property
+    def r_star_lower(self) -> float:
+        """Arclength certified with finite H^1 norm."""
+        return float(self.final_state.r)
+
+    @property
+    def diverged(self) -> bool:
+        return self.reason in (REASON_NORM, REASON_STEP)
+
+    @property
+    def sectorial(self) -> bool:
+        return self.final_state.sectorial
+
+    @property
+    def final_h1(self) -> float:
+        return float(self.history["h1"][-1])
+
+    @property
+    def h1_growth_ok(self) -> bool:
+        """Check ||w_x(r)|| <= ||w_x(0)|| exp(12 C r) with 10% slack.
+
+        C is the largest sup norm observed on the run; the bound is the
+        Gronwall envelope for the gradient of solutions bounded by C.
+        """
+        r, grad = self.history["r"], self.history["grad"]
+        C = float(np.max(self.history["sup"]))
+        envelope = grad[0] * np.exp(np.minimum(12.0 * C * (r - r[0]), 700.0)) * 1.1 + 1e-12
+        return bool(np.all(grad <= envelope))
+
+    @property
+    def near_resonant_lambda(self) -> bool:
+        """True when lam is within 1e-9 (relative) of a homogeneous resonance, n <= 3, m <= 40."""
+        from .resonance import homogeneous_resonant_lambdas
+
+        return any(abs(self.lam - lp) <= 1e-9 * lp
+                   for n in (1, 2, 3) for _m, lp in homogeneous_resonant_lambdas(n, 40))
+
+    @property
+    def status(self) -> str:
+        """Same as reason."""
+        return self.reason
+
+    @property
+    def s_reached(self) -> float:
+        """Signed s reached on a vertical ray (theta = -pi/2 runs s forward)."""
+        return math.copysign(self.final_state.r, -self.final_state.theta)
+
+
+def _run(state: ComplexField, stops, lam: float, **advance_kw) -> RayRun:
+    """Advance state through the ascending arclengths in stops with one history.
+
+    The state at each stop reached is copied into fields; the run ends at the
+    first status other than HORIZON.
+    """
+    hist = _History()
+    hist.push(state, state.h1_norm())
+    fields: list[ComplexField] = []
+    status = REASON_HORIZON
+    for stop in stops:
+        state, status = _advance(state, float(stop), lam, history=hist, **advance_kw)
+        if status != REASON_HORIZON:
+            break
+        fields.append(state.copy())
+    return RayRun(state, status, float(lam), hist.arrays(), fields)
 
 
 def detect_blowup(
@@ -424,56 +457,17 @@ def detect_blowup(
     err_target: float = 1e-9,
     dr_min: float = 1e-12,
     dr_init: float | None = None,
-) -> BlowupRecord:
+) -> RayRun:
     """Integrate along the ray of w0 until r_max, the norm threshold, or
     step collapse, and report which came first.
 
     r_star_lower is the largest arclength reached with H^1 norm still finite
     and below threshold at every accepted step before the final one.
     """
-    hist = _History()
-    final, status = _advance(
-        w0.copy(),
-        w0.r + float(r_max),
-        lam,
-        err_target=err_target,
-        dr_min=dr_min,
-        dr_init=dr_init,
-        norm_threshold=norm_threshold,
-        history=hist,
+    return _run(
+        w0.copy(), [w0.r + float(r_max)], lam,
+        err_target=err_target, dr_min=dr_min, dr_init=dr_init, norm_threshold=norm_threshold,
     )
-    arrays = hist.arrays()
-    return BlowupRecord(
-        r_star_lower=float(final.r),
-        diverged=status != REASON_HORIZON,
-        reason=status,
-        final_h1=final.h1_norm(),
-        final_sup=final.sup_norm(),
-        theta=w0.theta,
-        lam=float(lam),
-        norm_threshold=norm_threshold,
-        history=arrays,
-        h1_growth_ok=_growth_monitor(arrays),
-        sectorial=w0.sectorial,
-        near_resonant_lambda=_near_resonant(float(lam)),
-        final_state=final,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Schrodinger rays
-
-
-@dataclass
-class SchrodingerRun:
-    """Snapshots of i psi_s = psi_xx + 6 psi^2 - lambda at requested s values."""
-
-    s_points: np.ndarray
-    fields: list[ComplexField]   # one per reached s point, in order
-    status: str
-    s_reached: float
-    theta: float
-    history: dict
 
 
 def schrodinger_evolve(
@@ -484,11 +478,11 @@ def schrodinger_evolve(
     err_target: float = 1e-10,
     norm_threshold: float = 1e8,
     dr_min: float = 1e-12,
-) -> SchrodingerRun:
+) -> RayRun:
     """Evolve the Schrodinger flow to each s in s_points (one sign, ascending |s|).
 
     Positive s means theta = -pi/2, negative s theta = +pi/2; the returned
-    fields carry |s| in their r slot and the run records the signed values.
+    fields carry |s| in their r slot and s_reached is signed.
     The vertical rays are non-sectorial (no smoothing), hence the smaller
     default error target and initial step.
     """
@@ -505,30 +499,8 @@ def schrodinger_evolve(
 
     theta = -math.pi / 2 if pts[0] > 0 else math.pi / 2
     state = ComplexField(psi0.coeffs.copy(), psi0.basis, 0.0, theta)
-    hist = _History()
-    fields: list[ComplexField] = []
-    status = REASON_HORIZON
-    for target in mags:
-        state, status = _advance(
-            state,
-            float(target),
-            lam,
-            err_target=err_target,
-            dr_min=dr_min,
-            norm_threshold=norm_threshold,
-            history=hist,
-        )
-        if status != REASON_HORIZON:
-            break
-        fields.append(state.copy())
-    return SchrodingerRun(
-        s_points=pts,
-        fields=fields,
-        status=status,
-        s_reached=math.copysign(state.r, pts[0]),
-        theta=theta,
-        history=hist.arrays(),
-    )
+    return _run(state, mags, lam, err_target=err_target, dr_min=dr_min,
+                norm_threshold=norm_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -539,14 +511,12 @@ def schrodinger_evolve(
 class ShootResult:
     direction: int
     outcome: str              # 'converged' | 'blowup' | 'unresolved'
-    lam: float
     target: float             # the constant state -sqrt(lam/6)
     captured_r: float | None
     final_distance: float
     monotone: bool | None     # pointwise decay in r (minus direction only)
     max_increase: float | None
-    record: BlowupRecord | None
-    history: dict
+    record: RayRun
 
 
 def heteroclinic_shoot(
@@ -583,63 +553,49 @@ def heteroclinic_shoot(
 
     w0 = cosine_field(bp.profile, N=N)
     w0.coeffs += sign * eps * cosine_field(phi0, N=N).coeffs
+    target = elliptic.homogeneous_equilibria(bp.lam)[0]
 
     if sign > 0:
-        record = detect_blowup(
-            w0, bp.lam, r_max,
-            norm_threshold=norm_threshold, err_target=err_target,
-        )
+        record = detect_blowup(w0, bp.lam, r_max, norm_threshold=norm_threshold,
+                               err_target=err_target)
         return ShootResult(
             direction=sign,
             outcome="blowup" if record.diverged else "unresolved",
-            lam=bp.lam,
-            target=elliptic.homogeneous_equilibria(bp.lam)[0],
+            target=target,
             captured_r=None,
             final_distance=math.inf,
             monotone=None,
             max_increase=None,
             record=record,
-            history=record.history,
         )
 
-    target = elliptic.homogeneous_equilibria(bp.lam)[0]
     target_coeffs = np.zeros(N, dtype=complex)
     target_coeffs[0] = target
     xs = np.linspace(0.0, 0.5, 129)
     cos_table = np.cos(_TWO_PI * np.outer(xs, np.arange(N)))
 
-    state_box = {"max_increase": -math.inf, "captured_r": None}
+    max_increase = -math.inf
 
     def on_accept(prev: ComplexField, new: ComplexField) -> bool:
+        nonlocal max_increase
         inc = float(np.max((cos_table @ (new.coeffs - prev.coeffs)).real))
-        state_box["max_increase"] = max(state_box["max_increase"], inc)
+        max_increase = max(max_increase, inc)
         dist = ComplexField(new.coeffs - target_coeffs, new.basis).h1_norm()
-        if dist < capture_tol:
-            state_box["captured_r"] = new.r
-            return False
-        return True
+        return not dist < capture_tol
 
-    hist = _History()
-    final, status = _advance(
-        w0, r_max, bp.lam,
-        err_target=err_target,
-        norm_threshold=norm_threshold,
-        history=hist,
-        on_accept=on_accept,
-    )
-    final_dist = ComplexField(final.coeffs - target_coeffs, final.basis).h1_norm()
-    captured = state_box["captured_r"] is not None
+    record = _run(w0, [r_max], bp.lam, err_target=err_target, norm_threshold=norm_threshold,
+                  on_accept=on_accept)
+    final = record.final_state
+    captured = record.reason == REASON_CAPTURED
     return ShootResult(
         direction=sign,
         outcome="converged" if captured else "unresolved",
-        lam=bp.lam,
         target=target,
-        captured_r=state_box["captured_r"],
-        final_distance=final_dist,
-        monotone=state_box["max_increase"] <= monotone_slack,
-        max_increase=state_box["max_increase"],
-        record=None,
-        history=hist.arrays(),
+        captured_r=record.r_star_lower if captured else None,
+        final_distance=ComplexField(final.coeffs - target_coeffs, final.basis).h1_norm(),
+        monotone=max_increase <= monotone_slack,
+        max_increase=max_increase,
+        record=record,
     )
 
 
@@ -660,8 +616,6 @@ class BoundarySample:
 class BoundaryScan:
     samples: list[BoundarySample]
     corner: tuple[float, float] | None   # (r0, s0) minimizing r_star
-    r_cap: float
-    lam: float
 
 
 def analyticity_boundary(
@@ -677,12 +631,13 @@ def analyticity_boundary(
 
     For each s the run goes up the vertical (Schrodinger) ray to i s and then
     along the horizontal ray; r*(s) is where the horizontal leg diverges
-    (censored at r_cap when it does not).  The vertical legs are advanced
-    incrementally and reused across the grid.  When the vertical leg itself
-    diverges before reaching s, that sample and the more distant ones on the
-    same side are recorded as undefined.  A divergent horizontal leg that
-    passed norm_threshold / 4 is refined by bisection on the crossing
-    arclength (see _refine_crossing); the s = 0 leg is not refined.
+    (censored at r_cap when it does not).  Each side's vertical leg is one
+    Schrodinger run through that side's |s| values, reused across the grid.
+    When the vertical leg itself diverges before reaching s, that sample and
+    the more distant ones on the same side are recorded as undefined.  A
+    divergent horizontal leg that passed norm_threshold / 4 is refined by
+    bisection on the crossing arclength (see _refine_crossing); the s = 0 leg
+    is not refined.
 
     The reported corner (r0, s0) is the sample minimizing r_star; it is
     descriptive (a rectangle certificate corner), not asserted against any
@@ -695,25 +650,16 @@ def analyticity_boundary(
         group = sorted({float(s) for s in svals if math.copysign(1.0, s) == sign and s != 0.0}, key=abs)
         if not group:
             continue
-        theta = -math.pi / 2 if sign > 0 else math.pi / 2
-        state = ComplexField(gamma0.coeffs.copy(), gamma0.basis, 0.0, theta)
-        alive = True
-        for s in group:
-            if alive:
-                state, status = _advance(
-                    state, abs(s), lam,
-                    err_target=err_target / 10.0,
-                    norm_threshold=norm_threshold,
-                )
-                if status != REASON_HORIZON:
-                    alive = False
-            if not alive:
+        leg = schrodinger_evolve(gamma0, group, lam, err_target=err_target / 10.0,
+                                 norm_threshold=norm_threshold)
+        for s, top in zip_longest(group, leg.fields):
+            if top is None:
                 samples[s] = BoundarySample(
                     s=s, r_star=None, defined=False, censored=False,
                     reason="vertical leg diverged before reaching s",
                 )
                 continue
-            start = ComplexField(state.coeffs.copy(), state.basis, 0.0, 0.0)
+            start = ComplexField(top.coeffs.copy(), top.basis, 0.0, 0.0)
             rec = detect_blowup(
                 start, lam, r_cap,
                 norm_threshold=norm_threshold, err_target=err_target,
@@ -742,7 +688,7 @@ def analyticity_boundary(
     if divergent:
         best = min(divergent, key=lambda b: (b.r_star, abs(b.s)))
         corner = (best.r_star, best.s)
-    return BoundaryScan(samples=ordered, corner=corner, r_cap=r_cap, lam=float(lam))
+    return BoundaryScan(samples=ordered, corner=corner)
 
 
 _REFINE_ITERS = 30

@@ -29,9 +29,8 @@ generated by the Pell recurrence, see `pythagorean_worst_cases`.
 Scope.  The certificate passes at orders h^0..h^2, in exact integers and
 Fractions, for every n <= 60, not only for n <= 22.  The paper's limit
 i(W_n) <= 22 therefore comes from an argument this check does not
-implement.  The `asserted` column of `eternal-kit resonance` only echoes
-`--n-max`: it is true for the rows n <= n_max and false for the one row
-past it, whatever the verdict.
+implement.  The `fast_d_max` column of `eternal-kit resonance` is the
+paper's fast-manifold limit d < 1 + i(W_n) / sqrt(2), see `fast_d_max`.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ class ResonanceCertificate:
     survivors: dict[int, list[tuple[int, tuple[int, ...]]]]
     verdict: str
     order1_vacuous: bool
-    asserted: bool = True
 
     @property
     def witnesses(self) -> list[tuple[int, tuple[int, ...]]]:
@@ -172,6 +170,11 @@ def fast_bound_check(n: int, d: int) -> bool:
     if n < 1 or d < 1 or d > n:
         raise DomainError(f"need 1 <= d <= n, got n = {n}, d = {d}")
     return 2 * (d - 1) * (d - 1) < n * n
+
+
+def fast_d_max(n: int) -> int:
+    """Largest d with 2 (d-1)^2 < n^2, the last d that fast_bound_check passes."""
+    return math.isqrt((n * n - 1) // 2) + 1
 
 
 def pythagorean_worst_cases(count: int = 3) -> list[tuple[int, int, int, int]]:

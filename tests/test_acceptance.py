@@ -35,11 +35,14 @@ def test_c01_no_identical_resonance():
     assert len(rows) == 23
     for row in rows[:22]:
         assert row["verdict"] == resonance.VERDICT_NO
-        assert row["asserted"] == "true"
         assert row["orders"] == "0+1+2"
         assert row["witnesses"] == ""
-    # n = 23 is reported for context but sits past the asserted range.
-    assert rows[22]["n"] == "23" and rows[22]["asserted"] == "false"
+    # n = 23 is reported for context, one past --n-max.
+    assert rows[22]["n"] == "23"
+    for row in rows:
+        n, d = int(row["n"]), int(row["fast_d_max"])
+        assert resonance.fast_bound_check(n, d)
+        assert d == n or not resonance.fast_bound_check(n, d + 1)
     assert elapsed < 60.0
 
 

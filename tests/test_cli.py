@@ -206,7 +206,8 @@ class TestDocumentedBehavior:
         _, rows = parse_csv(out)
         assert [r["n"] for r in rows] == ["1", "2", "3", "4"]
         assert all(r["verdict"] == "NO_IDENTICAL_RESONANCE" for r in rows)
-        assert [r["asserted"] for r in rows] == ["true", "true", "true", "false"]
+        # the largest d with 2 (d - 1)^2 < n^2
+        assert [r["fast_d_max"] for r in rows] == ["1", "2", "3", "3"]
 
 
 class TestFigureData:

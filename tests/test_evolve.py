@@ -137,6 +137,9 @@ class TestDetectBlowup:
         assert abs(rec.final_state.at_zero() + math.tanh(6.0)) < 1e-9
         assert rec.h1_growth_ok and rec.sectorial
         assert not rec.near_resonant_lambda
+        last = rec.fields[-1]
+        assert np.array_equal(last.coeffs, rec.final_state.coeffs)
+        assert last.r == rec.final_state.r == rec.r_star_lower
 
     def test_real_ray_blowup_time_bracket(self):
         # From w = 3/2 the same scalar flow reaches infinity at
@@ -169,6 +172,29 @@ class TestDetectBlowup:
         assert set(h) >= {"r", "h1", "sup", "grad"}
         assert len(h["r"]) == len(h["h1"]) == len(h["sup"])
         assert np.all(np.diff(h["r"]) > 0)
+
+    def test_each_h1_norm_is_computed_once(self, monkeypatch):
+        # One norm for the start, then per error estimate one for the
+        # step-doubling difference and one for the scale; an accepted state
+        # reuses its scale norm for the history and the threshold check.
+        calls = {"h1": 0, "estimates": 0}
+        h1_norm, h1_diff = evolve.ComplexField.h1_norm, evolve._h1_diff
+
+        def counted_norm(self):
+            calls["h1"] += 1
+            return h1_norm(self)
+
+        def counted_diff(u1, u2):
+            calls["estimates"] += 1
+            return h1_diff(u1, u2)
+
+        monkeypatch.setattr(evolve.ComplexField, "h1_norm", counted_norm)
+        monkeypatch.setattr(evolve, "_h1_diff", counted_diff)
+        rec = evolve.detect_blowup(evolve.constant_field(1.0, N=8), 0.0, 0.05)
+        assert rec.reason == evolve.REASON_HORIZON
+        assert rec.final_h1 > 0.0
+        assert calls["estimates"] >= len(rec.history["r"]) - 1 > 0
+        assert calls["h1"] == 1 + 2 * calls["estimates"]
 
 
 class TestSchrodinger:
@@ -240,7 +266,9 @@ class TestHeteroclinicShoot:
         assert res.captured_r is not None and 0.0 < res.captured_r < 20.0
         assert res.final_distance < 1e-6
         assert res.monotone
-        assert res.target == pytest.approx(-math.sqrt(res.lam / 6.0), rel=1e-12)
+        assert res.target == pytest.approx(-math.sqrt(res.record.lam / 6.0), rel=1e-12)
+        assert res.record.reason == evolve.REASON_CAPTURED
+        assert res.captured_r == res.record.r_star_lower
 
     def test_plus_direction_blows_up(self):
         res = evolve.heteroclinic_shoot(1, 0.05, "plus", N=128, r_max=6.0,
@@ -250,6 +278,7 @@ class TestHeteroclinicShoot:
         assert res.record is not None and res.record.diverged
         assert math.isfinite(res.record.r_star_lower)
         assert 0.0 < res.record.r_star_lower < 6.0
+        assert res.record.fields == []
 
 
 class TestAnalyticityBoundary:

@@ -190,3 +190,41 @@ def test_refinement_failure_surfaces_as_convergence_error():
 def test_default_truncation_converges_for_moderate_moduli():
     rep = spectrum.eigen(elliptic.equilibrium_profile(4, 0.08))
     assert rep.morse_index == 4
+
+
+GUARD_PROFILES = [(1, 0.05), (6, 0.05), (23, 3e-5)]
+
+
+def reference_spectrum(profile, N):
+    """Coarse eigenpairs straight from eigh, descending, sign-fixed."""
+    vals, vecs = np.linalg.eigh(spectrum.assemble_operator(profile, N))
+    order = np.argsort(vals)[::-1]
+    vals, vecs = vals[order], vecs[:, order]
+    coeffs = []
+    for i in range(N):
+        a = 2.0 * vecs[:, i].copy()
+        a[0] = math.sqrt(2.0) * vecs[0, i]
+        if a[np.argmax(np.abs(a))] < 0:
+            a = -a
+        coeffs.append(a)
+    return vals, coeffs
+
+
+@pytest.mark.parametrize("n,h", GUARD_PROFILES)
+def test_eigenpairs_are_byte_equal_to_the_coarse_eigh(n, h):
+    profile = elliptic.branch_point(n, h).profile
+    rep = spectrum.eigen(profile)
+    vals, coeffs = reference_spectrum(profile, rep.N)
+    assert rep.eigenvalues.tobytes() == vals.tobytes()
+    assert len(rep.eigenvectors) == len(coeffs)
+    for i, want in enumerate(coeffs):
+        assert rep.eigenvectors[i].coeffs.tobytes() == want.tobytes(), i
+
+
+@pytest.mark.parametrize("n,h", GUARD_PROFILES)
+def test_refinement_defect_stays_under_tolerance_plus_noise_floor(n, h):
+    profile = elliptic.branch_point(n, h).profile
+    rep = spectrum.eigen(profile)
+    fine = np.linalg.eigvalsh(spectrum.assemble_operator(profile, 2 * rep.N))
+    noise_floor = 16.0 * np.finfo(float).eps * float(np.abs(fine).max())
+    assert rep.refinement_defect < spectrum.REFINEMENT_TOL + noise_floor

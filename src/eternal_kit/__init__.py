@@ -50,6 +50,7 @@ from .portraits import (
     chord_to_tree,
     compactify,
     count_portraits,
+    enumerate_codes,
     enumerate_diagrams,
     trace_and_extract,
     tree_to_chord,

@@ -91,6 +91,17 @@ def _emit(args, columns, rows, meta):
                 print(f"{k}={meta[k]}", file=sys.stderr)
 
 
+def _positive_int(text: str) -> int:
+    """A whole number >= 1."""
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
 def _profile_arg(text: str) -> tuple[int, float]:
     """'N,H' as a branch index and a modulus."""
     try:
@@ -316,9 +327,8 @@ def _fig3_rows():
 
 def _cmd_trees(args):
     if args.codes is not None:
-        diagrams = portraits.enumerate_diagrams(args.codes)
-        rows = [(args.codes, dg.code()) for dg in diagrams]
-        return ["d", "code"], rows, {"count": len(diagrams)}
+        codes = portraits.enumerate_codes(args.codes)
+        return ["d", "code"], [(args.codes, c) for c in codes], {"count": len(codes)}
     if args.d is not None:
         args.d_min = args.d_max = args.d
     degrees = range(args.d_min, args.d_max + 1)
@@ -329,7 +339,7 @@ def _cmd_trees(args):
     for d in degrees:
         cnt = portraits.count_portraits(d)
         if args.enumerate:
-            enum = len(portraits.enumerate_diagrams(d))
+            enum = len(portraits.enumerate_codes(d))
             rows.append((d, cnt, enum, cnt == enum))
         else:
             rows.append((d, cnt))
@@ -371,7 +381,7 @@ def _add_field_args(p):
     p.add_argument("--imag", type=float, default=0.0, help="Im of constant initial data")
     p.add_argument("--profile", type=_profile_arg, default=None, help="N,H equilibrium initial data")
     p.add_argument("--mono", type=complex, default=None, help="amplitude of e^(2 pi i x) initial data")
-    p.add_argument("--modes", type=int, default=256)
+    p.add_argument("--modes", type=_positive_int, default=256)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
 
 
@@ -386,7 +396,7 @@ def build_parser(env_tol: float | None = None) -> _Parser:
     p.add_argument("--n", type=int, action="append")
     p.add_argument("--h", type=float, default=None)
     p.add_argument("--h-max", type=float, default=0.12)
-    p.add_argument("--points", type=int, default=41)
+    p.add_argument("--points", type=_positive_int, default=41)
     p.add_argument("--tail-tol", type=float, default=tol or 1e-13)
     p.add_argument("--fig1", action="store_true", help="branch diagram sweep (n = 1, 2, 3)")
     p.set_defaults(func=_cmd_branch)
@@ -397,7 +407,7 @@ def build_parser(env_tol: float | None = None) -> _Parser:
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="homogeneous state instead of a branch profile")
     p.add_argument("--equilibrium", choices=("upper", "lower"), default="upper")
-    p.add_argument("--count", type=int, default=8)
+    p.add_argument("--count", type=_positive_int, default=8)
     p.add_argument("--tail-tol", type=float, default=tol or 1e-13)
     p.set_defaults(func=_cmd_spectrum)
 
@@ -418,7 +428,7 @@ def build_parser(env_tol: float | None = None) -> _Parser:
     _add_field_args(p)
     p.add_argument("--s-min", type=float, default=0.0)
     p.add_argument("--s-max", type=float, default=0.5)
-    p.add_argument("--points", type=int, default=11)
+    p.add_argument("--points", type=_positive_int, default=11)
     p.add_argument("--r-cap", type=float, default=2.0)
     p.add_argument("--err-target", type=float, default=tol or 1e-9)
     p.set_defaults(func=_cmd_boundary)
@@ -454,7 +464,7 @@ def build_parser(env_tol: float | None = None) -> _Parser:
     p = sub.add_parser("waves", help="traveling-wave parameters")
     p.add_argument("--c-min", type=float, default=0.0)
     p.add_argument("--c-max", type=float, default=3.0)
-    p.add_argument("--points", type=int, default=13)
+    p.add_argument("--points", type=_positive_int, default=13)
     p.add_argument("--resonant", type=int, default=None, help="list c_m for m <= this")
     p.add_argument("--soliton", action="store_true")
     p.add_argument("--xi-max", type=float, default=3.0)

@@ -172,8 +172,14 @@ class ComplexField:
         return ComplexField(self.coeffs.copy(), self.basis, self.r, self.theta)
 
 
+def _check_modes(N: int) -> None:
+    if N < 2:
+        raise DomainError(f"need N >= 2 modes, got N = {N}")
+
+
 def constant_field(value, basis: str = NEUMANN_HALF, N: int = 256, theta: float = 0.0) -> ComplexField:
     """Spatially constant state w(x) = value."""
+    _check_modes(N)
     c = np.zeros(N, dtype=complex)
     c[0] = value
     return ComplexField(c, basis, 0.0, theta)
@@ -191,6 +197,7 @@ def cosine_field(series, N: int = 256, theta: float = 0.0) -> ComplexField:
 
 def monochromatic_field(amplitude: complex, N: int = 256) -> ComplexField:
     """Single positive mode a e^(2 pi i x) on the circle (genuinely complex data)."""
+    _check_modes(N)
     c = np.zeros(N, dtype=complex)
     c[1] = amplitude
     return ComplexField(c, PERIODIC_UNIT, 0.0, -math.pi / 2)

@@ -26,8 +26,9 @@ forward for odd) lands on an interior equilibrium; consecutive boundary
 sectors then witness the edges of a planar tree on the equilibria, each edge
 exactly twice, and the pairing of sectors by shared edge is a noncrossing
 chord diagram.  Rotation classes of these diagrams classify the portraits;
-`count_portraits` evaluates the closed counting formula and
-`enumerate_diagrams` lists canonical representatives.
+`count_portraits` evaluates the closed counting formula, `enumerate_codes`
+lists the canonical codes of the classes and `enumerate_diagrams` builds a
+representative diagram from each.
 """
 
 from __future__ import annotations
@@ -309,8 +310,8 @@ def chord_to_tree(diagram: ChordDiagram) -> PlanarTree:
     return PlanarTree(dict(neighbors))
 
 
-#: largest degree `enumerate_diagrams` accepts
-ENUMERATE_MAX_D = 14
+#: largest degree `enumerate_codes` and `enumerate_diagrams` accept
+ENUMERATE_MAX_D = 16
 
 #: Dyck words up to this many chords are kept in memory while enumerating
 _MEMO_CHORDS = 6
@@ -365,23 +366,22 @@ def _dyck_offsets(m: int, n: int, memo: dict):
 
 
 def check_enumerable(d: int) -> None:
-    """Raise DomainError unless `enumerate_diagrams(d)` accepts d."""
+    """Raise DomainError unless `enumerate_codes(d)` accepts d."""
     if d < 2:
         raise DomainError("need d >= 2")
     if d > ENUMERATE_MAX_D:
         raise DomainError(f"enumeration beyond d = {ENUMERATE_MAX_D} is unreasonably large")
 
 
-def enumerate_diagrams(d: int) -> list[ChordDiagram]:
-    """Canonical representatives of all rotation classes with d - 1 chords.
+def enumerate_codes(d: int) -> list[str]:
+    """Sorted canonical codes of all rotation classes with d - 1 chords.
 
     A diagram's offsets (partner(s) - s) mod 2(d-1) rotate with it, and
     they determine it.  In each class exactly one diagram has the least
     rotation of its offsets as its own offsets.  That diagram has a chord
     from slot 0 to slot 1, since the least offset is 1, so only the
     Catalan(d-2) words 1 0 W are streamed.  Each diagram that passes is
-    turned into its class's canonical code.  The representatives are
-    built from those codes, sorted, one `ChordDiagram` per class.
+    turned into its class's canonical code; no `ChordDiagram` is built.
     """
     check_enumerable(d)
     m = d - 1
@@ -401,7 +401,16 @@ def enumerate_diagrams(d: int) -> list[ChordDiagram]:
             c = offsets.find(1, c + 1)
         if c == -1:
             codes.append(_canonical_code(offsets))
-    return [ChordDiagram.from_code(code) for code in sorted(codes)]
+    codes.sort()
+    return codes
+
+
+def enumerate_diagrams(d: int) -> list[ChordDiagram]:
+    """Canonical representatives of all rotation classes with d - 1 chords.
+
+    One `ChordDiagram` per code of `enumerate_codes(d)`, in the same order.
+    """
+    return [ChordDiagram.from_code(code) for code in enumerate_codes(d)]
 
 
 def _totient(n: int) -> int:

@@ -15,7 +15,10 @@ W = sum w_l cos(2 pi l x) has the exact matrix elements
 (k, l >= 1, k != l), which follow from the product-to-sum identity, so the
 only discretization error is basis truncation.  For the analytic branch
 profiles the coefficients decay geometrically and eigenvalues converge
-superexponentially in N; `eigen` certifies this by refining N -> 2N.
+superexponentially in N; `eigen` certifies this by refining N -> 2N.  The
+2N solve computes eigenvalues only, since nothing but that comparison reads
+it, and the reported eigenvectors are built from the coarse solve's matrix
+one at a time, when read.
 
 At the homogeneous equilibria +-sqrt(lam/6) the matrix is diagonal with
 eigenvalues +-2 sqrt(6 lam) - (2 pi k)^2, reproduced exactly.
@@ -32,6 +35,7 @@ evaluates this; the exact rational coefficients feed the resonance module.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -72,12 +76,32 @@ def assemble_operator(profile: CosineSeries, N: int) -> np.ndarray:
     return M
 
 
+class Eigenvectors(Sequence):
+    """Read-only sequence of eigenvectors over an orthonormal-basis matrix.
+
+    Item i is `_to_cosine` of column i, built each time it is read; a slice
+    gives a list.
+    """
+
+    def __init__(self, columns: np.ndarray):
+        columns.flags.writeable = False
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return self._columns.shape[1]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return _to_cosine(self._columns[:, i])
+
+
 @dataclass
 class SpectrumReport:
     """Eigenvalues (descending), eigenvectors, and quality certificates."""
 
     eigenvalues: np.ndarray
-    eigenvectors: list[CosineSeries]
+    eigenvectors: Eigenvectors
     morse_index: int
     N: int
     degenerate_pairs: list[tuple[int, int, float]] = field(default_factory=list)
@@ -98,12 +122,13 @@ def eigen(
 ) -> SpectrumReport:
     """Spectrum of the linearization at `profile`.
 
-    N defaults to 4 K + 32.  With check_convergence the computation is
-    repeated at 2 N and the top eleven eigenvalues must agree to
-    REFINEMENT_TOL plus the dense-solver roundoff floor (a few eps times the
-    spectral radius, which grows like N^2), else ConvergenceError; the
-    achieved defect is reported.  Eigenvalue gaps below degeneracy_tol are
-    flagged, not resolved.
+    N defaults to 4 K + 32.  With check_convergence the eigenvalues alone
+    are recomputed at 2 N and the top eleven must agree to REFINEMENT_TOL
+    plus the dense-solver roundoff floor (a few eps times the spectral
+    radius, which grows like N^2), else ConvergenceError; the achieved
+    defect is reported.  Eigenvalue gaps below degeneracy_tol are flagged,
+    not resolved.  Eigenvalues, Morse index and eigenvectors all come from
+    the N-mode solve; each eigenvector is built when it is read.
     """
     if N is None:
         N = 4 * profile.K + 32
@@ -111,7 +136,7 @@ def eigen(
 
     defect = None
     if check_convergence:
-        fine_vals, _ = _sorted_eigh(assemble_operator(profile, 2 * N))
+        fine_vals = np.linalg.eigvalsh(assemble_operator(profile, 2 * N))[::-1]
         top = min(11, N)
         defect = float(np.max(np.abs(vals[:top] - fine_vals[:top])))
         noise_floor = 16.0 * np.finfo(float).eps * float(np.abs(fine_vals).max())
@@ -126,10 +151,9 @@ def eigen(
         (i, i + 1, float(gaps[i])) for i in np.nonzero(gaps < degeneracy_tol)[0]
     ]
 
-    vectors = [_to_cosine(vecs[:, i]) for i in range(N)]
     return SpectrumReport(
         eigenvalues=vals,
-        eigenvectors=vectors,
+        eigenvectors=Eigenvectors(vecs),
         morse_index=int(np.count_nonzero(vals > 0.0)),
         N=N,
         degenerate_pairs=degenerate,

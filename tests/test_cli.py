@@ -1,13 +1,16 @@
 """End-to-end tests of the eternal-kit command line interface."""
 
+import argparse
 import contextlib
 import io
 import json
 import math
 import os
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eternal_kit import cli
 
@@ -150,20 +153,45 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
-        ["trees", "--d-max", "15", "--enumerate"],
-        ["trees", "--codes", "15"],
+        ["trees", "--d-max", "17", "--enumerate"],
+        ["trees", "--codes", "17"],
     ])
     def test_census_past_the_cap_fails_before_enumerating(self, argv, monkeypatch):
         from eternal_kit import portraits
         calls = []
-        real = portraits.enumerate_diagrams
-        monkeypatch.setattr(portraits, "enumerate_diagrams",
+        real = portraits.enumerate_codes
+        monkeypatch.setattr(portraits, "enumerate_codes",
                             lambda d: calls.append(d) or real(d))
         rc, out, err = run_cli(argv)
         assert rc == 1
         assert out == ""
-        assert err == "domain error: enumeration beyond d = 14 is unreasonably large\n"
+        assert err == "domain error: enumeration beyond d = 16 is unreasonably large\n"
         assert all(d > portraits.ENUMERATE_MAX_D for d in calls)
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--modes", "0"],
+        ["boundary", "--modes", "0"],
+        ["evolve", "--modes", "-5"],
+        ["spectrum", "--count", "-2"],
+        ["spectrum", "--count", "0"],
+        ["waves", "--points=-1"],
+        ["boundary", "--points", "0"],
+    ])
+    def test_sizes_must_be_positive(self, argv):
+        rc, out, err = run_cli(argv)
+        assert rc == 64
+        assert out == ""
+        assert err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--mono", "1", "--modes", "1"],
+        ["boundary", "--modes", "1"],
+    ])
+    def test_one_mode_is_a_domain_error(self, argv):
+        rc, out, err = run_cli(argv)
+        assert rc == 1
+        assert out == ""
+        assert err == "domain error: need N >= 2 modes, got N = 1\n"
 
     def test_bad_env_tolerance(self, monkeypatch):
         monkeypatch.setenv("ETERNAL_KIT_TOL", "not-a-number")
@@ -173,6 +201,120 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run_cli(["--version"])
         assert exc.value.code == 0
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+def _pair(re_part, im_part):
+    return st.builds(lambda a, b: f"{a!r},{b!r}", re_part, im_part)
+
+
+#: roots on a half-integer grid, so distinct roots stay far enough apart for
+#: a portrait to trace quickly
+_ROOT = _pair(st.integers(-6, 6).map(lambda k: k / 2), st.integers(-6, 6).map(lambda k: k / 2))
+
+#: a value for every option of every subcommand that takes one, bounded so
+#: that each run stays small
+OPTION_VALUES = {
+    "n": _ints(-1, 4),
+    "h": _floats(-0.3, 0.3),
+    "h_max": _floats(-0.3, 0.3),
+    "points": _ints(-2, 4),
+    "tail_tol": _floats(-1e-3, 1e-3),
+    "lam": _floats(-3.0, 3.0),
+    "count": _ints(-3, 12),
+    "n_max": _ints(-1, 5),
+    "constant": _floats(-3.0, 3.0),
+    "imag": _floats(-3.0, 3.0),
+    "profile": _pair(st.integers(-1, 3), st.floats(-0.2, 0.2)),
+    "mono": st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)).map(str),
+    "modes": _ints(-2, 16),
+    "theta": _floats(-2.0, 2.0),
+    "r_max": _floats(-0.05, 0.05),
+    "norm_threshold": _floats(-1.0, 1e4),
+    "err_target": _floats(-1e-3, 1e-3),
+    "s_min": _floats(-0.2, 0.2),
+    "s_max": _floats(-0.2, 0.2),
+    "r_cap": _floats(-0.05, 0.05),
+    "cyclotomic": _ints(-1, 6),
+    "roots": st.lists(_ROOT, min_size=1, max_size=3).map(";".join),
+    "w0": _pair(st.floats(-3, 3), st.floats(-3, 3)),
+    "t_end": _floats(-2.0, 2.0),
+    "samples_per_unit": _ints(-2, 8),
+    "seed": _ints(0, 5),
+    "d": _ints(-1, 12),
+    "d_min": _ints(-1, 12),
+    "d_max": _ints(-1, 12),
+    "codes": _ints(-1, 12),
+    "c_min": _floats(-5.0, 5.0),
+    "c_max": _floats(-5.0, 5.0),
+    "resonant": _ints(-2, 6),
+    "xi_max": _floats(-5.0, 5.0),
+}
+
+#: size options whose defaults start long runs: always passed, with a value
+#: from OPTION_VALUES
+ALWAYS_PASSED = {"modes", "points", "r_max", "r_cap", "t_end", "samples_per_unit"}
+
+#: --help prints and exits; --out writes files
+NOT_DRAWN = {"help", "out"}
+
+#: malformed values; without digits, so none parses as a large size
+_JUNK = st.text(".,;-+ejx", max_size=6)
+
+
+def _subcommands():
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _option_value(action):
+    if action.choices is not None:
+        return st.sampled_from(sorted(action.choices))
+    return OPTION_VALUES[action.dest]
+
+
+@st.composite
+def cli_argv(draw):
+    name, sub = draw(st.sampled_from(sorted(_subcommands().items())))
+    argv = [name]
+    for action in sub._actions:
+        if not action.option_strings or action.dest in NOT_DRAWN:
+            continue
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            if draw(st.booleans()):
+                argv.append(flag)
+        elif action.dest in ALWAYS_PASSED or draw(st.booleans()):
+            value = draw(st.one_of(_option_value(action), _JUNK))
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+class TestExitCodeProperty:
+    def test_every_option_has_a_bounded_value(self):
+        for sub in _subcommands().values():
+            for action in sub._actions:
+                if action.option_strings and action.nargs != 0 and action.dest not in NOT_DRAWN:
+                    assert action.choices is not None or action.dest in OPTION_VALUES, action.dest
+
+    @settings(max_examples=150, deadline=timedelta(seconds=10), derandomize=True,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(argv=cli_argv())
+    def test_drawn_argv_exits_with_a_documented_code(self, argv):
+        try:
+            rc, _, err = run_cli(argv)
+        except SystemExit as exc:      # --help and --version print and exit 0
+            rc, err = exc.code, ""
+        assert rc in (0, 1, 2, 64), (argv, rc)
+        assert "Traceback" not in err
 
 
 class TestEnvTolerance:
@@ -295,6 +437,31 @@ class TestSubcommandSmoke:
         _, rows = parse_csv(out)
         assert len(rows) == 3
         assert len({r["code"] for r in rows}) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["trees", "--d-max", "12", "--enumerate"],
+        ["trees", "--codes", "10"],
+    ])
+    def test_census_builds_no_diagram(self, argv, monkeypatch):
+        from eternal_kit import portraits
+        built = []
+        real = portraits.ChordDiagram.__post_init__
+        monkeypatch.setattr(portraits.ChordDiagram, "__post_init__",
+                            lambda self: built.append(1) or real(self))
+        assert run_cli(argv)[0] == 0
+        assert built == []
+
+    def test_spectrum_builds_eigenvectors_only_when_read(self, monkeypatch):
+        from eternal_kit import elliptic, spectrum
+        calls = []
+        real = spectrum._to_cosine
+        monkeypatch.setattr(spectrum, "_to_cosine", lambda col: calls.append(1) or real(col))
+        assert run_cli(["spectrum", "--n", "1", "--h", "0.05"])[0] == 0
+        assert calls == []
+        rep = spectrum.eigen(elliptic.branch_point(1, 0.05).profile)
+        assert calls == []
+        rep.eigenvectors[0]
+        assert calls == [1]
 
     def test_waves_soliton_profile(self):
         rc, out, _ = run_cli(["waves", "--soliton", "--points", "5",

@@ -220,16 +220,30 @@ def test_census_formula_matches_printed_sequence(d):
     assert portraits.count_portraits(d) == TREE_COUNTS[d - 2]
 
 
-@pytest.mark.parametrize("d", range(2, portraits.ENUMERATE_MAX_D + 1))
+# d = 15 and 16 are counted from codes below; building their diagrams as
+# well would add about 10 s and check nothing more
+@pytest.mark.parametrize("d", range(2, 15))
 def test_enumeration_cardinality_matches_formula(d):
     assert len(portraits.enumerate_diagrams(d)) == portraits.count_portraits(d)
 
 
+def test_code_enumeration_matches_formula_up_to_the_cap():
+    assert portraits.ENUMERATE_MAX_D == 16
+    for d in (15, 16):
+        assert len(portraits.enumerate_codes(d)) == portraits.count_portraits(d)
+
+
+@pytest.mark.parametrize("d", range(2, 11))
+def test_codes_are_the_codes_of_the_diagrams(d):
+    assert portraits.enumerate_codes(d) == [dg.code() for dg in portraits.enumerate_diagrams(d)]
+
+
 def test_enumeration_refuses_degrees_past_the_cap():
-    with pytest.raises(DomainError, match="beyond d = 14"):
-        portraits.enumerate_diagrams(portraits.ENUMERATE_MAX_D + 1)
-    with pytest.raises(DomainError):
-        portraits.enumerate_diagrams(1)
+    for enumerate_ in (portraits.enumerate_codes, portraits.enumerate_diagrams):
+        with pytest.raises(DomainError, match="beyond d = 16"):
+            enumerate_(portraits.ENUMERATE_MAX_D + 1)
+        with pytest.raises(DomainError):
+            enumerate_(1)
 
 
 def test_enumerated_diagrams_are_canonical_and_distinct():

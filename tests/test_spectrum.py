@@ -228,3 +228,18 @@ def test_refinement_defect_stays_under_tolerance_plus_noise_floor(n, h):
     fine = np.linalg.eigvalsh(spectrum.assemble_operator(profile, 2 * rep.N))
     noise_floor = 16.0 * np.finfo(float).eps * float(np.abs(fine).max())
     assert rep.refinement_defect < spectrum.REFINEMENT_TOL + noise_floor
+
+
+def test_eigenvectors_read_like_a_sequence():
+    rep = spectrum.eigen(elliptic.equilibrium_profile(1, 0.05))
+    vecs = rep.eigenvectors
+    n = len(vecs)
+    assert n == rep.N
+    assert vecs[-1].coeffs.tobytes() == vecs[n - 1].coeffs.tobytes()
+    assert [v.coeffs.tobytes() for v in vecs[1:4]] == \
+        [vecs[i].coeffs.tobytes() for i in (1, 2, 3)]
+    assert [v.coeffs.tobytes() for v in vecs] == [vecs[i].coeffs.tobytes() for i in range(n)]
+    with pytest.raises(IndexError):
+        vecs[n]
+    with pytest.raises(TypeError):
+        vecs[0] = vecs[1]

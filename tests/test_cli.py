@@ -220,7 +220,7 @@ def _pair(re_part, im_part):
 _ROOT = _pair(st.integers(-6, 6).map(lambda k: k / 2), st.integers(-6, 6).map(lambda k: k / 2))
 
 #: a value for every option of every subcommand that takes one, bounded so
-#: that each run stays small
+#: that each run stays small; a new option without an entry fails the draw
 OPTION_VALUES = {
     "n": _ints(-1, 4),
     "h": _floats(-0.3, 0.3),
@@ -299,20 +299,11 @@ def cli_argv(draw):
 
 
 class TestExitCodeProperty:
-    def test_every_option_has_a_bounded_value(self):
-        for sub in _subcommands().values():
-            for action in sub._actions:
-                if action.option_strings and action.nargs != 0 and action.dest not in NOT_DRAWN:
-                    assert action.choices is not None or action.dest in OPTION_VALUES, action.dest
-
     @settings(max_examples=150, deadline=timedelta(seconds=10), derandomize=True,
               database=None, suppress_health_check=[HealthCheck.too_slow])
     @given(argv=cli_argv())
     def test_drawn_argv_exits_with_a_documented_code(self, argv):
-        try:
-            rc, _, err = run_cli(argv)
-        except SystemExit as exc:      # --help and --version print and exit 0
-            rc, err = exc.code, ""
+        rc, _, err = run_cli(argv)
         assert rc in (0, 1, 2, 64), (argv, rc)
         assert "Traceback" not in err
 

@@ -18,16 +18,15 @@ is byte-reproducible.  --out FILE writes the table to FILE and a run
 descriptor (arguments, tolerances, outputs; no timestamp) to
 FILE.run.json, so a run can be re-executed and compared byte for byte.
 Exit codes: 0 success, 1 domain error, 2 convergence or truncation
-failure, 64 usage error.  The environment variable ETERNAL_KIT_TOL, when
-set, becomes the default for each subcommand's main tolerance flag.
+failure, 64 usage error.  A malformed or non-finite number is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -102,22 +101,45 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
+def _finite(value):
+    """value (a float or a complex) when it is finite, else ValueError."""
+    if not cmath.isfinite(value):
+        raise ValueError(f"{value} is not finite")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    """A real number other than nan and +-inf."""
+    try:
+        return _finite(float(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}") from None
+
+
+def _mono_arg(text: str) -> complex:
+    """A Python complex literal with finite parts."""
+    try:
+        return _finite(complex(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a finite complex number, got {text!r}") from None
+
+
 def _profile_arg(text: str) -> tuple[int, float]:
-    """'N,H' as a branch index and a modulus."""
+    """'N,H' as a branch index and a finite modulus."""
     try:
         n, h = text.split(",")
-        return int(n), float(h)
+        return int(n), _finite(float(h))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected N,H, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected N,H with a finite H, got {text!r}") from None
 
 
 def _complex_arg(text: str) -> complex:
-    """'RE,IM' as a complex number."""
+    """'RE,IM' as a complex number with finite parts."""
     try:
         re_part, im_part = text.split(",")
-        return complex(float(re_part), float(im_part))
+        return _finite(complex(float(re_part), float(im_part)))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected RE,IM, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected finite RE,IM, got {text!r}") from None
 
 
 def _roots_arg(text: str) -> list[complex]:
@@ -227,7 +249,7 @@ def _cmd_boundary(args):
 
 
 def _ode_field(args):
-    if args.cyclotomic:
+    if args.cyclotomic is not None:
         return scalar_ode.PolyField.cyclotomic(args.cyclotomic)
     if args.roots:
         return scalar_ode.PolyField(args.roots)
@@ -329,8 +351,6 @@ def _cmd_trees(args):
     if args.codes is not None:
         codes = portraits.enumerate_codes(args.codes)
         return ["d", "code"], [(args.codes, c) for c in codes], {"count": len(codes)}
-    if args.d is not None:
-        args.d_min = args.d_max = args.d
     degrees = range(args.d_min, args.d_max + 1)
     if args.enumerate:
         for d in degrees:
@@ -377,38 +397,36 @@ def _add_common(p):
 
 
 def _add_field_args(p):
-    p.add_argument("--constant", type=float, default=0.0, help="Re of constant initial data")
-    p.add_argument("--imag", type=float, default=0.0, help="Im of constant initial data")
+    p.add_argument("--constant", type=_finite_float, default=0.0, help="Re of constant initial data")
+    p.add_argument("--imag", type=_finite_float, default=0.0, help="Im of constant initial data")
     p.add_argument("--profile", type=_profile_arg, default=None, help="N,H equilibrium initial data")
-    p.add_argument("--mono", type=complex, default=None, help="amplitude of e^(2 pi i x) initial data")
+    p.add_argument("--mono", type=_mono_arg, default=None, help="amplitude of e^(2 pi i x) initial data")
     p.add_argument("--modes", type=_positive_int, default=256)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    p.add_argument("--lambda", dest="lam", type=_finite_float, default=0.0)
 
 
-def build_parser(env_tol: float | None = None) -> _Parser:
+def build_parser() -> _Parser:
     parser = _Parser(prog="eternal-kit", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"eternal-kit {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    tol = env_tol
-
     p = sub.add_parser("branch", help="equilibrium branch sweep")
     p.add_argument("--n", type=int, action="append")
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--h-max", type=float, default=0.12)
+    p.add_argument("--h", type=_finite_float, default=None)
+    p.add_argument("--h-max", type=_finite_float, default=0.12)
     p.add_argument("--points", type=_positive_int, default=41)
-    p.add_argument("--tail-tol", type=float, default=tol or 1e-13)
+    p.add_argument("--tail-tol", type=_finite_float, default=1e-13)
     p.add_argument("--fig1", action="store_true", help="branch diagram sweep (n = 1, 2, 3)")
     p.set_defaults(func=_cmd_branch)
 
     p = sub.add_parser("spectrum", help="linearization eigenvalues")
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--h", type=float, default=0.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
+    p.add_argument("--h", type=_finite_float, default=0.0)
+    p.add_argument("--lambda", dest="lam", type=_finite_float, default=None,
                    help="homogeneous state instead of a branch profile")
     p.add_argument("--equilibrium", choices=("upper", "lower"), default="upper")
     p.add_argument("--count", type=_positive_int, default=8)
-    p.add_argument("--tail-tol", type=float, default=tol or 1e-13)
+    p.add_argument("--tail-tol", type=_finite_float, default=1e-13)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("resonance", help="no-identical-resonance certificates")
@@ -418,27 +436,26 @@ def build_parser(env_tol: float | None = None) -> _Parser:
 
     p = sub.add_parser("evolve", help="complex-time ray with blow-up detection")
     _add_field_args(p)
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--r-max", type=float, default=1.0)
-    p.add_argument("--norm-threshold", type=float, default=1e8)
-    p.add_argument("--err-target", type=float, default=tol or 1e-9)
+    p.add_argument("--theta", type=_finite_float, default=0.0)
+    p.add_argument("--r-max", type=_finite_float, default=1.0)
+    p.add_argument("--norm-threshold", type=_finite_float, default=evolve.NORM_THRESHOLD)
+    p.add_argument("--err-target", type=_finite_float, default=1e-9)
     p.set_defaults(func=_cmd_evolve)
 
     p = sub.add_parser("boundary", help="analyticity boundary scan")
     _add_field_args(p)
-    p.add_argument("--s-min", type=float, default=0.0)
-    p.add_argument("--s-max", type=float, default=0.5)
+    p.add_argument("--s-min", type=_finite_float, default=0.0)
+    p.add_argument("--s-max", type=_finite_float, default=0.5)
     p.add_argument("--points", type=_positive_int, default=11)
-    p.add_argument("--r-cap", type=float, default=2.0)
-    p.add_argument("--err-target", type=float, default=tol or 1e-9)
+    p.add_argument("--r-cap", type=_finite_float, default=2.0)
+    p.add_argument("--err-target", type=_finite_float, default=1e-9)
     p.set_defaults(func=_cmd_boundary)
 
     p = sub.add_parser("ode", help="scalar polynomial ODE in complex time")
-    p.add_argument("--quadratic", action="store_true")
-    p.add_argument("--cyclotomic", type=int, default=None)
+    p.add_argument("--cyclotomic", type=_positive_int, default=None)
     p.add_argument("--roots", type=_roots_arg, default=None, help='"re,im;re,im;..."')
     p.add_argument("--w0", type=_complex_arg, default="0.0,0.0", help="re,im")
-    p.add_argument("--t-end", type=float, default=5.0)
+    p.add_argument("--t-end", type=_finite_float, default=5.0)
     p.add_argument("--imag-time", action="store_true")
     p.add_argument("--samples-per-unit", type=int, default=20)
     p.add_argument("--lattice", action="store_true", help="period lattice and closure")
@@ -446,7 +463,7 @@ def build_parser(env_tol: float | None = None) -> _Parser:
     p.set_defaults(func=_cmd_ode)
 
     p = sub.add_parser("portrait", help="compactified phase portrait")
-    p.add_argument("--cyclotomic", type=int, default=None)
+    p.add_argument("--cyclotomic", type=_positive_int, default=None)
     p.add_argument("--roots", type=_roots_arg, default=None, help='"re,im;re,im;..."')
     p.add_argument("--random-quartic", action="store_true")
     p.add_argument("--seed", type=int, default=0)
@@ -454,7 +471,6 @@ def build_parser(env_tol: float | None = None) -> _Parser:
     p.set_defaults(func=_cmd_portrait)
 
     p = sub.add_parser("trees", help="planar tree census")
-    p.add_argument("--d", type=int, default=None, help="single degree (same as --d-min D --d-max D)")
     p.add_argument("--d-min", type=int, default=2)
     p.add_argument("--d-max", type=int, default=12)
     p.add_argument("--enumerate", action="store_true")
@@ -462,12 +478,12 @@ def build_parser(env_tol: float | None = None) -> _Parser:
     p.set_defaults(func=_cmd_trees)
 
     p = sub.add_parser("waves", help="traveling-wave parameters")
-    p.add_argument("--c-min", type=float, default=0.0)
-    p.add_argument("--c-max", type=float, default=3.0)
+    p.add_argument("--c-min", type=_finite_float, default=0.0)
+    p.add_argument("--c-max", type=_finite_float, default=3.0)
     p.add_argument("--points", type=_positive_int, default=13)
     p.add_argument("--resonant", type=int, default=None, help="list c_m for m <= this")
     p.add_argument("--soliton", action="store_true")
-    p.add_argument("--xi-max", type=float, default=3.0)
+    p.add_argument("--xi-max", type=_finite_float, default=3.0)
     p.set_defaults(func=_cmd_waves)
 
     for sp in sub.choices.values():
@@ -477,14 +493,7 @@ def build_parser(env_tol: float | None = None) -> _Parser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    env_tol = None
-    if os.environ.get("ETERNAL_KIT_TOL"):
-        try:
-            env_tol = float(os.environ["ETERNAL_KIT_TOL"])
-        except ValueError:
-            print("ETERNAL_KIT_TOL must be a float", file=sys.stderr)
-            return 64
-    parser = build_parser(env_tol)
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.subcommand == "resonance" and args.n is None and args.n_max is None:

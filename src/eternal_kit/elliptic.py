@@ -280,13 +280,14 @@ def residual(profile: CosineSeries, lam: float) -> float:
     return CosineSeries(res).l2_norm()
 
 
-def h_of_lambda(n: int, lam: float, h_max: float = 0.95, tail_tol: float = 1e-13) -> float:
+def h_of_lambda(n: int, lam: float) -> float:
     """Inverse of lambda_of_h on h >= 0 by bracketed root finding.
 
     lambda_n is even in h and strictly increasing in |h|, so the nonnegative
-    solution is unique.  Values of lambda requiring |h| > h_max (where the
+    solution is unique.  Values of lambda requiring |h| > 0.95 (where the
     series truncation becomes impractical) raise DomainError.
     """
+    h_max = 0.95
     from scipy.optimize import brentq
 
     n = _check_branch_index(n)
@@ -296,10 +297,10 @@ def h_of_lambda(n: int, lam: float, h_max: float = 0.95, tail_tol: float = 1e-13
         raise DomainError(f"branch {n} only exists for lambda >= {lam0:.6g}")
     if lam == lam0:
         return 0.0
-    if lambda_of_h(n, h_max, tail_tol=tail_tol) < lam:
+    if lambda_of_h(n, h_max) < lam:
         raise DomainError(f"lambda = {lam:g} needs a modulus beyond h_max = {h_max}")
     return brentq(
-        lambda hh: lambda_of_h(n, hh, tail_tol=tail_tol) - lam,
+        lambda hh: lambda_of_h(n, hh) - lam,
         0.0,
         h_max,
         xtol=1e-15,

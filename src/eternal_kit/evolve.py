@@ -26,12 +26,13 @@ one full step against two half steps, local error estimated as their
 H^1 distance over 2^4 - 1.
 
 Blow-up is reported, never guessed: a run ends with NORM_THRESHOLD when the
-H^1 norm passes the threshold, STEP_COLLAPSE when the accepted step falls
-below dr_min, CAPTURED when the caller's on_accept hook stops it, or HORIZON
-when the requested arclength is reached.  Every ray driver returns a RayRun
-holding the final state, that reason and the history of accepted steps.  Its
-r_star_lower is the arclength actually reached with finite norm, a certified
-lower bound for the existence time along that ray.
+H^1 norm passes the threshold (NORM_THRESHOLD = 1e8 unless the caller sets
+one), STEP_COLLAPSE when the step would have to fall below the constant
+DR_MIN = 1e-12, CAPTURED when the caller's on_accept hook stops it, or
+HORIZON when the requested arclength is reached.  Every ray driver returns
+a RayRun holding the final state, that reason and the history of accepted
+steps.  Its r_star_lower is the arclength actually reached with finite
+norm, a certified lower bound for the existence time along that ray.
 """
 
 from __future__ import annotations
@@ -54,6 +55,12 @@ REASON_NORM = "NORM_THRESHOLD"
 REASON_STEP = "STEP_COLLAPSE"
 REASON_HORIZON = "HORIZON"
 REASON_CAPTURED = "CAPTURED"
+
+#: smallest step; the dr ladder is DR_MIN * 2^j and a run whose step must
+#: shrink below it ends with STEP_COLLAPSE
+DR_MIN = 1e-12
+#: default H^1 norm at which a ray is declared divergent
+NORM_THRESHOLD = 1e8
 
 _TWO_PI = 2.0 * math.pi
 
@@ -311,8 +318,6 @@ def _advance(
     lam: float,
     *,
     err_target: float = 1e-9,
-    dr_init: float | None = None,
-    dr_min: float = 1e-12,
     norm_threshold: float | None = None,
     history: _History | None = None,
     on_accept=None,
@@ -320,18 +325,20 @@ def _advance(
     """Adaptive ETDRK4 from state.r to r_target; returns (state, status).
 
     err_target is the relative H^1 error budget per unit ray length,
-    estimated by step doubling.  on_accept(prev, new) may return False to
+    estimated by step doubling.  The first step is 1e-2 on sectorial rays
+    and 2e-3 on vertical ones.  on_accept(prev, new) may return False to
     stop the run early (status CAPTURED).
     """
+    if not math.isfinite(r_target):
+        raise DomainError(f"r_target must be finite, got {r_target}")
     if r_target < state.r:
         raise DomainError("r_target must lie ahead of the current position")
     u = state
-    if dr_init is None:
-        dr_init = 1e-2 if u.sectorial else 2e-3
-    # keep dr on the binary ladder dr_min * 2^j: the phi-function tables for
+    dr_init = 1e-2 if u.sectorial else 2e-3
+    # keep dr on the binary ladder DR_MIN * 2^j: the phi-function tables for
     # dr and dr/2 are then reused across steps instead of rebuilt
-    span = max(r_target - u.r, dr_min)
-    dr = dr_min * 2.0 ** max(0, math.floor(math.log2(min(dr_init, span) / dr_min)))
+    span = max(r_target - u.r, DR_MIN)
+    dr = DR_MIN * 2.0 ** max(0, math.floor(math.log2(min(dr_init, span) / DR_MIN)))
 
     while u.r < r_target * (1.0 - 1e-15) and r_target > u.r:
         dr_try = min(dr, r_target - u.r)
@@ -340,7 +347,7 @@ def _advance(
             u_half = step(step(u, dr_try / 2.0, lam), dr_try / 2.0, lam)
         except BlowupSignal:
             dr /= 4.0
-            if dr < dr_min:
+            if dr < DR_MIN:
                 return u, REASON_STEP
             continue
         err = _h1_diff(u_full, u_half) / 15.0
@@ -349,7 +356,7 @@ def _advance(
         tol = err_target * dr_try * scale
         if not math.isfinite(err):
             dr /= 4.0
-            if dr < dr_min:
+            if dr < DR_MIN:
                 return u, REASON_STEP
             continue
         if err <= tol:
@@ -366,7 +373,7 @@ def _advance(
                 dr *= 2.0
         else:
             dr /= 2.0
-            if dr < dr_min:
+            if dr < DR_MIN:
                 return u, REASON_STEP
     return u, REASON_HORIZON
 
@@ -460,10 +467,8 @@ def detect_blowup(
     lam: float,
     r_max: float,
     *,
-    norm_threshold: float = 1e8,
+    norm_threshold: float = NORM_THRESHOLD,
     err_target: float = 1e-9,
-    dr_min: float = 1e-12,
-    dr_init: float | None = None,
 ) -> RayRun:
     """Integrate along the ray of w0 until r_max, the norm threshold, or
     step collapse, and report which came first.
@@ -473,7 +478,7 @@ def detect_blowup(
     """
     return _run(
         w0.copy(), [w0.r + float(r_max)], lam,
-        err_target=err_target, dr_min=dr_min, dr_init=dr_init, norm_threshold=norm_threshold,
+        err_target=err_target, norm_threshold=norm_threshold,
     )
 
 
@@ -483,8 +488,7 @@ def schrodinger_evolve(
     lam: float,
     *,
     err_target: float = 1e-10,
-    norm_threshold: float = 1e8,
-    dr_min: float = 1e-12,
+    norm_threshold: float = NORM_THRESHOLD,
 ) -> RayRun:
     """Evolve the Schrodinger flow to each s in s_points (one sign, ascending |s|).
 
@@ -506,8 +510,7 @@ def schrodinger_evolve(
 
     theta = -math.pi / 2 if pts[0] > 0 else math.pi / 2
     state = ComplexField(psi0.coeffs.copy(), psi0.basis, 0.0, theta)
-    return _run(state, mags, lam, err_target=err_target, dr_min=dr_min,
-                norm_threshold=norm_threshold)
+    return _run(state, mags, lam, err_target=err_target, norm_threshold=norm_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -531,40 +534,35 @@ def heteroclinic_shoot(
     h: float,
     direction,
     *,
-    eps: float | None = None,
     N: int = 256,
     r_max: float = 20.0,
     err_target: float = 1e-9,
-    capture_tol: float = 1e-6,
-    monotone_slack: float = 1e-8,
-    norm_threshold: float = 1e8,
 ) -> ShootResult:
-    """Shoot from W_n(h) along its fastest unstable direction.
+    """Shoot from W_n(h) along its fastest unstable direction "+" or "-".
 
     Launch data is W_n +- eps phi_0 with phi_0 the positive ground state of
-    the linearization (eps defaults to 1e-5 ||W_n||).  The minus sign flows
+    the linearization and eps = 1e-5 ||W_n||.  The minus sign flows
     monotonically down to the constant state -sqrt(lam/6) (the parabolic
-    comparison principle preserves the initial pointwise ordering); the plus
-    sign blows up in finite time.  For the minus run the pointwise decrease
-    is monitored on a 129-point grid with monotone_slack absolute tolerance.
+    comparison principle preserves the initial pointwise ordering) and is
+    captured once within H^1 distance 1e-6 of it; the plus sign blows up in
+    finite time.  For the minus run the pointwise decrease is monitored on a
+    129-point grid with 1e-8 absolute tolerance.
     """
-    sign = {"+": 1, "-": -1, "plus": 1, "minus": -1, 1: 1, -1: -1}.get(direction)
+    sign = {"+": 1, "-": -1}.get(direction)
     if sign is None:
-        raise DomainError(f"direction must be +1 or -1 (got {direction!r})")
+        raise DomainError(f"direction must be '+' or '-' (got {direction!r})")
 
     bp = elliptic.branch_point(n, h)
     rep = spectrum.eigen(bp.profile)
     phi0 = rep.eigenvectors[0]
-    if eps is None:
-        eps = 1e-5 * bp.profile.l2_norm()
+    eps = 1e-5 * bp.profile.l2_norm()
 
     w0 = cosine_field(bp.profile, N=N)
     w0.coeffs += sign * eps * cosine_field(phi0, N=N).coeffs
     target = elliptic.homogeneous_equilibria(bp.lam)[0]
 
     if sign > 0:
-        record = detect_blowup(w0, bp.lam, r_max, norm_threshold=norm_threshold,
-                               err_target=err_target)
+        record = detect_blowup(w0, bp.lam, r_max, err_target=err_target)
         return ShootResult(
             direction=sign,
             outcome="blowup" if record.diverged else "unresolved",
@@ -588,9 +586,9 @@ def heteroclinic_shoot(
         inc = float(np.max((cos_table @ (new.coeffs - prev.coeffs)).real))
         max_increase = max(max_increase, inc)
         dist = ComplexField(new.coeffs - target_coeffs, new.basis).h1_norm()
-        return not dist < capture_tol
+        return not dist < 1e-6
 
-    record = _run(w0, [r_max], bp.lam, err_target=err_target, norm_threshold=norm_threshold,
+    record = _run(w0, [r_max], bp.lam, err_target=err_target, norm_threshold=NORM_THRESHOLD,
                   on_accept=on_accept)
     final = record.final_state
     captured = record.reason == REASON_CAPTURED
@@ -600,7 +598,7 @@ def heteroclinic_shoot(
         target=target,
         captured_r=record.r_star_lower if captured else None,
         final_distance=ComplexField(final.coeffs - target_coeffs, final.basis).h1_norm(),
-        monotone=max_increase <= monotone_slack,
+        monotone=max_increase <= 1e-8,
         max_increase=max_increase,
         record=record,
     )
@@ -632,7 +630,6 @@ def analyticity_boundary(
     *,
     r_cap: float = 2.0,
     err_target: float = 1e-9,
-    norm_threshold: float = 1e8,
 ) -> BoundaryScan:
     """Estimate r*(s): existence length of the theta = 0 ray started at i s.
 
@@ -642,7 +639,7 @@ def analyticity_boundary(
     Schrodinger run through that side's |s| values, reused across the grid.
     When the vertical leg itself diverges before reaching s, that sample and
     the more distant ones on the same side are recorded as undefined.  A
-    divergent horizontal leg that passed norm_threshold / 4 is refined by
+    divergent horizontal leg that passed NORM_THRESHOLD / 4 is refined by
     bisection on the crossing arclength (see _refine_crossing); the s = 0 leg
     is not refined.
 
@@ -657,8 +654,7 @@ def analyticity_boundary(
         group = sorted({float(s) for s in svals if math.copysign(1.0, s) == sign and s != 0.0}, key=abs)
         if not group:
             continue
-        leg = schrodinger_evolve(gamma0, group, lam, err_target=err_target / 10.0,
-                                 norm_threshold=norm_threshold)
+        leg = schrodinger_evolve(gamma0, group, lam, err_target=err_target / 10.0)
         for s, top in zip_longest(group, leg.fields):
             if top is None:
                 samples[s] = BoundarySample(
@@ -667,13 +663,10 @@ def analyticity_boundary(
                 )
                 continue
             start = ComplexField(top.coeffs.copy(), top.basis, 0.0, 0.0)
-            rec = detect_blowup(
-                start, lam, r_cap,
-                norm_threshold=norm_threshold, err_target=err_target,
-            )
+            rec = detect_blowup(start, lam, r_cap, err_target=err_target)
             r_star = rec.r_star_lower
             if rec.diverged:
-                r_star = _refine_crossing(start, lam, rec, norm_threshold, err_target)
+                r_star = _refine_crossing(start, lam, rec, NORM_THRESHOLD, err_target)
             samples[s] = BoundarySample(
                 s=s, r_star=float(r_star), defined=True,
                 censored=not rec.diverged,
@@ -682,8 +675,7 @@ def analyticity_boundary(
 
     if np.any(svals == 0.0):
         start = ComplexField(gamma0.coeffs.copy(), gamma0.basis, 0.0, 0.0)
-        rec = detect_blowup(start, lam, r_cap, norm_threshold=norm_threshold,
-                            err_target=err_target)
+        rec = detect_blowup(start, lam, r_cap, err_target=err_target)
         samples[0.0] = BoundarySample(
             s=0.0, r_star=float(rec.r_star_lower), defined=True,
             censored=not rec.diverged, reason=rec.reason,

@@ -131,14 +131,15 @@ def compactify(fld: PolyField) -> DiskField:
     return DiskField(fld)
 
 
-def classify_interior(fld: PolyField, tol: float = 1e-8) -> list[str]:
+def classify_interior(fld: PolyField) -> list[str]:
     """SOURCE / SINK / CENTER for each root by the sign of Re f'(e_j).
 
-    A CENTER verdict means the decision is below tolerance: the portrait is
-    degenerate (not Morse) there, and a warning is emitted.
+    A CENTER verdict means |Re f'(e_j)| is below 1e-8 relative to the
+    largest |f'|: the portrait is degenerate (not Morse) there, and a
+    warning is emitted.
     """
     fp = fld.fprime_at_roots()
-    thr = tol * max(1.0, float(np.max(np.abs(fp))))
+    thr = 1e-8 * max(1.0, float(np.max(np.abs(fp))))
     out = []
     for j, v in enumerate(fp):
         if v.real > thr:
@@ -486,23 +487,27 @@ class PortraitGraph:
     saddle_connections: list = dc_field(default_factory=list)
 
 
+#: separatrix tracing: disk distance that counts as reaching an equilibrium,
+#: and the longest integration time
+_TRAP_RADIUS = 1e-4
+_T_MAX = 3000.0
+
+
 def trace_and_extract(
     fld: PolyField,
     *,
     eps: float = 1e-6,
-    trap_radius: float = 1e-4,
-    t_max: float = 3000.0,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    classify_tol: float = 1e-8,
 ) -> PortraitGraph:
     """Trace all boundary separatrices and extract tree and chord code.
 
     Separatrices launch from (1 - eps) e^(-i alpha_k) and are integrated
-    backward (even k) or forward (odd k) until trapped within trap_radius of
-    an interior equilibrium.  For a Morse portrait (no centers, strongly
-    nondegenerate) the sector walk between consecutive saddles yields the
-    connection tree and its canonical chord code; portraits containing
+    backward (even k) or forward (odd k), for a time of at most _T_MAX,
+    until trapped within _TRAP_RADIUS of an interior equilibrium.  For a
+    Morse portrait (no centers, strongly nondegenerate) the sector walk
+    between consecutive saddles yields the connection tree and its
+    canonical chord code; portraits containing
     centers are still traced but flagged non_morse with tree extraction
     refused (tree and chord stay None) and the degenerate residue subsets
     reported.  A degenerate field without centers is refused outright
@@ -513,7 +518,7 @@ def trace_and_extract(
     """
     disk = compactify(fld)
     d = fld.degree
-    classes = classify_interior(fld, tol=classify_tol)
+    classes = classify_interior(fld)
     non_morse = CENTER in classes
     degenerate = degeneracy_scan(fld)
     if degenerate and not non_morse:
@@ -535,7 +540,7 @@ def trace_and_extract(
         events = []
         for j in range(d):
             def ev(_t, y, j=j):
-                return float(np.hypot(y[0] - targets[j].real, y[1] - targets[j].imag)) - trap_radius
+                return float(np.hypot(y[0] - targets[j].real, y[1] - targets[j].imag)) - _TRAP_RADIUS
             ev.terminal = True
             ev.direction = -1.0
             events.append(ev)
@@ -554,7 +559,7 @@ def trace_and_extract(
         p0 = (1.0 - eps) * np.exp(-1j * alphas[k])
         sol = solve_ivp(
             rhs_factory(sign),
-            (0.0, t_max),
+            (0.0, _T_MAX),
             [p0.real, p0.imag],
             method="DOP853",
             rtol=rtol,
@@ -594,7 +599,7 @@ def trace_and_extract(
         unresolved = [s.saddle for s in separatrices if not s.resolved]
         if unresolved:
             raise ConvergenceError(
-                f"separatrices {unresolved} did not resolve within t_max = {t_max}"
+                f"separatrices {unresolved} did not resolve within t_max = {_T_MAX}"
             )
         walk = [s.target for s in separatrices]
         m = len(walk)

@@ -220,23 +220,20 @@ def homogeneous_resonant_lambdas(n: int, m_max: int) -> list[tuple[int, float]]:
     ]
 
 
-def numeric_resonance_scan(
-    mu, m_max: int = 6, tol: float | None = None
-) -> list[tuple[int, tuple[int, ...]]]:
+def numeric_resonance_scan(mu) -> list[tuple[int, tuple[int, ...]]]:
     """Near-resonances mu_j ~ m . mu in a finite positive spectrum.
 
     mu must be strictly decreasing and positive (an unstable block).  The
-    search covers 2 <= |m| <= min(m_max, ceil(mu_0 / mu_last) + 1); a hit is
-    |mu_j - m . mu| < tol with tol defaulting to 1e-8 * mu_0.
+    search covers 2 <= |m| <= min(6, ceil(mu_0 / mu_last) + 1); a hit is
+    |mu_j - m . mu| < tol with tol = 1e-8 * mu_0.
     """
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 1 or len(mu) == 0:
         raise DomainError("mu must be a nonempty 1-d array")
     if np.any(mu <= 0.0) or np.any(np.diff(mu) >= 0.0):
         raise DomainError("mu must be strictly decreasing and positive")
-    if tol is None:
-        tol = 1e-8 * mu[0]
-    bound = min(int(m_max), math.ceil(mu[0] / mu[-1]) + 1)
+    tol = 1e-8 * mu[0]
+    bound = min(6, math.ceil(mu[0] / mu[-1]) + 1)
 
     hits: list[tuple[int, tuple[int, ...]]] = []
     d = len(mu)

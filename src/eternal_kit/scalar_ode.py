@@ -16,8 +16,8 @@ the explicit kink Gamma(t) = -tanh(t), with poles at t = i pi (k + 1/2); in
 imaginary time every non-equilibrium orbit is periodic with period pi, some
 passing through w = infinity.  Degree 2 is special in that the chart v = 1/w
 pulls the field back to another polynomial, so `integrate` can continue
-orbits across infinity on the Riemann sphere; for degree >= 3 leaving
-|w| = escape_radius is reported as blow-up instead.
+orbits across infinity on the Riemann sphere; for other degrees leaving
+|w| = ESCAPE_RADIUS is reported as blow-up instead.
 """
 
 from __future__ import annotations
@@ -31,18 +31,23 @@ from scipy.integrate import solve_ivp
 
 from .errors import ConvergenceError, DomainError, PoleSignal
 
+#: |w| at which `integrate` ends a run without the 1/w chart as blow-up
+ESCAPE_RADIUS = 1e12
+#: rising crossings of this |w| are recorded as sup_crossings
+SUP_THRESHOLD = 1e6
 
-def quadratic_orbit(t, pole_guard: float = 1e-12):
+
+def quadratic_orbit(t):
     """The explicit orbit Gamma(t) = -tanh(t) of dw/dt = w^2 - 1 through 0.
 
-    Accepts real or complex input; raises PoleSignal within pole_guard of the
+    Accepts real or complex input; raises PoleSignal within 1e-12 of the
     poles t = i pi (k + 1/2).
     """
     tv = np.asarray(t, dtype=complex)
     k = np.round(tv.imag / math.pi - 0.5)
     dist = np.hypot(tv.real, tv.imag - math.pi * (k + 0.5))
-    if np.any(dist < pole_guard):
-        raise PoleSignal(f"quadratic orbit evaluated within {pole_guard:g} of a pole")
+    if np.any(dist < 1e-12):
+        raise PoleSignal("quadratic orbit evaluated within 1e-12 of a pole")
     vals = -np.tanh(tv)
     if np.ndim(t) == 0:
         v = complex(vals)
@@ -127,30 +132,20 @@ def integrate(
     w0: complex,
     path,
     *,
-    rtol: float = 1e-11,
-    atol: float = 1e-13,
-    escape_radius: float = 1e12,
-    sup_threshold: float = 1e6,
-    sphere_chart: bool | None = None,
     t_eval_per_unit: int = 0,
-    max_step: float = math.inf,
 ) -> OdeTrajectory:
     """Integrate dw/dt = f(w) from w0 along the polyline 0 -> path[0] -> ...
 
     Each segment is parametrized by arclength sigma with dw/dsigma equal to
-    the segment direction times f(w).  For degree-2 fields (default) the
-    integration swaps to the v = 1/w chart when |w| grows past 4 and back
-    below 2, so orbits continue regularly through infinity; otherwise
-    crossing escape_radius terminates the run as blow-up.  Crossings of
-    sup_threshold (rising |w|) are recorded with their path position.
-    t_eval_per_unit > 0 adds that many uniform samples per unit arclength on
-    top of the solver's own steps.
+    the segment direction times f(w).  For degree-2 fields the integration
+    swaps to the v = 1/w chart when |w| grows past 4 and back below 2, so
+    orbits continue regularly through infinity; otherwise crossing
+    ESCAPE_RADIUS terminates the run as blow-up.  Crossings of SUP_THRESHOLD
+    (rising |w|) are recorded with their path position.  t_eval_per_unit > 0
+    adds that many uniform samples per unit arclength on top of the solver's
+    own steps.
     """
-    if sphere_chart is None:
-        sphere_chart = fld.degree == 2
-    if sphere_chart and fld.degree != 2:
-        raise DomainError("the 1/w chart pullback is polynomial only for degree 2")
-
+    sphere_chart = fld.degree == 2
     waypoints = [complex(p) for p in np.atleast_1d(np.asarray(path, dtype=complex))]
     coeffs = fld.coeffs  # [1, c1, c0] for degree 2
     swap_out, swap_in = 4.0, 2.0
@@ -192,7 +187,7 @@ def integrate(
                 events = []
 
                 def ev_sup(_s, yy):
-                    return yy[0] ** 2 + yy[1] ** 2 - sup_threshold ** 2
+                    return yy[0] ** 2 + yy[1] ** 2 - SUP_THRESHOLD ** 2
                 ev_sup.direction = 1.0
                 ev_sup.terminal = False
                 events.append(ev_sup)
@@ -205,13 +200,13 @@ def integrate(
                     events.append(ev_swap)
                 else:
                     def ev_escape(_s, yy):
-                        return yy[0] ** 2 + yy[1] ** 2 - escape_radius ** 2
+                        return yy[0] ** 2 + yy[1] ** 2 - ESCAPE_RADIUS ** 2
                     ev_escape.direction = 1.0
                     ev_escape.terminal = True
                     events.append(ev_escape)
 
                     # A steep pole stalls the solver while |w| is still far
-                    # below escape_radius, so record entry into the far field
+                    # below ESCAPE_RADIUS, so record entry into the far field
                     # (vector field dominated by the leading power) as a
                     # blow-up witness for min-step failures.
                     def ev_far(_s, yy):
@@ -252,12 +247,11 @@ def integrate(
                 (s_local, seg_len),
                 y,
                 method="DOP853",
-                rtol=rtol,
-                atol=atol,
+                rtol=1e-11,
+                atol=1e-13,
                 events=events,
                 dense_output=False,
                 t_eval=t_eval,
-                max_step=max_step,
             )
             if sol.status == -1:
                 # min-step failure: legitimate only as a pole approach.  With
@@ -267,7 +261,7 @@ def integrate(
                             else np.empty(0))
                 tail_big = (sol.y.size > 0
                             and sol.y[0, -1] ** 2 + sol.y[1, -1] ** 2
-                            >= sup_threshold ** 2)
+                            >= SUP_THRESHOLD ** 2)
                 if chart == "w" and (far_hits.size > 0 or tail_big):
                     diverged = True
                 else:
@@ -280,7 +274,7 @@ def integrate(
             sigmas.append(sigma0 + sol.t)
 
             for s_ev, y_ev in zip(sol.t_events[0], sol.y_events[0]):
-                if chart == "v" and np.hypot(*y_ev) * sup_threshold > 1.0:
+                if chart == "v" and np.hypot(*y_ev) * SUP_THRESHOLD > 1.0:
                     continue   # closest approach to infinity was not close
                 crossings.append((sigma0 + float(s_ev), t_here + direction * s_ev))
 
@@ -358,27 +352,26 @@ class PeriodLattice:
     eta: np.ndarray
     closure: str
     degenerate_subsets: list[tuple[int, ...]]  # complex sums near zero
-    tol: float
 
 
-def period_lattice(fld: PolyField, tol: float = 1e-9) -> PeriodLattice:
+def period_lattice(fld: PolyField) -> PeriodLattice:
     """Period generators 2 pi i / f'(e_j) and their closure classification.
 
-    Also reports proper index subsets whose residue sums nearly vanish in the
-    full complex sense; each such subset gives a closed complex-time loop.
+    Also reports proper index subsets whose residue sums nearly vanish (below
+    1e-9 relative) in the full complex sense; each such subset gives a
+    closed complex-time loop.
     """
     if fld.degree < 2:
         raise DomainError("period lattice needs degree >= 2")
     eta = fld.eta
     gens = [2j * math.pi * e for e in eta]
     scale = float(np.max(np.abs(eta)))
-    subsets = _small_subsets(eta, tol * scale, key=lambda s: abs(s))
+    subsets = _small_subsets(eta, 1e-9 * scale, key=lambda s: abs(s))
     return PeriodLattice(
         generators=gens,
         eta=eta,
         closure=classify_subgroup_closure(gens),
         degenerate_subsets=subsets,
-        tol=tol,
     )
 
 
@@ -394,8 +387,8 @@ def _small_subsets(eta: np.ndarray, threshold: float, key) -> list[tuple[int, ..
     return out
 
 
-def degeneracy_scan(fld: PolyField, tol: float = 1e-8) -> list[tuple[int, ...]]:
-    """Proper nonempty subsets J with |sum_{j in J} Re eta_j| below tol (relative).
+def degeneracy_scan(fld: PolyField) -> list[tuple[int, ...]]:
+    """Proper nonempty subsets J with |sum_{j in J} Re eta_j| below 1e-8 (relative).
 
     These are exactly the degeneracies that produce heteroclinic
     saddle-to-saddle connections in the compactified phase portrait; the
@@ -404,24 +397,22 @@ def degeneracy_scan(fld: PolyField, tol: float = 1e-8) -> list[tuple[int, ...]]:
     """
     eta = fld.eta
     scale = float(np.max(np.abs(eta)))
-    return _small_subsets(eta, tol * scale, key=lambda s: abs(s.real))
+    return _small_subsets(eta, 1e-8 * scale, key=lambda s: abs(s.real))
 
 
-def classify_subgroup_closure(
-    generators,
-    *,
-    rational_tol: float = 1e-12,
-    ambiguous_tol: float = 1e-8,
-    height: int = 10 ** 6,
-    small_height: int = 1000,
-) -> str:
+#: the thresholds of `_ratio_class`, as `classify_subgroup_closure` describes
+_RATIONAL_TOL, _HEIGHT = 1e-12, 10 ** 6
+_AMBIGUOUS_TOL, _SMALL_HEIGHT = 1e-8, 1000
+
+
+def classify_subgroup_closure(generators) -> str:
     """Closure in C of the additive group generated by the given complex numbers.
 
     Returns one of "Z", "Z2", "R", "RxZ", "R2", "AMBIGUOUS".  Ratios are
     declared rational when a continued-fraction convergent p/q with
-    q <= height matches to rational_tol (relative); declared AMBIGUOUS when
-    they merely come within ambiguous_tol of a low (q <= small_height)
-    rational, since then the verdict would hinge on digits we do not have.
+    q <= 10^6 matches to 1e-12 (relative); declared AMBIGUOUS when they
+    merely come within 1e-8 of a low (q <= 1000) rational, since then the
+    verdict would hinge on digits we do not have.
     The names mean: discrete rank 1 / rank 2 lattice, dense line, dense line
     plus transverse lattice, dense plane.
     """
@@ -443,10 +434,7 @@ def classify_subgroup_closure(
 
     if best_area <= 1e-12 * scale * scale:
         base = min(gens, key=abs)
-        verdicts = {
-            _ratio_class((g / base).real, rational_tol, ambiguous_tol, height, small_height)
-            for g in gens
-        }
+        verdicts = {_ratio_class((g / base).real) for g in gens}
         if "ambiguous" in verdicts:
             return "AMBIGUOUS"
         return "Z" if verdicts <= {"rational"} else "R"
@@ -457,8 +445,8 @@ def classify_subgroup_closure(
     for g in gens:
         x = (g.real * gb.imag - g.imag * gb.real) / det
         y = (ga.real * g.imag - ga.imag * g.real) / det
-        verdicts.add(_ratio_class(x, rational_tol, ambiguous_tol, height, small_height))
-        verdicts.add(_ratio_class(y, rational_tol, ambiguous_tol, height, small_height))
+        verdicts.add(_ratio_class(x))
+        verdicts.add(_ratio_class(y))
     if "ambiguous" in verdicts:
         return "AMBIGUOUS"
     if verdicts <= {"rational"}:
@@ -467,7 +455,7 @@ def classify_subgroup_closure(
     return _dense_directions(gens, scale)
 
 
-def _ratio_class(r: float, rational_tol, ambiguous_tol, height, small_height) -> str:
+def _ratio_class(r: float) -> str:
     """Continued-fraction classification of a real ratio.
 
     A convergent p/q counts as an exact rational only when its error also
@@ -482,11 +470,11 @@ def _ratio_class(r: float, rational_tol, ambiguous_tol, height, small_height) ->
     err = abs(r - p)
     best_small = err
     while True:
-        if err < rational_tol * ref and q <= height and err * q * q < 1e-3 * ref:
+        if err < _RATIONAL_TOL * ref and q <= _HEIGHT and err * q * q < 1e-3 * ref:
             return "rational"
-        if q <= small_height:
+        if q <= _SMALL_HEIGHT:
             best_small = min(best_small, err)
-        if q > height:
+        if q > _HEIGHT:
             break
         frac = x - math.floor(x)
         if frac < 1e-18:
@@ -496,7 +484,7 @@ def _ratio_class(r: float, rational_tol, ambiguous_tol, height, small_height) ->
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
         err = abs(r - p / q)
-    if best_small < ambiguous_tol * ref:
+    if best_small < _AMBIGUOUS_TOL * ref:
         return "ambiguous"
     return "irrational"
 
@@ -596,8 +584,6 @@ def reversible_example_check(
     dw0: float,
     t_end: float = 2.0 * math.pi,
     n_samples: int = 2001,
-    rtol: float = 1e-12,
-    atol: float = 1e-14,
 ) -> ReversibleReport:
     """Integrate the reversible oscillator and report invariants.
 
@@ -617,8 +603,8 @@ def reversible_example_check(
         (0.0, t_end),
         [w0, dw0],
         method="DOP853",
-        rtol=rtol,
-        atol=atol,
+        rtol=1e-12,
+        atol=1e-14,
         t_eval=t_eval,
         dense_output=t_end >= 2.0 * math.pi,
     )

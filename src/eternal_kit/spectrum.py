@@ -49,6 +49,8 @@ _TWO_PI = 2.0 * math.pi
 #: default refinement certificate: doubling N must move the top eigenvalues
 #: by less than this
 REFINEMENT_TOL = 1e-9
+#: eigenvalue gaps below this are flagged as degenerate pairs, not resolved
+DEGENERACY_TOL = 1e-8
 
 
 def assemble_operator(profile: CosineSeries, N: int) -> np.ndarray:
@@ -104,8 +106,8 @@ class SpectrumReport:
     eigenvectors: Eigenvectors
     morse_index: int
     N: int
+    refinement_defect: float
     degenerate_pairs: list[tuple[int, int, float]] = field(default_factory=list)
-    refinement_defect: float | None = None
 
 
 def _sorted_eigh(M: np.ndarray):
@@ -114,41 +116,34 @@ def _sorted_eigh(M: np.ndarray):
     return vals[order], vecs[:, order]
 
 
-def eigen(
-    profile: CosineSeries,
-    N: int | None = None,
-    check_convergence: bool = True,
-    degeneracy_tol: float = 1e-8,
-) -> SpectrumReport:
+def eigen(profile: CosineSeries, N: int | None = None) -> SpectrumReport:
     """Spectrum of the linearization at `profile`.
 
-    N defaults to 4 K + 32.  With check_convergence the eigenvalues alone
-    are recomputed at 2 N and the top eleven must agree to REFINEMENT_TOL
-    plus the dense-solver roundoff floor (a few eps times the spectral
-    radius, which grows like N^2), else ConvergenceError; the achieved
-    defect is reported.  Eigenvalue gaps below degeneracy_tol are flagged,
-    not resolved.  Eigenvalues, Morse index and eigenvectors all come from
-    the N-mode solve; each eigenvector is built when it is read.
+    N defaults to 4 K + 32.  The eigenvalues alone are recomputed at 2 N and
+    the top eleven must agree to REFINEMENT_TOL plus the dense-solver
+    roundoff floor (a few eps times the spectral radius, which grows like
+    N^2), else ConvergenceError; the achieved defect is reported.
+    Eigenvalue gaps below DEGENERACY_TOL are flagged, not resolved.
+    Eigenvalues, Morse index and eigenvectors all come from the N-mode
+    solve; each eigenvector is built when it is read.
     """
     if N is None:
         N = 4 * profile.K + 32
     vals, vecs = _sorted_eigh(assemble_operator(profile, N))
 
-    defect = None
-    if check_convergence:
-        fine_vals = np.linalg.eigvalsh(assemble_operator(profile, 2 * N))[::-1]
-        top = min(11, N)
-        defect = float(np.max(np.abs(vals[:top] - fine_vals[:top])))
-        noise_floor = 16.0 * np.finfo(float).eps * float(np.abs(fine_vals).max())
-        if defect >= REFINEMENT_TOL + noise_floor:
-            raise ConvergenceError(
-                f"top eigenvalues moved by {defect:.3e} when refining "
-                f"N = {N} -> {2 * N}; increase N"
-            )
+    fine_vals = np.linalg.eigvalsh(assemble_operator(profile, 2 * N))[::-1]
+    top = min(11, N)
+    defect = float(np.max(np.abs(vals[:top] - fine_vals[:top])))
+    noise_floor = 16.0 * np.finfo(float).eps * float(np.abs(fine_vals).max())
+    if defect >= REFINEMENT_TOL + noise_floor:
+        raise ConvergenceError(
+            f"top eigenvalues moved by {defect:.3e} when refining "
+            f"N = {N} -> {2 * N}; increase N"
+        )
 
     gaps = np.abs(np.diff(vals))
     degenerate = [
-        (i, i + 1, float(gaps[i])) for i in np.nonzero(gaps < degeneracy_tol)[0]
+        (i, i + 1, float(gaps[i])) for i in np.nonzero(gaps < DEGENERACY_TOL)[0]
     ]
 
     return SpectrumReport(

@@ -37,17 +37,17 @@ from .errors import DomainError, PoleSignal
 C_CRITICAL = 2.0 * math.sqrt(2.0)
 
 
-def soliton(xi, pole_guard: float = 1e-12):
+def soliton(xi):
     """Standing soliton Gamma(xi) = -1 + 3 / cosh^2(xi / sqrt 2).
 
-    Accepts real or complex scalars and arrays.  Evaluation within
-    pole_guard of a pole (where cosh vanishes) raises PoleSignal instead of
-    returning a huge number of unknowable accuracy.
+    Accepts real or complex scalars and arrays.  Evaluation where |cosh| is
+    below 1e-12, next to a pole, raises PoleSignal instead of returning a
+    huge number of unknowable accuracy.
     """
     z = np.asarray(xi, dtype=complex) / math.sqrt(2.0)
     c = np.cosh(z)
-    if np.any(np.abs(c) < pole_guard):
-        raise PoleSignal(f"soliton evaluated within {pole_guard:g} of a pole")
+    if np.any(np.abs(c) < 1e-12):
+        raise PoleSignal("soliton evaluated within 1e-12 of a pole")
     vals = -1.0 + 3.0 / (c * c)
     if np.ndim(xi) == 0:
         v = complex(vals)
@@ -98,13 +98,13 @@ def resonant_speeds(m_max: int) -> list[tuple[int, float]]:
     ]
 
 
-def resonance_order(c: float, m_max: int = 64, tol: float = 1e-9) -> int | None:
-    """m if c is within tol of a resonant speed c_m, else None.
+def resonance_order(c: float) -> int | None:
+    """m if c is within 1e-9 of a resonant speed c_m with m <= 64, else None.
 
     This is the rational-dependence test on the mu_+ pair: the decay-rate
     ratio is m exactly at c_m and irrational generically.
     """
-    for m, cm in resonant_speeds(m_max):
-        if abs(c - cm) <= tol:
+    for m, cm in resonant_speeds(64):
+        if abs(c - cm) <= 1e-9:
             return m
     return None

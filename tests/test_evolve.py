@@ -161,6 +161,11 @@ class TestDetectBlowup:
         assert rec.r_star_lower <= math.pi / 12.0
         assert math.pi / 12.0 - rec.r_star_lower < 1e-4
 
+    @pytest.mark.parametrize("r_max", [math.inf, math.nan])
+    def test_non_finite_horizon_is_a_domain_error(self, r_max):
+        with pytest.raises(DomainError):
+            evolve.detect_blowup(evolve.constant_field(0.0, N=8), 0.0, r_max)
+
     def test_near_resonant_lambda_flag(self):
         lam = (8.0 / 3.0) * math.pi ** 4
         rec = evolve.detect_blowup(evolve.constant_field(0.0, N=16), lam, 1e-3)
@@ -256,8 +261,9 @@ class TestSchrodinger:
 
 class TestHeteroclinicShoot:
     def test_direction_validation(self):
-        with pytest.raises(DomainError):
-            evolve.heteroclinic_shoot(1, 0.05, "sideways")
+        for direction in ("sideways", "plus", 1):
+            with pytest.raises(DomainError):
+                evolve.heteroclinic_shoot(1, 0.05, direction)
 
     def test_minus_direction_descends_to_constant(self):
         res = evolve.heteroclinic_shoot(1, 0.05, "-", N=128, err_target=1e-8)
@@ -271,7 +277,7 @@ class TestHeteroclinicShoot:
         assert res.captured_r == res.record.r_star_lower
 
     def test_plus_direction_blows_up(self):
-        res = evolve.heteroclinic_shoot(1, 0.05, "plus", N=128, r_max=6.0,
+        res = evolve.heteroclinic_shoot(1, 0.05, "+", N=128, r_max=6.0,
                                         err_target=1e-8)
         assert res.direction == 1
         assert res.outcome == "blowup"

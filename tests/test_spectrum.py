@@ -71,11 +71,6 @@ def test_eigen_report_shapes_and_refinement():
     assert rep.refinement_defect is not None and rep.refinement_defect < 1e-9
 
 
-def test_eigen_without_convergence_check_skips_defect():
-    rep = spectrum.eigen(elliptic.equilibrium_profile(1, 0.05), check_convergence=False)
-    assert rep.refinement_defect is None
-
-
 def test_eigenvectors_satisfy_rayleigh_quotient():
     prof = elliptic.equilibrium_profile(1, 0.08)
     rep = spectrum.eigen(prof)

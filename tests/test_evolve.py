@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eternal_kit import elliptic, evolve
-from eternal_kit.errors import DomainError
+from eternal_kit.errors import BlowupSignal, DomainError
 
 OMEGA_1 = 4.0 * math.pi ** 2
 OMEGA_2 = 16.0 * math.pi ** 2
@@ -202,6 +202,45 @@ class TestDetectBlowup:
         assert calls["h1"] == 1 + 2 * calls["estimates"]
 
 
+class TestRejectedSteps:
+    # From the ladder step DR_MIN * 2^33 = 8.589934592e-3 a step that fails
+    # for good is cut by 4 until it would fall below DR_MIN, which takes 17
+    # attempts; each attempt stops at its first failing step call.
+
+    def _count_steps(self, monkeypatch, fail):
+        drs = []
+        step = evolve.step
+
+        def counted(state, dr, lam):
+            drs.append(dr)
+            return fail(state) or step(state, dr, lam)
+
+        monkeypatch.setattr(evolve, "step", counted)
+        rec = evolve.detect_blowup(evolve.constant_field(0.5, N=8), 0.0, 0.05)
+        assert rec.reason == evolve.REASON_STEP
+        assert rec.r_star_lower == 0.0
+        assert len(rec.history["r"]) == 1
+        return drs
+
+    def test_blowup_signal_quarters_the_step_until_collapse(self, monkeypatch):
+        def fail(state):
+            raise BlowupSignal("forced", state)
+
+        drs = self._count_steps(monkeypatch, fail)
+        assert len(drs) == 17
+        assert drs[0] == 8.589934592e-3
+        assert drs[-1] == pytest.approx(2e-12, rel=1e-12)
+        assert drs == [drs[0] / 4.0 ** k for k in range(17)]
+
+    def test_non_finite_estimate_quarters_the_step_until_collapse(self, monkeypatch):
+        monkeypatch.setattr(evolve, "_h1_diff", lambda u1, u2: math.nan)
+        drs = self._count_steps(monkeypatch, lambda state: None)
+        # one full step and two half steps per attempt
+        assert len(drs) == 51
+        assert drs[0] == 8.589934592e-3
+        assert drs[-3:] == [2e-12, 1e-12, 1e-12]
+
+
 class TestSchrodinger:
     def test_request_validation(self):
         psi = evolve.constant_field(0.1, N=16)
@@ -285,6 +324,9 @@ class TestHeteroclinicShoot:
         assert math.isfinite(res.record.r_star_lower)
         assert 0.0 < res.record.r_star_lower < 6.0
         assert res.record.fields == []
+        assert res.captured_r is None
+        assert res.monotone is None and res.max_increase is None
+        assert res.final_distance == math.inf
 
 
 class TestAnalyticityBoundary:
@@ -318,6 +360,16 @@ class TestAnalyticityBoundary:
             assert not by_s[s].defined
             assert by_s[s].r_star is None
         assert scan.corner is None
+
+    def test_pole_row_samples_diverge_below_the_pole(self):
+        # w0 = 3/2 at lambda = 6 poles at ln 5 / 12 on the real axis and
+        # again at i pi / 6 (see TestRefineCrossing).
+        exact = math.log(5.0) / 12.0
+        scan = evolve.analyticity_boundary(
+            evolve.constant_field(1.5, N=16), [0.0, math.pi / 6.0], 6.0, r_cap=1.0)
+        for b in scan.samples:
+            assert b.defined and not b.censored
+            assert 0.0 <= exact - b.r_star < 1e-4
 
 
 class TestRefineCrossing:

@@ -116,6 +116,14 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}") from None
 
 
+def _positive_float(text: str) -> float:
+    """A finite real number > 0."""
+    value = _finite_float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
 def _mono_arg(text: str) -> complex:
     """A Python complex literal with finite parts."""
     try:
@@ -438,8 +446,8 @@ def build_parser() -> _Parser:
     _add_field_args(p)
     p.add_argument("--theta", type=_finite_float, default=0.0)
     p.add_argument("--r-max", type=_finite_float, default=1.0)
-    p.add_argument("--norm-threshold", type=_finite_float, default=evolve.NORM_THRESHOLD)
-    p.add_argument("--err-target", type=_finite_float, default=1e-9)
+    p.add_argument("--norm-threshold", type=_positive_float, default=evolve.NORM_THRESHOLD)
+    p.add_argument("--err-target", type=_positive_float, default=1e-9)
     p.set_defaults(func=_cmd_evolve)
 
     p = sub.add_parser("boundary", help="analyticity boundary scan")
@@ -448,7 +456,7 @@ def build_parser() -> _Parser:
     p.add_argument("--s-max", type=_finite_float, default=0.5)
     p.add_argument("--points", type=_positive_int, default=11)
     p.add_argument("--r-cap", type=_finite_float, default=2.0)
-    p.add_argument("--err-target", type=_finite_float, default=1e-9)
+    p.add_argument("--err-target", type=_positive_float, default=1e-9)
     p.set_defaults(func=_cmd_boundary)
 
     p = sub.add_parser("ode", help="scalar polynomial ODE in complex time")

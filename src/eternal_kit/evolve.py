@@ -329,6 +329,8 @@ def _advance(
     and 2e-3 on vertical ones.  on_accept(prev, new) may return False to
     stop the run early (status CAPTURED).
     """
+    if not (err_target > 0.0 and (norm_threshold is None or norm_threshold > 0.0)):
+        raise DomainError(f"need err_target > 0 and norm_threshold > 0, got {err_target}, {norm_threshold}")
     if not math.isfinite(r_target):
         raise DomainError(f"r_target must be finite, got {r_target}")
     if r_target < state.r:
@@ -345,36 +347,30 @@ def _advance(
         try:
             u_full = step(u, dr_try, lam)
             u_half = step(step(u, dr_try / 2.0, lam), dr_try / 2.0, lam)
+            err = _h1_diff(u_full, u_half) / 15.0
         except BlowupSignal:
-            dr /= 4.0
-            if dr < DR_MIN:
-                return u, REASON_STEP
-            continue
-        err = _h1_diff(u_full, u_half) / 15.0
-        h1 = u_half.h1_norm()
-        scale = max(1.0, h1)
-        tol = err_target * dr_try * scale
-        if not math.isfinite(err):
-            dr /= 4.0
-            if dr < DR_MIN:
-                return u, REASON_STEP
-            continue
-        if err <= tol:
-            prev, u = u, u_half
-            if history is not None:
-                history.push(u, h1)
-            if on_accept is not None and on_accept(prev, u) is False:
-                return u, REASON_CAPTURED
-            if norm_threshold is not None and h1 >= norm_threshold:
-                return u, REASON_NORM
-            # doubling is taken only when the fifth-order estimate predicts
-            # the doubled step still passes with a 20% margin
-            if err == 0.0 or tol / err > 40.0:
-                dr *= 2.0
-        else:
-            dr /= 2.0
-            if dr < DR_MIN:
-                return u, REASON_STEP
+            err = math.nan
+        if math.isfinite(err):
+            h1 = u_half.h1_norm()
+            tol = err_target * dr_try * max(1.0, h1)
+            if err <= tol:
+                prev, u = u, u_half
+                if history is not None:
+                    history.push(u, h1)
+                if on_accept is not None and on_accept(prev, u) is False:
+                    return u, REASON_CAPTURED
+                if norm_threshold is not None and h1 >= norm_threshold:
+                    return u, REASON_NORM
+                # doubling is taken only when the fifth-order estimate predicts
+                # the doubled step still passes with a 20% margin
+                if err == 0.0 or tol / err > 40.0:
+                    dr *= 2.0
+                continue
+        # a rejected step: a non-finite estimate (a BlowupSignal included)
+        # quarters dr, an estimate over tol halves it
+        dr /= 2.0 if math.isfinite(err) else 4.0
+        if dr < DR_MIN:
+            return u, REASON_STEP
     return u, REASON_HORIZON
 
 
@@ -560,48 +556,35 @@ def heteroclinic_shoot(
     w0 = cosine_field(bp.profile, N=N)
     w0.coeffs += sign * eps * cosine_field(phi0, N=N).coeffs
     target = elliptic.homogeneous_equilibria(bp.lam)[0]
+    target_coeffs = constant_field(target, N=N).coeffs
+    minus = sign < 0
+    capture = max_increase = None
+    if minus:
+        cos_table = np.cos(_TWO_PI * np.outer(np.linspace(0.0, 0.5, 129), np.arange(N)))
+        max_increase = -math.inf
 
-    if sign > 0:
-        record = detect_blowup(w0, bp.lam, r_max, err_target=err_target)
-        return ShootResult(
-            direction=sign,
-            outcome="blowup" if record.diverged else "unresolved",
-            target=target,
-            captured_r=None,
-            final_distance=math.inf,
-            monotone=None,
-            max_increase=None,
-            record=record,
-        )
-
-    target_coeffs = np.zeros(N, dtype=complex)
-    target_coeffs[0] = target
-    xs = np.linspace(0.0, 0.5, 129)
-    cos_table = np.cos(_TWO_PI * np.outer(xs, np.arange(N)))
-
-    max_increase = -math.inf
-
-    def on_accept(prev: ComplexField, new: ComplexField) -> bool:
-        nonlocal max_increase
-        inc = float(np.max((cos_table @ (new.coeffs - prev.coeffs)).real))
-        max_increase = max(max_increase, inc)
-        dist = ComplexField(new.coeffs - target_coeffs, new.basis).h1_norm()
-        return not dist < 1e-6
+        def capture(prev: ComplexField, new: ComplexField) -> bool:
+            nonlocal max_increase
+            inc = float(np.max((cos_table @ (new.coeffs - prev.coeffs)).real))
+            max_increase = max(max_increase, inc)
+            dist = ComplexField(new.coeffs - target_coeffs, new.basis).h1_norm()
+            return not dist < 1e-6
 
     record = _run(w0, [r_max], bp.lam, err_target=err_target, norm_threshold=NORM_THRESHOLD,
-                  on_accept=on_accept)
+                  on_accept=capture)
     final = record.final_state
     captured = record.reason == REASON_CAPTURED
-    return ShootResult(
-        direction=sign,
-        outcome="converged" if captured else "unresolved",
-        target=target,
-        captured_r=record.r_star_lower if captured else None,
-        final_distance=ComplexField(final.coeffs - target_coeffs, final.basis).h1_norm(),
-        monotone=max_increase <= 1e-8,
-        max_increase=max_increase,
-        record=record,
-    )
+    if minus:
+        outcome = "converged" if captured else "unresolved"
+        distance = ComplexField(final.coeffs - target_coeffs, final.basis).h1_norm()
+    else:
+        outcome = "blowup" if record.diverged else "unresolved"
+        distance = math.inf
+    return ShootResult(direction=sign, outcome=outcome, target=target,
+                       captured_r=record.r_star_lower if captured else None,
+                       final_distance=distance,
+                       monotone=None if max_increase is None else max_increase <= 1e-8,
+                       max_increase=max_increase, record=record)
 
 
 # ---------------------------------------------------------------------------
@@ -636,50 +619,42 @@ def analyticity_boundary(
     For each s the run goes up the vertical (Schrodinger) ray to i s and then
     along the horizontal ray; r*(s) is where the horizontal leg diverges
     (censored at r_cap when it does not).  Each side's vertical leg is one
-    Schrodinger run through that side's |s| values, reused across the grid.
-    When the vertical leg itself diverges before reaching s, that sample and
-    the more distant ones on the same side are recorded as undefined.  A
-    divergent horizontal leg that passed NORM_THRESHOLD / 4 is refined by
-    bisection on the crossing arclength (see _refine_crossing); the s = 0 leg
-    is not refined.
+    Schrodinger run through that side's |s| values, reused across the grid;
+    the s = 0 leg starts from gamma0 itself.  When the vertical leg diverges
+    before reaching s, that sample and the more distant ones on the same side
+    are recorded as undefined.  Every divergent horizontal leg, the s = 0
+    one included, that passed NORM_THRESHOLD / 4 is refined by bisection on
+    the crossing arclength (see _refine_crossing).
 
     The reported corner (r0, s0) is the sample minimizing r_star; it is
     descriptive (a rectangle certificate corner), not asserted against any
     theory.
     """
     svals = np.atleast_1d(np.asarray(s_values, dtype=float))
-    samples: dict[float, BoundarySample] = {}
-
+    # where each horizontal leg starts: the vertical-leg state at s (None when
+    # that leg diverged first), and gamma0 itself at s = 0
+    tops: dict[float, ComplexField | None] = {}
     for sign in (1.0, -1.0):
         group = sorted({float(s) for s in svals if math.copysign(1.0, s) == sign and s != 0.0}, key=abs)
-        if not group:
-            continue
-        leg = schrodinger_evolve(gamma0, group, lam, err_target=err_target / 10.0)
-        for s, top in zip_longest(group, leg.fields):
-            if top is None:
-                samples[s] = BoundarySample(
-                    s=s, r_star=None, defined=False, censored=False,
-                    reason="vertical leg diverged before reaching s",
-                )
-                continue
-            start = ComplexField(top.coeffs.copy(), top.basis, 0.0, 0.0)
-            rec = detect_blowup(start, lam, r_cap, err_target=err_target)
-            r_star = rec.r_star_lower
-            if rec.diverged:
-                r_star = _refine_crossing(start, lam, rec, NORM_THRESHOLD, err_target)
-            samples[s] = BoundarySample(
-                s=s, r_star=float(r_star), defined=True,
-                censored=not rec.diverged,
-                reason=rec.reason,
-            )
-
+        if group:
+            leg = schrodinger_evolve(gamma0, group, lam, err_target=err_target / 10.0)
+            tops.update(zip_longest(group, leg.fields))
     if np.any(svals == 0.0):
-        start = ComplexField(gamma0.coeffs.copy(), gamma0.basis, 0.0, 0.0)
+        tops[0.0] = gamma0
+
+    samples: dict[float, BoundarySample] = {}
+    for s, top in tops.items():
+        if top is None:
+            samples[s] = BoundarySample(s=s, r_star=None, defined=False, censored=False,
+                                        reason="vertical leg diverged before reaching s")
+            continue
+        start = ComplexField(top.coeffs.copy(), top.basis, 0.0, 0.0)
         rec = detect_blowup(start, lam, r_cap, err_target=err_target)
-        samples[0.0] = BoundarySample(
-            s=0.0, r_star=float(rec.r_star_lower), defined=True,
-            censored=not rec.diverged, reason=rec.reason,
-        )
+        r_star = rec.r_star_lower
+        if rec.diverged:
+            r_star = _refine_crossing(start, lam, rec, NORM_THRESHOLD, err_target)
+        samples[s] = BoundarySample(s=s, r_star=float(r_star), defined=True,
+                                    censored=not rec.diverged, reason=rec.reason)
 
     ordered = [samples[float(s)] for s in svals]
     divergent = [b for b in ordered if b.defined and not b.censored]

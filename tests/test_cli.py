@@ -167,6 +167,19 @@ class TestExitCodes:
         assert err.startswith("usage error: ")
 
     @pytest.mark.parametrize("argv", [
+        ["evolve", "--err-target=-1e-3", "--constant", "0.5", "--modes", "8", "--r-max", "0.05"],
+        ["evolve", "--norm-threshold=-1", "--constant", "0.5", "--modes", "8", "--r-max", "0.05"],
+        ["boundary", "--err-target=0", "--constant", "0.5", "--modes", "8", "--points", "1",
+         "--r-cap", "0.05"],
+    ])
+    def test_tolerances_must_be_positive(self, argv):
+        # no step meets a tolerance <= 0: the run would end as a blow-up at r = 0
+        rc, out, err = run_cli(argv)
+        assert rc == 64
+        assert out == ""
+        assert err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("argv", [
         ["trees", "--d-max", "17", "--enumerate"],
         ["trees", "--codes", "17"],
     ])
@@ -211,6 +224,14 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run_cli(["--version"])
         assert exc.value.code == 0
+
+
+def _non_positive(text):
+    """True when text is a number <= 0."""
+    try:
+        return float(text) <= 0.0
+    except ValueError:
+        return False
 
 
 def _ints(lo, hi):
@@ -332,6 +353,10 @@ class TestExitCodeProperty:
         values = [a.split("=", 1)[1] for a in argv if "=" in a]
         if any("nan" in v or "inf" in v for v in values):
             assert rc == 64, (argv, rc)
+        tolerances = [a.split("=", 1)[1] for a in argv
+                      if a.startswith(("--err-target=", "--norm-threshold="))]
+        if any(_non_positive(v) for v in tolerances):
+            assert rc == 64, (argv, rc)
 
 
 class TestTailTolerance:
@@ -411,6 +436,27 @@ class TestFigureData:
 
 
 class TestSubcommandSmoke:
+    @pytest.mark.parametrize("equilibrium,morse", [("upper", "2"), ("lower", "")])
+    def test_spectrum_at_a_homogeneous_state(self, equilibrium, morse):
+        from eternal_kit import spectrum
+        rc, out, err = run_cli(["spectrum", "--lambda", "100", "--count", "4",
+                                "--equilibrium", equilibrium])
+        assert rc == 0
+        assert "lambda=100.0" in err
+        header, rows = parse_csv(out)
+        assert header == ["k", "mu", "morse_index"]
+        want = spectrum.homogeneous_spectrum(100.0, count=4, equilibrium=equilibrium)
+        assert [float(r["mu"]) for r in rows] == [float(mu) for mu in want]
+        assert [r["k"] for r in rows] == ["0", "1", "2", "3"]
+        assert all(r["morse_index"] == morse for r in rows)
+
+    def test_branch_sweep_without_h(self):
+        rc, out, _ = run_cli(["branch", "--n", "1", "--points", "3"])
+        assert rc == 0
+        _, rows = parse_csv(out)
+        assert [float(r["h"]) for r in rows] == [-0.12, 0.0, 0.12]
+        assert all(r["n"] == "1" and r["morse_index"] == "1" for r in rows)
+
     def test_evolve_profile_start(self):
         rc, out, err = run_cli(["evolve", "--profile", "1,0.05",
                                 "--r-max", "0.05", "--modes", "64"])

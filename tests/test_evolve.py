@@ -166,6 +166,14 @@ class TestDetectBlowup:
         with pytest.raises(DomainError):
             evolve.detect_blowup(evolve.constant_field(0.0, N=8), 0.0, r_max)
 
+    @pytest.mark.parametrize("kw", [
+        {"err_target": 0.0}, {"err_target": -1e-3}, {"err_target": math.nan},
+        {"norm_threshold": 0.0}, {"norm_threshold": -1.0},
+    ])
+    def test_non_positive_tolerance_is_a_domain_error(self, kw):
+        with pytest.raises(DomainError):
+            evolve.detect_blowup(evolve.constant_field(0.5, N=8), 0.0, 0.05, **kw)
+
     def test_near_resonant_lambda_flag(self):
         lam = (8.0 / 3.0) * math.pi ** 4
         rec = evolve.detect_blowup(evolve.constant_field(0.0, N=16), lam, 1e-3)
@@ -213,7 +221,8 @@ class TestRejectedSteps:
 
         def counted(state, dr, lam):
             drs.append(dr)
-            return fail(state) or step(state, dr, lam)
+            fail(state)
+            return step(state, dr, lam)
 
         monkeypatch.setattr(evolve, "step", counted)
         rec = evolve.detect_blowup(evolve.constant_field(0.5, N=8), 0.0, 0.05)
@@ -229,7 +238,7 @@ class TestRejectedSteps:
         drs = self._count_steps(monkeypatch, fail)
         assert len(drs) == 17
         assert drs[0] == 8.589934592e-3
-        assert drs[-1] == pytest.approx(2e-12, rel=1e-12)
+        assert drs[-1] == 2e-12
         assert drs == [drs[0] / 4.0 ** k for k in range(17)]
 
     def test_non_finite_estimate_quarters_the_step_until_collapse(self, monkeypatch):
@@ -370,6 +379,19 @@ class TestAnalyticityBoundary:
         for b in scan.samples:
             assert b.defined and not b.censored
             assert 0.0 <= exact - b.r_star < 1e-4
+
+    def test_real_axis_sample_is_refined_like_the_others(self):
+        # At err_target 1e-4 the s = 0 leg passes NORM_THRESHOLD / 4, so the
+        # crossing bisection moves its r* below the leg's last accepted r.
+        scan = evolve.analyticity_boundary(
+            evolve.constant_field(1.5, N=16), [0.0, math.pi / 6.0], 6.0,
+            r_cap=1.0, err_target=1e-4)
+        leg = evolve.detect_blowup(evolve.constant_field(1.5, N=16), 6.0, 1.0,
+                                   err_target=1e-4)
+        assert leg.final_h1 >= evolve.NORM_THRESHOLD / 4.0
+        real = scan.samples[0]
+        assert real.defined and not real.censored
+        assert real.r_star < leg.r_star_lower
 
 
 class TestRefineCrossing:

@@ -22,6 +22,7 @@ GOLDEN_CASES = {
     "resonance.csv": ["resonance", "--n-max", "5"],
     "evolve.csv": ["evolve", "--constant", "0", "--lambda", "6",
                    "--r-max", "0.5", "--modes", "32"],
+    "evolve_mono.csv": ["evolve", "--mono", "3", "--modes", "16", "--r-max", "0.1"],
     "boundary.csv": ["boundary", "--constant", "0.5", "--lambda", "0",
                      "--s-min", "-0.1", "--s-max", "0.1", "--points", "3",
                      "--modes", "32"],

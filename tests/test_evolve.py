@@ -1,5 +1,6 @@
 """Tests for complex-time evolution: rays, blow-up detection, shooting."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -124,6 +125,88 @@ class TestSquare:
                     want[slot[k[i] + k[j]]] += c[i] * c[j]
         got = evolve._square(c, evolve.PERIODIC_UNIT)
         assert np.max(np.abs(got - want)) < 1e-14 * np.sum(np.abs(c)) ** 2
+
+
+class TestTransforms:
+    # The grid transforms must give exactly the bytes of the plain np.fft
+    # recipe: the goldens and the digests below depend on every float.
+
+    @staticmethod
+    def _np_to_grid(c, basis, M):
+        k = evolve._wavenumbers(basis, len(c)).astype(int)
+        full = np.zeros(M, dtype=complex)
+        full[k % M] = c
+        if basis == evolve.NEUMANN_HALF:
+            full[k[1:]] = full[M - k[1:]] = c[1:] / 2.0
+        return np.fft.ifft(full) * M
+
+    @staticmethod
+    def _np_from_grid(values, basis, N):
+        k = evolve._wavenumbers(basis, N).astype(int)
+        out = (np.fft.fft(values) / len(values))[k % len(values)]
+        if basis == evolve.NEUMANN_HALF:
+            out[1:] *= 2.0
+        return out
+
+    @staticmethod
+    def _convolution(c, basis):
+        """Coefficients of the square by a direct double sum over modes."""
+        N = len(c)
+        k = evolve._wavenumbers(basis, N).astype(int)
+        prod = np.outer(c, c)
+        want = np.zeros(N, dtype=complex)
+        if basis == evolve.NEUMANN_HALF:
+            # cos(j) cos(l) = (cos(j + l) + cos(j - l)) / 2
+            for m in (k[:, None] + k[None, :], np.abs(k[:, None] - k[None, :])):
+                keep = m < N
+                np.add.at(want, m[keep], prod[keep] / 2.0)
+        else:
+            slot = {int(m): j for j, m in enumerate(k)}
+            m = k[:, None] + k[None, :]
+            idx = np.vectorize(lambda v: slot.get(int(v), -1))(m)
+            keep = idx >= 0
+            np.add.at(want, idx[keep], prod[keep])
+        return want
+
+    @pytest.mark.parametrize("basis", [evolve.NEUMANN_HALF, evolve.PERIODIC_UNIT])
+    @pytest.mark.parametrize("M", [16, 64, 148, 256, 400, 512, 1024])
+    def test_transforms_match_numpy_fft_bytes(self, M, basis):
+        N = M // 4
+        rng = np.random.default_rng(M)
+        c = rng.normal(size=N) + 1j * rng.normal(size=N)
+        grid = evolve._to_grid(c, basis, M)
+        assert grid.tobytes() == self._np_to_grid(c, basis, M).tobytes()
+        back = evolve._from_grid(grid * grid, basis, N)
+        assert back.tobytes() == self._np_from_grid(grid * grid, basis, N).tobytes()
+        sq = evolve._square(c, basis)
+        assert sq.tobytes() == back.tobytes()
+        want = self._convolution(c, basis)
+        assert np.max(np.abs(sq - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestNonConstantBytes:
+    # Constant data never leaves mode 0, so the CLI goldens of constant runs
+    # do not see the quadratic product on other modes; these digests do.
+    DATA = [0.3, 0.2 + 0.1j, 0.05j]
+
+    @staticmethod
+    def _digest(run):
+        h = hashlib.sha256()
+        for name in sorted(run.history):
+            h.update(name.encode())
+            h.update(run.history[name].tobytes())
+        h.update(run.final_state.coeffs.tobytes())
+        return h.hexdigest()
+
+    def test_vertical_ray(self):
+        run = evolve.schrodinger_evolve(evolve.cosine_field(self.DATA, N=64), [0.05], 3.0)
+        assert run.reason == evolve.REASON_HORIZON and len(run.history["r"]) == 374
+        assert self._digest(run) == "2ceff6bcccfb1cd6c404c35e436e832be1b01c582f0eff0b486ec375972c0163"
+
+    def test_oblique_ray(self):
+        run = evolve.detect_blowup(evolve.cosine_field(self.DATA, N=64, theta=0.7), 3.0, 0.05)
+        assert run.reason == evolve.REASON_HORIZON and len(run.history["r"]) == 143
+        assert self._digest(run) == "e82aac41bd7a6036219fb2e6af3aec9ad1e1ff523148a419cd3bd2d04862114f"
 
 
 class TestDetectBlowup:

@@ -41,7 +41,6 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ConvergenceError, DegenerateFieldError, DomainError
 from .scalar_ode import PolyField, degeneracy_scan
@@ -516,6 +515,8 @@ def trace_and_extract(
     sits on a structurally unstable configuration.  Separatrices that return
     to the boundary are recorded as near-saddle-connections, not classified.
     """
+    from scipy.integrate import solve_ivp
+
     disk = compactify(fld)
     d = fld.degree
     classes = classify_interior(fld)

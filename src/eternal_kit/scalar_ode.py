@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ConvergenceError, DomainError, PoleSignal
 
@@ -145,6 +144,8 @@ def integrate(
     adds that many uniform samples per unit arclength on top of the solver's
     own steps.
     """
+    from scipy.integrate import solve_ivp
+
     sphere_chart = fld.degree == 2
     waypoints = [complex(p) for p in np.atleast_1d(np.asarray(path, dtype=complex))]
     coeffs = fld.coeffs  # [1, c1, c0] for degree 2
@@ -592,6 +593,8 @@ def reversible_example_check(
     space distance between the states at t = 0 and t = 2 pi whenever the span
     covers a full 2 pi, which vanishes for the exact cosine solution.
     """
+    from scipy.integrate import solve_ivp
+
     t_eval = np.linspace(0.0, t_end, n_samples)
 
     def rhs(_t, y):

@@ -6,6 +6,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 from datetime import timedelta
 from pathlib import Path
 
@@ -54,6 +56,16 @@ def test_golden_output(name):
     rc, out, _ = run_cli(GOLDEN_CASES[name])
     assert rc == 0
     assert out == (GOLDEN_DIR / name).read_text()
+
+
+def test_import_leaves_the_ode_solver_unloaded():
+    # scipy.integrate costs most of the import time; only the ODE commands need it
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, eternal_kit; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestFormats:

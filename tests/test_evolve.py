@@ -103,7 +103,9 @@ class TestStep:
 
 
 class TestSquare:
-    @pytest.mark.parametrize("N", [2, 5, 16, 64])
+    # direct coefficient convolutions, no FFT, up to the largest grids of
+    # the transform test
+    @pytest.mark.parametrize("N", [2, 5, 16, 37, 64, 100, 256])
     def test_cosine_square_matches_exact_product(self, N):
         rng = np.random.default_rng(N)
         c = rng.normal(size=N) + 1j * rng.normal(size=N)
@@ -112,7 +114,7 @@ class TestSquare:
         got = evolve._square(c, evolve.NEUMANN_HALF)
         assert np.max(np.abs(got - want)) < 1e-14 * np.sum(np.abs(c)) ** 2
 
-    @pytest.mark.parametrize("N", [2, 5, 16, 64])
+    @pytest.mark.parametrize("N", [2, 5, 16, 37, 64, 100, 256])
     def test_periodic_square_matches_direct_convolution(self, N):
         rng = np.random.default_rng(N)
         c = rng.normal(size=N) + 1j * rng.normal(size=N)
@@ -148,26 +150,6 @@ class TestTransforms:
             out[1:] *= 2.0
         return out
 
-    @staticmethod
-    def _convolution(c, basis):
-        """Coefficients of the square by a direct double sum over modes."""
-        N = len(c)
-        k = evolve._wavenumbers(basis, N).astype(int)
-        prod = np.outer(c, c)
-        want = np.zeros(N, dtype=complex)
-        if basis == evolve.NEUMANN_HALF:
-            # cos(j) cos(l) = (cos(j + l) + cos(j - l)) / 2
-            for m in (k[:, None] + k[None, :], np.abs(k[:, None] - k[None, :])):
-                keep = m < N
-                np.add.at(want, m[keep], prod[keep] / 2.0)
-        else:
-            slot = {int(m): j for j, m in enumerate(k)}
-            m = k[:, None] + k[None, :]
-            idx = np.vectorize(lambda v: slot.get(int(v), -1))(m)
-            keep = idx >= 0
-            np.add.at(want, idx[keep], prod[keep])
-        return want
-
     @pytest.mark.parametrize("basis", [evolve.NEUMANN_HALF, evolve.PERIODIC_UNIT])
     @pytest.mark.parametrize("M", [16, 64, 148, 256, 400, 512, 1024])
     def test_transforms_match_numpy_fft_bytes(self, M, basis):
@@ -178,10 +160,7 @@ class TestTransforms:
         assert grid.tobytes() == self._np_to_grid(c, basis, M).tobytes()
         back = evolve._from_grid(grid * grid, basis, N)
         assert back.tobytes() == self._np_from_grid(grid * grid, basis, N).tobytes()
-        sq = evolve._square(c, basis)
-        assert sq.tobytes() == back.tobytes()
-        want = self._convolution(c, basis)
-        assert np.max(np.abs(sq - want)) <= 1e-12 * np.max(np.abs(want))
+        assert evolve._square(c, basis).tobytes() == back.tobytes()
 
 
 class TestNonConstantBytes:

@@ -151,9 +151,6 @@ class ComplexField:
     def N(self) -> int:
         return len(self.coeffs)
 
-    def wavenumbers(self) -> np.ndarray:
-        return _wavenumbers(self.basis, self.N)
-
     @property
     def sectorial(self) -> bool:
         """True away from the vertical rays, where the linear part still damps."""

@@ -70,12 +70,11 @@ NORM_THRESHOLD = 1e8
 _TWO_PI = 2.0 * math.pi
 
 
-@lru_cache(maxsize=32)
 def _wavenumbers(basis: str, N: int) -> np.ndarray:
-    """Read-only wavenumber of each coefficient: 0..N-1 (cosine) or FFT order (circle)."""
-    k = np.arange(N, dtype=float) if basis == NEUMANN_HALF else np.fft.fftfreq(N, d=1.0 / N)
-    k.setflags(write=False)
-    return k
+    """Wavenumber of each coefficient: 0..N-1 (cosine) or FFT order (circle)."""
+    if basis == NEUMANN_HALF:
+        return np.arange(N, dtype=float)
+    return np.fft.fftfreq(N, d=1.0 / N)
 
 
 @lru_cache(maxsize=32)
@@ -103,7 +102,9 @@ def _grid_map(basis: str, N: int, M: int):
     return modes, mirror
 
 
-def _grid_values(coeffs: np.ndarray, modes: np.ndarray, mirror: np.ndarray, M: int) -> np.ndarray:
+def _to_grid(coeffs: np.ndarray, basis: str, M: int) -> np.ndarray:
+    """Point values at x_j = j / M of the series with these coefficients."""
+    modes, mirror = _grid_map(basis, len(coeffs), M)
     full = np.zeros(M, dtype=complex)
     full[modes] = coeffs
     if mirror.size:
@@ -111,21 +112,13 @@ def _grid_values(coeffs: np.ndarray, modes: np.ndarray, mirror: np.ndarray, M: i
     return scipy.fft.ifft(full) * M
 
 
-def _grid_coeffs(values: np.ndarray, modes: np.ndarray, mirror: np.ndarray) -> np.ndarray:
+def _from_grid(values: np.ndarray, basis: str, N: int) -> np.ndarray:
+    """The N coefficients of the grid function `values` (assumed even for cosines)."""
+    modes, mirror = _grid_map(basis, N, len(values))
     out = scipy.fft.fft(values)[modes] / len(values)
     if mirror.size:
         out[1:] *= 2.0
     return out
-
-
-def _to_grid(coeffs: np.ndarray, basis: str, M: int) -> np.ndarray:
-    """Point values at x_j = j / M of the series with these coefficients."""
-    return _grid_values(coeffs, *_grid_map(basis, len(coeffs), M), M)
-
-
-def _from_grid(values: np.ndarray, basis: str, N: int) -> np.ndarray:
-    """The N coefficients of the grid function `values` (assumed even for cosines)."""
-    return _grid_coeffs(values, *_grid_map(basis, N, len(values)))
 
 
 @dataclass
@@ -183,10 +176,10 @@ class ComplexField:
         else:
             n = self.N
             c = np.conj(self.coeffs[(n - np.arange(n)) % n])
-        return _state(c, self.basis, self.r, self.theta)
+        return ComplexField(c, self.basis, self.r, self.theta)
 
     def copy(self) -> "ComplexField":
-        return _state(self.coeffs.copy(), self.basis, self.r, self.theta)
+        return ComplexField(self.coeffs.copy(), self.basis, self.r, self.theta)
 
 
 def _l2_norm(a: np.ndarray, basis: str) -> float:
@@ -248,16 +241,11 @@ def monochromatic_field(amplitude: complex, N: int = 256) -> ComplexField:
 _CONTOUR = np.exp(2j * math.pi * (np.arange(32) + 0.5) / 32.0)
 
 
-@lru_cache(maxsize=8)
-def _rotation(theta: float) -> complex:
-    """e^(i theta), the factor of the ray's direction."""
-    return np.exp(1j * theta)
-
-
 @lru_cache(maxsize=64)
 def _etdrk4_tables(basis: str, N: int, theta: float, dr: float):
-    """(E, E2, dr Q, dr f1, 2 dr f2, dr f3), read-only, for one step of dr."""
-    L = _rotation(theta) * (-_omega2(basis, N))
+    """(e^(i theta), E, E2, dr Q, dr f1, 2 dr f2, dr f3) for one step of dr; arrays read-only."""
+    rot = np.exp(1j * theta)
+    L = rot * (-_omega2(basis, N))
     z = dr * L
     E = np.exp(z)
     E2 = np.exp(z / 2.0)
@@ -288,15 +276,13 @@ def _etdrk4_tables(basis: str, N: int, theta: float, dr: float):
     out = (E, E2, dr * Q, dr * F1, 2.0 * (dr * F2), dr * F3)
     for arr in out:
         arr.setflags(write=False)
-    return out
+    return (rot,) + out
 
 
 def _square(coeffs: np.ndarray, basis: str) -> np.ndarray:
     """Coefficients of w^2, exactly (4N grid holds every product mode)."""
-    M = 4 * len(coeffs)
-    modes, mirror = _grid_map(basis, len(coeffs), M)
-    u = _grid_values(coeffs, modes, mirror, M)
-    return _grid_coeffs(u * u, modes, mirror)
+    u = _to_grid(coeffs, basis, 4 * len(coeffs))
+    return _from_grid(u * u, basis, len(coeffs))
 
 
 def _nonlinear(coeffs: np.ndarray, basis: str, rot: complex, lam: float) -> np.ndarray:
@@ -315,8 +301,8 @@ def step(state: ComplexField, dr: float, lam: float) -> ComplexField:
     if dr <= 0.0:
         raise DomainError("step length must be positive")
     basis, u = state.basis, state.coeffs
-    E, E2, Q, f1, f2x2, f3 = _etdrk4_tables(basis, len(u), state.theta, dr)
-    rot, lam = _rotation(state.theta), float(lam)
+    rot, E, E2, Q, f1, f2x2, f3 = _etdrk4_tables(basis, len(u), state.theta, dr)
+    lam = float(lam)
     with np.errstate(over="ignore", invalid="ignore"):
         Nu = _nonlinear(u, basis, rot, lam)
         E2u = E2 * u

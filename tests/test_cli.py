@@ -179,6 +179,15 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("usage error: ")
 
+    @pytest.mark.parametrize("theta", ["2", "-2"])
+    def test_ray_angle_past_vertical_is_domain_error(self, theta):
+        # cos(theta) < 0 makes the linear part anti-diffusive: ill-posed
+        rc, out, err = run_cli(["evolve", "--theta", theta, "--constant", "0.5",
+                                "--modes", "8", "--r-max", "0.05"])
+        assert rc == 1
+        assert out == ""
+        assert "ray angle must satisfy |theta| <= pi/2" in err
+
     @pytest.mark.parametrize("argv", [
         ["evolve", "--err-target=-1e-3", "--constant", "0.5", "--modes", "8", "--r-max", "0.05"],
         ["evolve", "--norm-threshold=-1", "--constant", "0.5", "--modes", "8", "--r-max", "0.05"],

@@ -103,9 +103,9 @@ class TestStep:
 
 
 class TestSquare:
-    # direct coefficient convolutions, no FFT, up to the largest grids of
-    # the transform test
-    @pytest.mark.parametrize("N", [2, 5, 16, 37, 64, 100, 256])
+    # direct coefficient convolutions, no FFT, at every N = M / 4 of the
+    # transform test and a few more
+    @pytest.mark.parametrize("N", [2, 4, 5, 16, 37, 64, 100, 128, 256])
     def test_cosine_square_matches_exact_product(self, N):
         rng = np.random.default_rng(N)
         c = rng.normal(size=N) + 1j * rng.normal(size=N)
@@ -114,7 +114,7 @@ class TestSquare:
         got = evolve._square(c, evolve.NEUMANN_HALF)
         assert np.max(np.abs(got - want)) < 1e-14 * np.sum(np.abs(c)) ** 2
 
-    @pytest.mark.parametrize("N", [2, 5, 16, 37, 64, 100, 256])
+    @pytest.mark.parametrize("N", [2, 4, 5, 16, 37, 64, 100, 128, 256])
     def test_periodic_square_matches_direct_convolution(self, N):
         rng = np.random.default_rng(N)
         c = rng.normal(size=N) + 1j * rng.normal(size=N)

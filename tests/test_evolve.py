@@ -456,6 +456,41 @@ class TestAnalyticityBoundary:
         assert real.r_star < leg.r_star_lower
 
 
+class TestBoundaryBytes:
+    # Every sample's r_star, censored flag and reason, and the corner, to the
+    # last bit: the horizontal legs of a scan may be advanced together, but
+    # each must end exactly where it would alone.
+
+    @staticmethod
+    def _digest(scan):
+        h = hashlib.sha256()
+        for b in scan.samples:
+            h.update(b"None" if b.r_star is None else float.hex(b.r_star).encode())
+            h.update(repr((b.censored, b.reason)).encode())
+        corner = None if scan.corner is None else tuple(map(float.hex, scan.corner))
+        h.update(repr(corner).encode())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("w0, N, s_values, lam, kw, want", [
+        (0.5, 32, [-0.1, 0.0, 0.1], 0.0, {},
+         "62813459589e70b5b17adde57817d4d0a04473745f476d00a2faa2cbdb3e5ec0"),
+        (1.5, 16, [0.0, math.pi / 6.0], 6.0, {"r_cap": 1.0},
+         "9869e2614d37adf46cebddd6a29beab28100310f50f1070ec3a5fecdc6c35b1b"),
+        (0.0, 32, [-0.3, -0.2, 0.2, 0.3], 6.0, {},
+         "7fe248dddda81bb86a9e75946b43ed89d003a00a4af45c7efe409cde9150333b"),
+    ], ids=["lambda0-grid", "pole-row", "vertical-horizon"])
+    def test_constant_start(self, w0, N, s_values, lam, kw, want):
+        scan = evolve.analyticity_boundary(evolve.constant_field(w0, N=N), s_values, lam, **kw)
+        assert self._digest(scan) == want
+
+    def test_cosine_start(self):
+        # s = 0 diverges, the tilted legs reach r_cap
+        scan = evolve.analyticity_boundary(evolve.cosine_field([1.0, 0.4, 0.1j], N=16),
+                                           [-0.02, 0.0, 0.02, 0.05], 3.0, r_cap=1.0)
+        assert [b.censored for b in scan.samples] == [True, False, True, True]
+        assert self._digest(scan) == "9fd07f447eaf628fbd1ee2d152427a702c9ac1d0d06fa6fa6fba6f876825cf21"
+
+
 class TestRefineCrossing:
     # Constant data w0 at lambda = 6 a^2 poles at r* = ln((w0 + a)/(w0 - a)) / (12 a)
     # and again at r* + i pi / (6 a): a horizontal leg started at i pi / (6 a)

@@ -12,11 +12,12 @@ Schrodinger evolution i psi_s = psi_xx + 6 psi^2 - lambda forward in s
     PERIODIC_UNIT  FFT-ordered exponential coefficients on the unit circle
 
 with complex coefficients in both (no reality constraint anywhere: complex
-data is the whole point).  Both bases go to a uniform grid and back through
-one cached index map (`_grid_map`) and scipy.fft, which runs the same
-pocketfft as numpy.fft and gives the same bytes with less overhead per call.
-Quadratic products are computed on a 4N grid, which represents the product
-exactly, so there is no aliasing.
+data is the whole point).  Both bases go to a uniform grid and back by
+slices and scipy.fftpack, which calls the same pocketfft as numpy.fft and
+gives the same bytes with less overhead per call.  Transforms run along the
+last axis, so a stack of rays (rows x modes) goes in one call and each row
+gets the bytes of its own transform.  Quadratic products are computed on a
+4N grid, which represents the product exactly, so there is no aliasing.
 
 The stepper is the standard fourth-order exponential time differencing
 Runge-Kutta scheme; its phi-function coefficients are evaluated by contour
@@ -27,7 +28,9 @@ is complex off the parabolic ray.  The tables are cached per (basis, N,
 theta, dr) and already scaled by dr; the f2 table holds 2 f2, the factor
 with which the scheme uses it.  Step size is adapted by step doubling:
 one full step against two half steps, local error estimated as their
-H^1 distance over 2^4 - 1.
+H^1 distance over 2^4 - 1.  Rays that share basis, N, theta and lambda
+advance as one stack, each row with its own step size, history and stop;
+a single ray is a stack of one.
 
 Blow-up is reported, never guessed: a run ends with NORM_THRESHOLD when the
 H^1 norm passes the threshold (NORM_THRESHOLD = 1e8 unless the caller sets
@@ -47,7 +50,7 @@ from functools import lru_cache
 from itertools import zip_longest
 
 import numpy as np
-import scipy.fft
+import scipy.fftpack
 
 from . import elliptic, spectrum
 from .elliptic import CosineSeries
@@ -85,40 +88,36 @@ def _omega2(basis: str, N: int) -> np.ndarray:
     return om
 
 
-@lru_cache(maxsize=32)
-def _grid_map(basis: str, N: int, M: int):
-    """Read-only grid modes of N coefficients on M points: (modes, mirror).
-
-    Cosine coefficient k >= 1 is the pair e^(+-2 pi i k x), half of it at
-    modes[k] = k and half at mirror[k - 1] = M - k; the circle has no mirror.
-    """
-    k = _wavenumbers(basis, N).astype(int)
-    if M < 2 * np.max(np.abs(k)) + 2:
-        raise DomainError(f"grid of {M} points too coarse for {N} modes of {basis}")
-    modes = np.mod(k, M)
-    mirror = M - modes[1:] if basis == NEUMANN_HALF else modes[:0]
-    for arr in (modes, mirror):
-        arr.setflags(write=False)
-    return modes, mirror
-
-
 def _to_grid(coeffs: np.ndarray, basis: str, M: int) -> np.ndarray:
-    """Point values at x_j = j / M of the series with these coefficients."""
-    modes, mirror = _grid_map(basis, len(coeffs), M)
-    full = np.zeros(M, dtype=complex)
-    full[modes] = coeffs
-    if mirror.size:
-        full[modes[1:]] = full[mirror] = coeffs[1:] / 2.0
-    return scipy.fft.ifft(full) * M
+    """Point values at x_j = j / M of the series whose coefficients run along the last axis.
+
+    Cosine coefficient k >= 1 is the pair e^(+-2 pi i k x), half of it at grid
+    mode k and half at M - k; the circle's negative modes sit at the top end.
+    M must hold every mode: M >= 2N for cosines, M >= N + 2 on the circle.
+    """
+    N = coeffs.shape[-1]
+    full = np.zeros(coeffs.shape[:-1] + (M,), dtype=complex)
+    if basis == NEUMANN_HALF:
+        full[..., 0] = coeffs[..., 0]
+        full[..., 1:N] = full[..., : M - N : -1] = coeffs[..., 1:] / 2.0
+    else:
+        pos = (N + 1) // 2
+        full[..., :pos] = coeffs[..., :pos]
+        full[..., M - N + pos :] = coeffs[..., pos:]
+    grid = scipy.fftpack.ifft(full, axis=-1, overwrite_x=True)
+    return np.multiply(grid, M, grid)
 
 
 def _from_grid(values: np.ndarray, basis: str, N: int) -> np.ndarray:
-    """The N coefficients of the grid function `values` (assumed even for cosines)."""
-    modes, mirror = _grid_map(basis, N, len(values))
-    out = scipy.fft.fft(values)[modes] / len(values)
-    if mirror.size:
-        out[1:] *= 2.0
-    return out
+    """The N coefficients of the grid function along the last axis (assumed even for cosines)."""
+    M = values.shape[-1]
+    spec = scipy.fftpack.fft(values, axis=-1)
+    if basis == NEUMANN_HALF:
+        out = spec[..., :N] / M
+        out[..., 1:] *= 2.0
+        return out
+    pos = (N + 1) // 2
+    return np.concatenate((spec[..., :pos], spec[..., M - N + pos :]), axis=-1) / M
 
 
 @dataclass
@@ -151,20 +150,32 @@ class ComplexField:
 
     def values(self, M: int | None = None) -> np.ndarray:
         """Complex point values on the uniform grid x_j = j / M."""
-        return _to_grid(self.coeffs, self.basis, 4 * self.N if M is None else M)
+        if M is None:
+            M = 4 * self.N
+        top = self.N - 1 if self.basis == NEUMANN_HALF else self.N // 2     # largest |wavenumber|
+        if M < 2 * top + 2:
+            raise DomainError(f"grid of {M} points too coarse for {self.N} modes of {self.basis}")
+        return _to_grid(self.coeffs, self.basis, M)
 
     def at_zero(self) -> complex:
         return complex(np.sum(self.coeffs))
 
     def l2_norm(self) -> float:
-        return _l2_norm(np.abs(self.coeffs) ** 2, self.basis)
+        return _norms(self.coeffs[None], self.basis)[0][0]
 
     def grad_norm(self) -> float:
-        return _grad_norm(np.abs(self.coeffs) ** 2, self.basis)
+        return _norms(self.coeffs[None], self.basis)[1][0]
 
-    def h1_norm(self) -> float:
-        a = np.abs(self.coeffs) ** 2
-        return math.hypot(_l2_norm(a, self.basis), _grad_norm(a, self.basis))
+    def h1_norm(self):
+        """H^1 norm; on a stack of rays (rows x modes, made inside the
+        stepper) a list with one norm per row, whose gradient norms, from the
+        same |c|^2, are left in `grads` for the history."""
+        one = self.coeffs.ndim == 1
+        l2, grads = _norms(self.coeffs[None] if one else self.coeffs, self.basis)
+        if one:
+            return math.hypot(l2[0], grads[0])
+        self.grads = grads
+        return [math.hypot(x, y) for x, y in zip(l2, grads)]
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values())))
@@ -182,23 +193,25 @@ class ComplexField:
         return ComplexField(self.coeffs.copy(), self.basis, self.r, self.theta)
 
 
-def _l2_norm(a: np.ndarray, basis: str) -> float:
-    """L^2 norm of the state whose squared coefficient moduli are a."""
+def _norms(coeffs: np.ndarray, basis: str) -> tuple[list, list]:
+    """L^2 norms and L^2 norms of w_x of the rows of a stack, from one |c|^2."""
+    a = np.abs(coeffs) ** 2
+    om = _omega2(basis, a.shape[1])[None]
+    total = np.add.reduce           # the sum of np.sum, without its wrappers
     if basis == NEUMANN_HALF:
-        return math.sqrt(a[0] / 2.0 + np.sum(a[1:]) / 4.0)
-    return math.sqrt(float(np.sum(a)))
+        l2 = np.sqrt(a[:, 0] / 2.0 + total(a[:, 1:], 1) / 4.0)
+        grad = np.sqrt(total(om[:, 1:] * a[:, 1:], 1) / 4.0)
+    else:
+        l2, grad = np.sqrt(total(a, 1)), np.sqrt(total(om * a, 1))
+    return l2.tolist(), grad.tolist()
 
 
-def _grad_norm(a: np.ndarray, basis: str) -> float:
-    """L^2 norm of w_x for the state whose squared coefficient moduli are a."""
-    om = _omega2(basis, len(a))
-    if basis == NEUMANN_HALF:
-        return math.sqrt(float(np.sum(om[1:] * a[1:])) / 4.0)
-    return math.sqrt(float(np.sum(om * a)))
+def _state(coeffs: np.ndarray, basis: str, r, theta: float) -> ComplexField:
+    """A ComplexField from parts that are already valid, without re-checking them.
 
-
-def _state(coeffs: np.ndarray, basis: str, r: float, theta: float) -> ComplexField:
-    """A ComplexField from parts that are already valid, without re-checking them."""
+    Inside the stepper coeffs may be a stack of rays (rows x modes) that
+    share basis and theta, with one r per row.
+    """
     f = object.__new__(ComplexField)
     f.coeffs, f.basis, f.r, f.theta = coeffs, basis, r, theta
     return f
@@ -243,7 +256,10 @@ _CONTOUR = np.exp(2j * math.pi * (np.arange(32) + 0.5) / 32.0)
 
 @lru_cache(maxsize=64)
 def _etdrk4_tables(basis: str, N: int, theta: float, dr: float):
-    """(e^(i theta), E, E2, dr Q, dr f1, 2 dr f2, dr f3) for one step of dr; arrays read-only."""
+    """(e^(i theta), E, E2, dr Q, dr f1, 2 dr f2, dr f3) for one step of dr.
+
+    The arrays are read-only and shaped (1, N): one row of a stack of rays.
+    """
     rot = np.exp(1j * theta)
     L = rot * (-_omega2(basis, N))
     z = dr * L
@@ -273,52 +289,87 @@ def _etdrk4_tables(basis: str, N: int, theta: float, dr: float):
         q, f1, f2, f3 = tables(z[~small])
         Q[~small], F1[~small], F2[~small], F3[~small] = q, f1, f2, f3
 
-    out = (E, E2, dr * Q, dr * F1, 2.0 * (dr * F2), dr * F3)
+    out = tuple(t[None] for t in (E, E2, dr * Q, dr * F1, 2.0 * (dr * F2), dr * F3))
     for arr in out:
         arr.setflags(write=False)
     return (rot,) + out
 
 
+@lru_cache(maxsize=16)
+def _stacked_tables(basis: str, N: int, theta: float, drs: tuple):
+    """_etdrk4_tables with one row per step length in drs; arrays read-only."""
+    rows = [_etdrk4_tables(basis, N, theta, dr) for dr in drs]
+    out = tuple(np.concatenate(t) for t in list(zip(*rows))[1:])
+    for arr in out:
+        arr.setflags(write=False)
+    return (rows[0][0],) + out
+
+
 def _square(coeffs: np.ndarray, basis: str) -> np.ndarray:
-    """Coefficients of w^2, exactly (4N grid holds every product mode)."""
-    u = _to_grid(coeffs, basis, 4 * len(coeffs))
-    return _from_grid(u * u, basis, len(coeffs))
+    """Coefficients of w^2 for each row, exactly (4N grid holds every product mode)."""
+    N = coeffs.shape[-1]
+    u = _to_grid(coeffs, basis, 4 * N)
+    return _from_grid(np.multiply(u, u, u), basis, N)
 
 
-def _nonlinear(coeffs: np.ndarray, basis: str, rot: complex, lam: float) -> np.ndarray:
-    """rot (6 w^2 - lam) with rot = e^(i theta); the caller holds the errstate."""
-    out = 6.0 * _square(coeffs, basis)
-    out[0] -= lam
-    return rot * out
+def _nonlinear(coeffs: np.ndarray, basis: str, rot: complex, lam0: np.ndarray) -> np.ndarray:
+    """rot (6 w^2 - lam) with rot = e^(i theta) and lam0 = lam at mode 0, zero
+    elsewhere (x - 0 is x, bit for bit); the caller holds the errstate."""
+    out = _square(coeffs, basis)
+    np.multiply(6.0, out, out)
+    out -= lam0
+    return np.multiply(rot, out, out)
 
 
-def step(state: ComplexField, dr: float, lam: float) -> ComplexField:
+def step(state: ComplexField, dr, lam: float) -> ComplexField:
     """One fixed ETDRK4 step of length dr along the state's ray.
 
     Raises BlowupSignal (carrying the input state) when the update stops
-    being finite; callers turn that into a divergence report.
+    being finite; callers turn that into a divergence report.  On a stack
+    of rays dr is one float for every row or a tuple with one per row, and
+    the signal comes only when no row stays finite: a row that leaves the
+    floating-point range alone shows up in its error estimate instead.
     """
-    if dr <= 0.0:
+    if (min(dr) if isinstance(dr, tuple) else dr) <= 0.0:
         raise DomainError("step length must be positive")
     basis, u = state.basis, state.coeffs
-    rot, E, E2, Q, f1, f2x2, f3 = _etdrk4_tables(basis, len(u), state.theta, dr)
-    lam = float(lam)
+    one = u.ndim == 1
+    if one:
+        u = u[None]            # one ray is a stack of one
+    N = u.shape[1]
+    tables = _stacked_tables if isinstance(dr, tuple) else _etdrk4_tables
+    rot, E, E2, Q, f1, f2x2, f3 = tables(basis, N, state.theta, dr)
+    lam0 = np.zeros((1, N), dtype=complex)
+    lam0[0, 0] = lam
+    # in place where a temporary allows it, with every product's operands in
+    # the order of the textbook formulas: complex multiplication is not
+    # bitwise commutative
     with np.errstate(over="ignore", invalid="ignore"):
-        Nu = _nonlinear(u, basis, rot, lam)
+        Nu = _nonlinear(u, basis, rot, lam0)
         E2u = E2 * u
-        a = E2u + Q * Nu
-        Na = _nonlinear(a, basis, rot, lam)
-        b = E2u + Q * Na
-        Nb = _nonlinear(b, basis, rot, lam)
-        c = E2 * a + Q * (2.0 * Nb - Nu)
-        Nc = _nonlinear(c, basis, rot, lam)
-        unew = E * u + f1 * Nu + f2x2 * (Na + Nb) + f3 * Nc
-    if not np.all(np.isfinite(unew.view(float))):
+        a = Q * Nu
+        a += E2u
+        Na = _nonlinear(a, basis, rot, lam0)
+        b = Q * Na
+        b += E2u
+        Nb = _nonlinear(b, basis, rot, lam0)
+        c = 2.0 * Nb
+        c -= Nu
+        np.multiply(Q, c, c)
+        c += E2 * a                                     # E2 a + Q (2 Nb - Nu)
+        Nc = _nonlinear(c, basis, rot, lam0)
+        unew = E * u
+        unew += np.multiply(f1, Nu, Nu)
+        Na += Nb
+        unew += np.multiply(f2x2, Na, Na)
+        unew += np.multiply(f3, Nc, Nc)                 # E u + f1 Nu + 2 f2 (Na + Nb) + f3 Nc
+    if not np.isfinite(unew.view(float)).all(1).any():
         raise BlowupSignal("update left floating-point range", state)
-    return _state(unew, basis, state.r + dr, state.theta)
+    r = state.r + (np.array(dr) if isinstance(dr, tuple) else dr)
+    return _state(unew[0] if one else unew, basis, r, state.theta)
 
 
-def _h1_diff(u1: ComplexField, u2: ComplexField) -> float:
+def _h1_diff(u1: ComplexField, u2: ComplexField):
     return _state(u1.coeffs - u2.coeffs, u1.basis, u1.r, u1.theta).h1_norm()
 
 
@@ -330,11 +381,11 @@ class _History:
     grad: list = dc_field(default_factory=list)
     w0: list = dc_field(default_factory=list)
 
-    def push(self, state: ComplexField, h1: float):
+    def push(self, state: ComplexField, h1: float, grad: float):
         self.r.append(state.r)
         self.h1.append(h1)
         self.sup.append(state.sup_norm())
-        self.grad.append(state.grad_norm())
+        self.grad.append(grad)
         self.w0.append(state.at_zero())
 
     def arrays(self) -> dict:
@@ -342,13 +393,13 @@ class _History:
 
 
 def _advance(
-    state: ComplexField,
-    r_target: float,
+    state,
+    r_target,
     lam: float,
     *,
     err_target: float = 1e-9,
     norm_threshold: float | None = None,
-    history: _History | None = None,
+    history=None,
     on_accept=None,
 ):
     """Adaptive ETDRK4 from state.r to r_target; returns (state, status).
@@ -357,50 +408,99 @@ def _advance(
     estimated by step doubling.  The first step is 1e-2 on sectorial rays
     and 2e-3 on vertical ones.  on_accept(prev, new) may return False to
     stop the run early (status CAPTURED).
+
+    state may also be a list of rays that share basis, N and theta; then
+    r_target and history may be given per ray, and the lists of final states
+    and statuses come back.  The rays advance as one stack (rows x modes),
+    each with its own step size, history and stop, and each ends with the
+    bytes it would reach alone.
     """
+    single = isinstance(state, ComplexField)
+    rays = [state] if single else list(state)
+    n = len(rays)
+    targets = [float(t) for t in np.broadcast_to(np.asarray(r_target, dtype=float), (n,))]
+    hists = list(history) if isinstance(history, list) else [history] * n
     if not (err_target > 0.0 and (norm_threshold is None or norm_threshold > 0.0)):
         raise DomainError(f"need err_target > 0 and norm_threshold > 0, got {err_target}, {norm_threshold}")
-    if not math.isfinite(r_target):
+    if not all(math.isfinite(t) for t in targets):
         raise DomainError(f"r_target must be finite, got {r_target}")
-    if r_target < state.r:
+    if any(t < ray.r for t, ray in zip(targets, rays)):
         raise DomainError("r_target must lie ahead of the current position")
-    u = state
-    dr_init = 1e-2 if u.sectorial else 2e-3
+    basis, theta, N = rays[0].basis, rays[0].theta, rays[0].N
+    if any((ray.basis, ray.theta, ray.N) != (basis, theta, N) for ray in rays):
+        raise DomainError("a stack of rays must share basis, N and theta")
+
+    dr_init = 1e-2 if rays[0].sectorial else 2e-3
     # keep dr on the binary ladder DR_MIN * 2^j: the phi-function tables for
     # dr and dr/2 are then reused across steps instead of rebuilt
-    span = max(r_target - u.r, DR_MIN)
-    dr = DR_MIN * 2.0 ** max(0, math.floor(math.log2(min(dr_init, span) / DR_MIN)))
+    drs = [DR_MIN * 2.0 ** max(0, math.floor(math.log2(min(dr_init, max(t - ray.r, DR_MIN)) / DR_MIN)))
+           for t, ray in zip(targets, rays)]
 
-    while u.r < r_target * (1.0 - 1e-15) and r_target > u.r:
-        dr_try = min(dr, r_target - u.r)
-        try:
-            u_full = step(u, dr_try, lam)
-            u_half = step(step(u, dr_try / 2.0, lam), dr_try / 2.0, lam)
-            err = _h1_diff(u_full, u_half) / 15.0
-        except BlowupSignal:
-            err = math.nan
-        if math.isfinite(err):
-            h1 = u_half.h1_norm()
-            tol = err_target * dr_try * max(1.0, h1)
-            if err <= tol:
-                prev, u = u, u_half
-                if history is not None:
-                    history.push(u, h1)
-                if on_accept is not None and on_accept(prev, u) is False:
-                    return u, REASON_CAPTURED
-                if norm_threshold is not None and h1 >= norm_threshold:
-                    return u, REASON_NORM
-                # doubling is taken only when the fifth-order estimate predicts
-                # the doubled step still passes with a 20% margin
-                if err == 0.0 or tol / err > 40.0:
-                    dr *= 2.0
-                continue
-        # a rejected step: a non-finite estimate (a BlowupSignal included)
-        # quarters dr, an estimate over tol halves it
-        dr /= 2.0 if math.isfinite(err) else 4.0
-        if dr < DR_MIN:
-            return u, REASON_STEP
-    return u, REASON_HORIZON
+    def reached(i, r):
+        return not (r < targets[i] * (1.0 - 1e-15) and targets[i] > r)
+
+    finals, reasons = list(rays), [REASON_HORIZON] * n
+    live = [i for i, ray in enumerate(rays) if not reached(i, ray.r)]   # one per row of u
+    u = np.stack([rays[i].coeffs for i in live]) if live else None
+    r = [float(rays[i].r) for i in live]
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live:
+            dr_try = [min(drs[i], targets[i] - rj) for i, rj in zip(live, r)]
+            if dr_try.count(dr_try[0]) == len(dr_try):
+                full_dr, half_dr = dr_try[0], dr_try[0] / 2.0
+            else:
+                full_dr, half_dr = tuple(dr_try), tuple(d / 2.0 for d in dr_try)
+            stack = _state(u, basis, np.array(r), theta)
+            try:
+                u_full = step(stack, full_dr, lam)
+                u_half = step(step(stack, half_dr, lam), half_dr, lam)
+                err = _h1_diff(u_full, u_half)
+            except BlowupSignal:
+                err = math.nan
+            errs = [e / 15.0 for e in err] if isinstance(err, list) else [err / 15.0] * len(live)
+            if any(map(math.isfinite, errs)):
+                h1s, grads, r_half = u_half.h1_norm(), u_half.grads, u_half.r.tolist()
+
+            took, keep = [], []
+            for j, (i, e) in enumerate(zip(live, errs)):
+                if math.isfinite(e):
+                    h1 = h1s[j]
+                    tol = err_target * dr_try[j] * max(1.0, h1)
+                    if e <= tol:
+                        took.append(j)
+                        new = finals[i] = _state(u_half.coeffs[j], basis, r_half[j], theta)
+                        if hists[i] is not None:
+                            hists[i].push(new, h1, grads[j])
+                        if on_accept is not None and on_accept(_state(u[j], basis, r[j], theta), new) is False:
+                            reasons[i] = REASON_CAPTURED
+                        elif norm_threshold is not None and h1 >= norm_threshold:
+                            reasons[i] = REASON_NORM
+                        else:
+                            # doubling is taken only when the fifth-order estimate
+                            # predicts the doubled step still passes with a 20% margin
+                            if e == 0.0 or tol / e > 40.0:
+                                drs[i] *= 2.0
+                            if not reached(i, r_half[j]):
+                                keep.append(j)
+                        continue
+                # a rejected step: a non-finite estimate (a BlowupSignal
+                # included) quarters dr, an estimate over tol halves it
+                drs[i] /= 2.0 if math.isfinite(e) else 4.0
+                if drs[i] < DR_MIN:
+                    finals[i], reasons[i] = _state(u[j], basis, r[j], theta), REASON_STEP
+                else:
+                    keep.append(j)
+
+            if len(took) == len(live):
+                u, r = u_half.coeffs, r_half
+            elif took:
+                rows = np.zeros((len(live), 1), dtype=bool)
+                rows[took] = True
+                u = np.where(rows, u_half.coeffs, u)
+                r = [r_half[j] if rows[j, 0] else r[j] for j in range(len(live))]
+            if len(keep) < len(live):
+                live, u, r = [live[j] for j in keep], u[keep], [r[j] for j in keep]
+    return (finals[0], reasons[0]) if single else (finals, reasons)
 
 
 # ---------------------------------------------------------------------------
@@ -469,22 +569,40 @@ class RayRun:
         return math.copysign(self.final_state.r, -self.final_state.theta)
 
 
-def _run(state: ComplexField, stops, lam: float, **advance_kw) -> RayRun:
+def _run(state, stops, lam: float, **advance_kw):
     """Advance state through the ascending arclengths in stops with one history.
 
     The state at each stop reached is copied into fields; the run ends at the
-    first status other than HORIZON.
+    first status other than HORIZON.  state may also be a list of rays that
+    share basis, N and theta, advanced as one stack; one RayRun per ray
+    comes back.
     """
-    hist = _History()
-    hist.push(state, state.h1_norm())
-    fields: list[ComplexField] = []
-    status = REASON_HORIZON
+    single = isinstance(state, ComplexField)
+    rays = [state] if single else list(state)       # each ray's latest state
+    hists = [_History() for _ in rays]
+    start = _state(np.stack([ray.coeffs for ray in rays]), rays[0].basis,
+                   np.array([ray.r for ray in rays]), rays[0].theta)
+    for ray, hist, h1, grad in zip(rays, hists, start.h1_norm(), start.grads):
+        hist.push(ray, h1, grad)
+    fields: list[list[ComplexField]] = [[] for _ in rays]
+    status = [REASON_HORIZON] * len(rays)
     for stop in stops:
-        state, status = _advance(state, float(stop), lam, history=hist, **advance_kw)
-        if status != REASON_HORIZON:
+        live = [i for i, why in enumerate(status) if why == REASON_HORIZON]
+        if not live:
             break
-        fields.append(state.copy())
-    return RayRun(state, status, float(lam), hist.arrays(), fields)
+        if single:
+            ends, whys = _advance(rays[0], float(stop), lam, history=hists[0], **advance_kw)
+            ends, whys = [ends], [whys]
+        else:
+            ends, whys = _advance([rays[i] for i in live], float(stop), lam,
+                                  history=[hists[i] for i in live], **advance_kw)
+        for i, end, why in zip(live, ends, whys):
+            rays[i], status[i] = end, why
+            if why == REASON_HORIZON:
+                fields[i].append(end.copy())
+    runs = [RayRun(ray, why, float(lam), hist.arrays(), fs)
+            for ray, why, hist, fs in zip(rays, status, hists, fields)]
+    return runs[0] if single else runs
 
 
 def detect_blowup(
@@ -649,7 +767,8 @@ def analyticity_boundary(
     along the horizontal ray; r*(s) is where the horizontal leg diverges
     (censored at r_cap when it does not).  Each side's vertical leg is one
     Schrodinger run through that side's |s| values, reused across the grid;
-    the s = 0 leg starts from gamma0 itself.  When the vertical leg diverges
+    the s = 0 leg starts from gamma0 itself.  The horizontal legs advance
+    together as one stack of rays.  When the vertical leg diverges
     before reaching s, that sample and the more distant ones on the same side
     are recorded as undefined.  Every divergent horizontal leg, the s = 0
     one included, that passed NORM_THRESHOLD / 4 is refined by bisection on
@@ -671,14 +790,18 @@ def analyticity_boundary(
     if np.any(svals == 0.0):
         tops[0.0] = gamma0
 
+    # the horizontal legs share basis, N, theta = 0 and lam: one stack
+    starts = {s: ComplexField(top.coeffs.copy(), top.basis, 0.0, 0.0)
+              for s, top in tops.items() if top is not None}
+    legs = dict(zip(starts, _run(list(starts.values()), [float(r_cap)], lam, err_target=err_target,
+                                 norm_threshold=NORM_THRESHOLD))) if starts else {}
     samples: dict[float, BoundarySample] = {}
     for s, top in tops.items():
         if top is None:
             samples[s] = BoundarySample(s=s, r_star=None, defined=False, censored=False,
                                         reason="vertical leg diverged before reaching s")
             continue
-        start = ComplexField(top.coeffs.copy(), top.basis, 0.0, 0.0)
-        rec = detect_blowup(start, lam, r_cap, err_target=err_target)
+        start, rec = starts[s], legs[s]
         r_star = rec.r_star_lower
         if rec.diverged:
             r_star = _refine_crossing(start, lam, rec, NORM_THRESHOLD, err_target)

@@ -162,6 +162,23 @@ class TestTransforms:
         assert back.tobytes() == self._np_from_grid(grid * grid, basis, N).tobytes()
         assert evolve._square(c, basis).tobytes() == back.tobytes()
 
+    @pytest.mark.parametrize("basis", [evolve.NEUMANN_HALF, evolve.PERIODIC_UNIT])
+    @pytest.mark.parametrize("M", [16, 64, 148, 256, 400, 512, 1024])
+    def test_stack_rows_match_numpy_fft_bytes(self, M, basis):
+        # a stack of rays transforms along its last axis, each row to the
+        # bytes of its own 1-d transform
+        N = M // 4
+        rng = np.random.default_rng(M + 1)
+        c = rng.normal(size=(3, N)) + 1j * rng.normal(size=(3, N))
+        grid = evolve._to_grid(c, basis, M)
+        back = evolve._from_grid(grid * grid, basis, N)
+        square = evolve._square(c, basis)
+        assert grid.shape == (3, M) and back.shape == square.shape == (3, N)
+        for row, g, b, sq in zip(c, grid, back, square):
+            assert g.tobytes() == self._np_to_grid(row, basis, M).tobytes()
+            assert b.tobytes() == self._np_from_grid(g * g, basis, N).tobytes()
+            assert sq.tobytes() == b.tobytes()
+
 
 class TestNonConstantBytes:
     # Constant data never leaves mode 0, so the CLI goldens of constant runs
@@ -186,6 +203,51 @@ class TestNonConstantBytes:
         run = evolve.detect_blowup(evolve.cosine_field(self.DATA, N=64, theta=0.7), 3.0, 0.05)
         assert run.reason == evolve.REASON_HORIZON and len(run.history["r"]) == 143
         assert self._digest(run) == "e82aac41bd7a6036219fb2e6af3aec9ad1e1ff523148a419cd3bd2d04862114f"
+
+
+class TestStack:
+    # Rays that share basis, N, theta and lam advance as one stack, each row
+    # with its own step size, history and stop, and each ends with the bytes
+    # of its run alone.
+
+    @staticmethod
+    def _rays():
+        return [evolve.constant_field(1.5, N=16),                 # STEP_COLLAPSE near 0.134
+                evolve.cosine_field([2.0, 0.5, 0.2j], N=16),      # NORM_THRESHOLD near 0.09
+                evolve.cosine_field([1.0, 0.4, 0.1j], N=16)]      # HORIZON at 0.3
+
+    def test_rows_end_as_they_would_alone(self):
+        stacked = evolve._run(self._rays(), [0.3], 6.0, norm_threshold=1e4)
+        assert [run.reason for run in stacked] == [
+            evolve.REASON_STEP, evolve.REASON_NORM, evolve.REASON_HORIZON]
+        assert len({run.r_star_lower for run in stacked}) == 3
+        for run, ray in zip(stacked, self._rays()):
+            alone = evolve.detect_blowup(ray, 6.0, 0.3, norm_threshold=1e4)
+            assert run.reason == alone.reason
+            assert run.r_star_lower == alone.r_star_lower
+            assert run.final_state.coeffs.tobytes() == alone.final_state.coeffs.tobytes()
+            assert sorted(run.history) == sorted(alone.history)
+            for name, values in alone.history.items():
+                assert run.history[name].tobytes() == values.tobytes(), name
+            assert [f.coeffs.tobytes() for f in run.fields] == [f.coeffs.tobytes() for f in alone.fields]
+
+    def test_rows_stop_at_their_own_targets(self):
+        targets = [0.05, 0.08, 0.12]
+        hists = [evolve._History() for _ in targets]
+        ends, reasons = evolve._advance(self._rays(), targets, 6.0, history=hists)
+        assert reasons == [evolve.REASON_HORIZON] * 3
+        for ray, target, end, hist in zip(self._rays(), targets, ends, hists):
+            alone_hist = evolve._History()
+            alone, reason = evolve._advance(ray, target, 6.0, history=alone_hist)
+            assert end.r == alone.r == pytest.approx(target)
+            assert end.coeffs.tobytes() == alone.coeffs.tobytes()
+            for name, values in alone_hist.arrays().items():
+                assert hist.arrays()[name].tobytes() == values.tobytes(), name
+
+    def test_stack_must_share_its_ray(self):
+        rays = [evolve.constant_field(0.5, N=16), evolve.constant_field(0.5, N=16, theta=0.3)]
+        with pytest.raises(DomainError):
+            evolve._advance(rays, 0.1, 0.0)
 
 
 class TestDetectBlowup:

@@ -199,11 +199,11 @@ def _norms(coeffs: np.ndarray, basis: str) -> tuple[list, list]:
     om = _omega2(basis, a.shape[1])[None]
     total = np.add.reduce           # the sum of np.sum, without its wrappers
     if basis == NEUMANN_HALF:
-        l2 = np.sqrt(a[:, 0] / 2.0 + total(a[:, 1:], 1) / 4.0)
-        grad = np.sqrt(total(om[:, 1:] * a[:, 1:], 1) / 4.0)
-    else:
-        l2, grad = np.sqrt(total(a, 1)), np.sqrt(total(om * a, 1))
-    return l2.tolist(), grad.tolist()
+        sums = zip(a[:, 0].tolist(), total(a[:, 1:], 1).tolist())
+        return ([math.sqrt(a0 / 2.0 + rest / 4.0) for a0, rest in sums],
+                [math.sqrt(g / 4.0) for g in total(om[:, 1:] * a[:, 1:], 1).tolist()])
+    return ([math.sqrt(x) for x in total(a, 1).tolist()],
+            [math.sqrt(g) for g in total(om * a, 1).tolist()])
 
 
 def _state(coeffs: np.ndarray, basis: str, r, theta: float) -> ComplexField:
@@ -446,7 +446,8 @@ def _advance(
     with np.errstate(over="ignore", invalid="ignore"):
         while live:
             dr_try = [min(drs[i], targets[i] - rj) for i, rj in zip(live, r)]
-            if dr_try.count(dr_try[0]) == len(dr_try):
+            # tables with one row per ray: numpy broadcasts one row over many slowly
+            if len(dr_try) == 1:
                 full_dr, half_dr = dr_try[0], dr_try[0] / 2.0
             else:
                 full_dr, half_dr = tuple(dr_try), tuple(d / 2.0 for d in dr_try)

@@ -51,6 +51,13 @@ class TestComplexField:
         assert f.l2_norm() == pytest.approx(abs(a), rel=1e-14)
         assert f.grad_norm() == pytest.approx(2.0 * math.pi * abs(a), rel=1e-14)
 
+    @pytest.mark.parametrize("basis, M_min", [(evolve.NEUMANN_HALF, 32), (evolve.PERIODIC_UNIT, 18)])
+    def test_values_need_a_grid_that_holds_every_mode(self, basis, M_min):
+        f = evolve.constant_field(1.0, basis=basis, N=16)
+        assert f.values(M_min).shape == (M_min,)
+        with pytest.raises(DomainError):
+            f.values(M_min - 1)
+
     @pytest.mark.parametrize("make", [
         lambda: evolve.cosine_field([0.3, 0.2 + 0.1j, -0.05j], N=16),
         lambda: evolve.monochromatic_field(0.4 + 0.3j, N=16),

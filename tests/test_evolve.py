@@ -223,20 +223,31 @@ class TestStack:
                 evolve.cosine_field([2.0, 0.5, 0.2j], N=16),      # NORM_THRESHOLD near 0.09
                 evolve.cosine_field([1.0, 0.4, 0.1j], N=16)]      # HORIZON at 0.3
 
+    @staticmethod
+    def _assert_same_run(run, alone):
+        assert run.reason == alone.reason
+        assert run.r_star_lower == alone.r_star_lower
+        assert run.final_state.coeffs.tobytes() == alone.final_state.coeffs.tobytes()
+        assert sorted(run.history) == sorted(alone.history)
+        for name, values in alone.history.items():
+            assert run.history[name].tobytes() == values.tobytes(), name
+        assert [(f.r, f.coeffs.tobytes()) for f in run.fields] == [
+            (f.r, f.coeffs.tobytes()) for f in alone.fields]
+
     def test_rows_end_as_they_would_alone(self):
         stacked = evolve._run(self._rays(), [0.3], 6.0, norm_threshold=1e4)
         assert [run.reason for run in stacked] == [
             evolve.REASON_STEP, evolve.REASON_NORM, evolve.REASON_HORIZON]
         assert len({run.r_star_lower for run in stacked}) == 3
         for run, ray in zip(stacked, self._rays()):
-            alone = evolve.detect_blowup(ray, 6.0, 0.3, norm_threshold=1e4)
-            assert run.reason == alone.reason
-            assert run.r_star_lower == alone.r_star_lower
-            assert run.final_state.coeffs.tobytes() == alone.final_state.coeffs.tobytes()
-            assert sorted(run.history) == sorted(alone.history)
-            for name, values in alone.history.items():
-                assert run.history[name].tobytes() == values.tobytes(), name
-            assert [f.coeffs.tobytes() for f in run.fields] == [f.coeffs.tobytes() for f in alone.fields]
+            self._assert_same_run(run, evolve.detect_blowup(ray, 6.0, 0.3, norm_threshold=1e4))
+
+    def test_rows_pass_several_stops_as_they_would_alone(self):
+        stops = [0.05, 0.1, 0.3]
+        stacked = evolve._run(self._rays(), stops, 6.0, norm_threshold=1e4)
+        assert [len(run.fields) for run in stacked] == [2, 1, 3]
+        for run, ray in zip(stacked, self._rays()):
+            self._assert_same_run(run, evolve._run(ray, stops, 6.0, norm_threshold=1e4))
 
     def test_rows_stop_at_their_own_targets(self):
         targets = [0.05, 0.08, 0.12]

@@ -15,8 +15,9 @@ One executable, `eternal-kit`, with a subcommand per capability:
 Every subcommand writes a flat table, CSV by default or JSON with
 --format json; floats are printed with 17 significant digits so output
 is byte-reproducible.  --out FILE writes the table to FILE and a run
-descriptor (arguments, tolerances, outputs; no timestamp) to
-FILE.run.json, so a run can be re-executed and compared byte for byte.
+descriptor (arguments, tolerances, outputs, and the Python, numpy and
+scipy versions the bytes depend on; no timestamp) to FILE.run.json, so a
+run can be re-executed and compared byte for byte.
 Exit codes: 0 success, 1 domain error, 2 convergence or truncation
 failure, 64 usage error.  A malformed or non-finite number is a usage error.
 """
@@ -27,9 +28,11 @@ import argparse
 import cmath
 import json
 import math
+import platform
 import sys
 
 import numpy as np
+import scipy
 
 from . import __version__, elliptic, evolve, portraits, resonance, scalar_ode, spectrum, waves
 from .errors import (
@@ -80,6 +83,8 @@ def _emit(args, columns, rows, meta):
             },
             "outputs": [args.out],
             "meta": meta,
+            "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                         "scipy": scipy.__version__},
         }
         with open(args.out + ".run.json", "w") as fh:
             fh.write(json.dumps(descriptor, sort_keys=True, separators=(",", ":"), default=str) + "\n")

@@ -191,32 +191,24 @@ def _check_branch_index(n: int) -> int:
     return int(n)
 
 
-def lambda_of_h(n: int, h: float, K: int | None = None, tail_tol: float = 1e-13) -> float:
+def lambda_of_h(n: int, h: float, tail_tol: float = 1e-13) -> float:
     """Parameter value lambda_n(h) on branch n at modulus h.
 
-    K defaults to the smallest truncation whose certified tail is below
-    tail_tol; passing K explicitly still verifies the certificate and raises
-    TruncationError when it fails.
+    The series is cut at the smallest truncation K whose certified tail is
+    below tail_tol.
     """
     n = _check_branch_index(n)
     h = _check_modulus(h)
     scale = (2.0 / 3.0) * (n * math.pi) ** 4
     if h == 0.0:
         return scale
-    if K is None:
-        K = default_truncation(h, tail_tol)
-    elif lambda_tail_bound(h, K) > tail_tol:
-        raise TruncationError(
-            f"K={K} does not certify lambda tail {tail_tol:g} at h={h:g}"
-        )
+    K = default_truncation(h, tail_tol)
     q = h * h
     bracket = 1.0 + 240.0 * math.fsum(sigma3(k) * q ** k for k in range(1, K + 1))
     return scale * bracket
 
 
-def equilibrium_profile(
-    n: int, h: float, K: int | None = None, tail_tol: float = 1e-13
-) -> CosineSeries:
+def equilibrium_profile(n: int, h: float, tail_tol: float = 1e-13) -> CosineSeries:
     """Profile W_n(h) as a cosine series supported on multiples of n.
 
     The first omitted coefficient is below tail_tol relative to (n pi)^2.
@@ -226,12 +218,7 @@ def equilibrium_profile(
     npi2 = (n * math.pi) ** 2
     if h == 0.0:
         return CosineSeries(np.array([npi2 / 3.0]))
-    if K is None:
-        K = default_truncation(h, tail_tol)
-    elif profile_tail_bound(h, K) > tail_tol:
-        raise TruncationError(
-            f"K={K} does not certify profile tail {tail_tol:g} at h={h:g}"
-        )
+    K = default_truncation(h, tail_tol)
     eta = 1.0 / 3.0 - 8.0 * math.fsum(
         k * h ** (2 * k) / (1.0 - h ** (2 * k)) for k in range(1, K + 1)
     )

@@ -28,9 +28,10 @@ is complex off the parabolic ray.  The tables are cached per (basis, N,
 theta, dr) and already scaled by dr; the f2 table holds 2 f2, the factor
 with which the scheme uses it.  Step size is adapted by step doubling:
 one full step against two half steps, local error estimated as their
-H^1 distance over 2^4 - 1.  Rays that share basis, N, theta and lambda
-advance as one stack, each row with its own step size, history and stop;
-a single ray is a stack of one.
+H^1 distance over 2^4 - 1.  That step control is written once, for one
+ray (_control); the scheduler _advance only batches steps: rays that share
+basis, N, theta and lambda go through each step as one stack, a single ray
+as a stack of one, and no ray waits for another at its stops.
 
 Blow-up is reported, never guessed: a run ends with NORM_THRESHOLD when the
 H^1 norm passes the threshold (NORM_THRESHOLD = 1e8 unless the caller sets
@@ -40,6 +41,7 @@ HORIZON when the requested arclength is reached.  Every ray driver returns
 a RayRun holding the final state, that reason and the history of accepted
 steps.  Its r_star_lower is the arclength actually reached with finite
 norm, a certified lower bound for the existence time along that ray.
+Non-finite lambda or initial data is a DomainError, not a blow-up at r = 0.
 """
 
 from __future__ import annotations
@@ -166,16 +168,10 @@ class ComplexField:
     def grad_norm(self) -> float:
         return _norms(self.coeffs[None], self.basis)[1][0]
 
-    def h1_norm(self):
-        """H^1 norm; on a stack of rays (rows x modes, made inside the
-        stepper) a list with one norm per row, whose gradient norms, from the
-        same |c|^2, are left in `grads` for the history."""
-        one = self.coeffs.ndim == 1
-        l2, grads = _norms(self.coeffs[None] if one else self.coeffs, self.basis)
-        if one:
-            return math.hypot(l2[0], grads[0])
-        self.grads = grads
-        return [math.hypot(x, y) for x, y in zip(l2, grads)]
+    def h1_norm(self) -> float:
+        """H^1 norm, from one |c|^2 for both of its parts."""
+        (l2,), (grad,) = _norms(self.coeffs[None], self.basis)
+        return math.hypot(l2, grad)
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values())))
@@ -209,8 +205,8 @@ def _norms(coeffs: np.ndarray, basis: str) -> tuple[list, list]:
 def _state(coeffs: np.ndarray, basis: str, r, theta: float) -> ComplexField:
     """A ComplexField from parts that are already valid, without re-checking them.
 
-    Inside the stepper coeffs may be a stack of rays (rows x modes) that
-    share basis and theta, with one r per row.
+    The scheduler in _advance also builds the stack of rays that step takes
+    this way (rows x modes, one r per row); everything else holds one ray.
     """
     f = object.__new__(ComplexField)
     f.coeffs, f.basis, f.r, f.theta = coeffs, basis, r, theta
@@ -369,8 +365,10 @@ def step(state: ComplexField, dr, lam: float) -> ComplexField:
     return _state(unew[0] if one else unew, basis, r, state.theta)
 
 
-def _h1_diff(u1: ComplexField, u2: ComplexField):
-    return _state(u1.coeffs - u2.coeffs, u1.basis, u1.r, u1.theta).h1_norm()
+def _h1_diff(u1: ComplexField, u2: ComplexField) -> list:
+    """H^1 distance of each row of two stacks."""
+    l2, grads = _norms(u1.coeffs - u2.coeffs, u1.basis)
+    return [math.hypot(x, y) for x, y in zip(l2, grads)]
 
 
 @dataclass
@@ -392,116 +390,126 @@ class _History:
         return {name: np.array(values) for name, values in vars(self).items()}
 
 
+def _control(state, stops, err_target, norm_threshold, history, fields, on_accept):
+    """One ray's step control through its ascending stops, as a generator.
+
+    It yields (state, dr) for each step it wants tried and is sent back
+    (err, coeffs, r, l2, grad): the step-doubling H^1 distance, then the
+    two-half-step result with its arclength and norms (all nan when the
+    step left floating-point range).  At each stop dr restarts on the
+    ladder and a copy of the state goes to fields; history gets the start
+    and every accepted step.  It returns (state, status).
+    """
+    if history is not None:
+        (l2,), (grad,) = _norms(state.coeffs[None], state.basis)
+        history.push(state, math.hypot(l2, grad), grad)
+    dr_init = 1e-2 if state.sectorial else 2e-3
+    for stop in stops:
+        # keep dr on the binary ladder DR_MIN * 2^j: the phi-function tables for
+        # dr and dr/2 are then reused across steps instead of rebuilt
+        dr = DR_MIN * 2.0 ** max(0, math.floor(math.log2(min(dr_init, max(stop - state.r, DR_MIN)) / DR_MIN)))
+        while state.r < stop * (1.0 - 1e-15) and stop > state.r:
+            dr_try = min(dr, stop - state.r)
+            err, coeffs, r, l2, grad = yield state, dr_try
+            e = err / 15.0
+            if math.isfinite(e):
+                h1 = math.hypot(l2, grad)
+                tol = err_target * dr_try * max(1.0, h1)
+                if e <= tol:
+                    prev, state = state, _state(coeffs, state.basis, r, state.theta)
+                    if history is not None:
+                        history.push(state, h1, grad)
+                    if on_accept is not None and on_accept(prev, state) is False:
+                        return state, REASON_CAPTURED
+                    if norm_threshold is not None and h1 >= norm_threshold:
+                        return state, REASON_NORM
+                    # doubling is taken only when the fifth-order estimate
+                    # predicts the doubled step still passes with a 20% margin
+                    if e == 0.0 or tol / e > 40.0:
+                        dr *= 2.0
+                    continue
+            # a rejected step: a non-finite estimate (a BlowupSignal
+            # included) quarters dr, an estimate over tol halves it
+            dr /= 2.0 if math.isfinite(e) else 4.0
+            if dr < DR_MIN:
+                return state, REASON_STEP
+        if fields is not None:
+            fields.append(state.copy())
+    return state, REASON_HORIZON
+
+
 def _advance(
     state,
-    r_target,
+    stops,
     lam: float,
     *,
     err_target: float = 1e-9,
     norm_threshold: float | None = None,
     history=None,
+    fields=None,
     on_accept=None,
 ):
-    """Adaptive ETDRK4 from state.r to r_target; returns (state, status).
+    """Adaptive ETDRK4 through the ascending arclengths in stops (one float
+    or several); returns (state, status).
 
     err_target is the relative H^1 error budget per unit ray length,
     estimated by step doubling.  The first step is 1e-2 on sectorial rays
     and 2e-3 on vertical ones.  on_accept(prev, new) may return False to
-    stop the run early (status CAPTURED).
+    stop the run early (status CAPTURED).  history and fields, when given,
+    hold one _History and one list per ray; see _control.
 
     state may also be a list of rays that share basis, N and theta; then
-    r_target and history may be given per ray, and the lists of final states
-    and statuses come back.  The rays advance as one stack (rows x modes),
-    each with its own step size, history and stop, and each ends with the
+    the lists of final states and statuses come back.  Each ray keeps its
+    own step control (_control); this scheduler only batches the steps:
+    each round it makes one stacked step triple, one _h1_diff and one
+    _norms call for every ray still running, so each row ends with the
     bytes it would reach alone.
     """
-    single = isinstance(state, ComplexField)
-    rays = [state] if single else list(state)
-    n = len(rays)
-    targets = [float(t) for t in np.broadcast_to(np.asarray(r_target, dtype=float), (n,))]
-    hists = list(history) if isinstance(history, list) else [history] * n
+    one = isinstance(state, ComplexField)
+    rays = [state] if one else list(state)
+    stops = np.atleast_1d(np.asarray(stops, dtype=float)).tolist()
     if not (err_target > 0.0 and (norm_threshold is None or norm_threshold > 0.0)):
         raise DomainError(f"need err_target > 0 and norm_threshold > 0, got {err_target}, {norm_threshold}")
-    if not all(math.isfinite(t) for t in targets):
-        raise DomainError(f"r_target must be finite, got {r_target}")
-    if any(t < ray.r for t, ray in zip(targets, rays)):
-        raise DomainError("r_target must lie ahead of the current position")
+    if not all(map(math.isfinite, stops)):
+        raise DomainError(f"stops must be finite, got {stops}")
+    if any(b < a for a, b in zip([max(ray.r for ray in rays)] + stops, stops)):
+        raise DomainError("stops must ascend from the current position")
     basis, theta, N = rays[0].basis, rays[0].theta, rays[0].N
     if any((ray.basis, ray.theta, ray.N) != (basis, theta, N) for ray in rays):
         raise DomainError("a stack of rays must share basis, N and theta")
+    if not (np.isfinite(lam) and all(np.isfinite(ray.coeffs).all() for ray in rays)):
+        raise DomainError(f"need finite lambda and initial coefficients, got lambda = {lam}")
 
-    dr_init = 1e-2 if rays[0].sectorial else 2e-3
-    # keep dr on the binary ladder DR_MIN * 2^j: the phi-function tables for
-    # dr and dr/2 are then reused across steps instead of rebuilt
-    drs = [DR_MIN * 2.0 ** max(0, math.floor(math.log2(min(dr_init, max(t - ray.r, DR_MIN)) / DR_MIN)))
-           for t, ray in zip(targets, rays)]
-
-    def reached(i, r):
-        return not (r < targets[i] * (1.0 - 1e-15) and targets[i] > r)
-
-    finals, reasons = list(rays), [REASON_HORIZON] * n
-    live = [i for i, ray in enumerate(rays) if not reached(i, ray.r)]   # one per row of u
-    u = np.stack([rays[i].coeffs for i in live]) if live else None
-    r = [float(rays[i].r) for i in live]
+    ends = [None] * len(rays)
+    # (index, controller, what to send it next) for each ray still running
+    pending = [(i, _control(ray, stops, err_target, norm_threshold, hist, fs, on_accept), None)
+               for i, (ray, hist, fs) in enumerate(zip_longest(rays, history or (), fields or ()))]
     with np.errstate(over="ignore", invalid="ignore"):
-        while live:
-            dr_try = [min(drs[i], targets[i] - rj) for i, rj in zip(live, r)]
-            # tables with one row per ray: numpy broadcasts one row over many slowly
-            if len(dr_try) == 1:
-                full_dr, half_dr = dr_try[0], dr_try[0] / 2.0
-            else:
-                full_dr, half_dr = tuple(dr_try), tuple(d / 2.0 for d in dr_try)
-            stack = _state(u, basis, np.array(r), theta)
+        while pending:
+            live, asks = [], []     # (index, controller) and its (state, dr to try)
+            for i, ctrl, result in pending:
+                try:
+                    asks.append(ctrl.send(result))
+                    live.append((i, ctrl))
+                except StopIteration as done:
+                    ends[i] = done.value
+            if not live:
+                break
+            states, drs = zip(*asks)
+            if len(live) == 1:      # a stack of one: a view of the row and a float dr
+                u, full, half = states[0].coeffs[None], drs[0], drs[0] / 2.0
+            else:                   # tables with one row per ray: numpy broadcasts one row over many slowly
+                u, full, half = np.stack([s.coeffs for s in states]), drs, tuple(dr / 2.0 for dr in drs)
+            stack = _state(u, basis, np.array([s.r for s in states]), theta)
             try:
-                u_full = step(stack, full_dr, lam)
-                u_half = step(step(stack, half_dr, lam), half_dr, lam)
-                err = _h1_diff(u_full, u_half)
-            except BlowupSignal:
-                err = math.nan
-            errs = [e / 15.0 for e in err] if isinstance(err, list) else [err / 15.0] * len(live)
-            if any(map(math.isfinite, errs)):
-                h1s, grads, r_half = u_half.h1_norm(), u_half.grads, u_half.r.tolist()
-
-            took, keep = [], []
-            for j, (i, e) in enumerate(zip(live, errs)):
-                if math.isfinite(e):
-                    h1 = h1s[j]
-                    tol = err_target * dr_try[j] * max(1.0, h1)
-                    if e <= tol:
-                        took.append(j)
-                        new = finals[i] = _state(u_half.coeffs[j], basis, r_half[j], theta)
-                        if hists[i] is not None:
-                            hists[i].push(new, h1, grads[j])
-                        if on_accept is not None and on_accept(_state(u[j], basis, r[j], theta), new) is False:
-                            reasons[i] = REASON_CAPTURED
-                        elif norm_threshold is not None and h1 >= norm_threshold:
-                            reasons[i] = REASON_NORM
-                        else:
-                            # doubling is taken only when the fifth-order estimate
-                            # predicts the doubled step still passes with a 20% margin
-                            if e == 0.0 or tol / e > 40.0:
-                                drs[i] *= 2.0
-                            if not reached(i, r_half[j]):
-                                keep.append(j)
-                        continue
-                # a rejected step: a non-finite estimate (a BlowupSignal
-                # included) quarters dr, an estimate over tol halves it
-                drs[i] /= 2.0 if math.isfinite(e) else 4.0
-                if drs[i] < DR_MIN:
-                    finals[i], reasons[i] = _state(u[j], basis, r[j], theta), REASON_STEP
-                else:
-                    keep.append(j)
-
-            if len(took) == len(live):
-                u, r = u_half.coeffs, r_half
-            elif took:
-                rows = np.zeros((len(live), 1), dtype=bool)
-                rows[took] = True
-                u = np.where(rows, u_half.coeffs, u)
-                r = [r_half[j] if rows[j, 0] else r[j] for j in range(len(live))]
-            if len(keep) < len(live):
-                live, u, r = [live[j] for j in keep], u[keep], [r[j] for j in keep]
-    return (finals[0], reasons[0]) if single else (finals, reasons)
+                u_full = step(stack, full, lam)
+                u_half = step(step(stack, half, lam), half, lam)
+                results = zip(_h1_diff(u_full, u_half), u_half.coeffs, u_half.r.tolist(),
+                              *_norms(u_half.coeffs, basis))
+            except BlowupSignal:        # no row stayed finite
+                results = [(math.nan,) * 5] * len(live)
+            pending = [(i, ctrl, res) for (i, ctrl), res in zip(live, results)]
+    return ends[0] if one else tuple(map(list, zip(*ends)))
 
 
 # ---------------------------------------------------------------------------
@@ -578,32 +586,15 @@ def _run(state, stops, lam: float, **advance_kw):
     share basis, N and theta, advanced as one stack; one RayRun per ray
     comes back.
     """
-    single = isinstance(state, ComplexField)
-    rays = [state] if single else list(state)       # each ray's latest state
-    hists = [_History() for _ in rays]
-    start = _state(np.stack([ray.coeffs for ray in rays]), rays[0].basis,
-                   np.array([ray.r for ray in rays]), rays[0].theta)
-    for ray, hist, h1, grad in zip(rays, hists, start.h1_norm(), start.grads):
-        hist.push(ray, h1, grad)
-    fields: list[list[ComplexField]] = [[] for _ in rays]
-    status = [REASON_HORIZON] * len(rays)
-    for stop in stops:
-        live = [i for i, why in enumerate(status) if why == REASON_HORIZON]
-        if not live:
-            break
-        if single:
-            ends, whys = _advance(rays[0], float(stop), lam, history=hists[0], **advance_kw)
-            ends, whys = [ends], [whys]
-        else:
-            ends, whys = _advance([rays[i] for i in live], float(stop), lam,
-                                  history=[hists[i] for i in live], **advance_kw)
-        for i, end, why in zip(live, ends, whys):
-            rays[i], status[i] = end, why
-            if why == REASON_HORIZON:
-                fields[i].append(end.copy())
-    runs = [RayRun(ray, why, float(lam), hist.arrays(), fs)
-            for ray, why, hist, fs in zip(rays, status, hists, fields)]
-    return runs[0] if single else runs
+    one = isinstance(state, ComplexField)
+    hists = [_History() for _ in ([state] if one else state)]
+    fields = [[] for _ in hists]
+    ends, whys = _advance(state, stops, lam, history=hists, fields=fields, **advance_kw)
+    if one:
+        ends, whys = [ends], [whys]
+    runs = [RayRun(end, why, float(lam), hist.arrays(), fs)
+            for end, why, hist, fs in zip(ends, whys, hists, fields)]
+    return runs[0] if one else runs
 
 
 def detect_blowup(
@@ -632,7 +623,6 @@ def schrodinger_evolve(
     lam: float,
     *,
     err_target: float = 1e-10,
-    norm_threshold: float = NORM_THRESHOLD,
 ) -> RayRun:
     """Evolve the Schrodinger flow to each s in s_points (one sign, ascending |s|).
 
@@ -654,7 +644,7 @@ def schrodinger_evolve(
 
     theta = -math.pi / 2 if pts[0] > 0 else math.pi / 2
     state = ComplexField(psi0.coeffs.copy(), psi0.basis, 0.0, theta)
-    return _run(state, mags, lam, err_target=err_target, norm_threshold=norm_threshold)
+    return _run(state, mags, lam, err_target=err_target, norm_threshold=NORM_THRESHOLD)
 
 
 # ---------------------------------------------------------------------------

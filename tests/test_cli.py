@@ -6,12 +6,15 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from datetime import timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eternal_kit import cli
@@ -112,6 +115,9 @@ class TestOutDescriptor:
         assert desc["subcommand"] == "waves"
         assert desc["argv"] == argv
         assert desc["outputs"] == [target]
+        # the byte-exact outputs depend on these
+        assert desc["versions"] == {"python": platform.python_version(),
+                                    "numpy": np.__version__, "scipy": scipy.__version__}
         # A rerun reproduces both files byte for byte.
         desc1 = Path(target + ".run.json").read_text()
         rc, _, _ = run_cli(argv)

@@ -213,9 +213,9 @@ class TestNonConstantBytes:
 
 
 class TestStack:
-    # Rays that share basis, N, theta and lam advance as one stack, each row
-    # with its own step size, history and stop, and each ends with the bytes
-    # of its run alone.
+    # Rays that share basis, N, theta and lam go through each step as one
+    # stack, each row under its own step control and stops, and each ends
+    # with the bytes of its run alone.
 
     @staticmethod
     def _rays():
@@ -248,19 +248,6 @@ class TestStack:
         assert [len(run.fields) for run in stacked] == [2, 1, 3]
         for run, ray in zip(stacked, self._rays()):
             self._assert_same_run(run, evolve._run(ray, stops, 6.0, norm_threshold=1e4))
-
-    def test_rows_stop_at_their_own_targets(self):
-        targets = [0.05, 0.08, 0.12]
-        hists = [evolve._History() for _ in targets]
-        ends, reasons = evolve._advance(self._rays(), targets, 6.0, history=hists)
-        assert reasons == [evolve.REASON_HORIZON] * 3
-        for ray, target, end, hist in zip(self._rays(), targets, ends, hists):
-            alone_hist = evolve._History()
-            alone, reason = evolve._advance(ray, target, 6.0, history=alone_hist)
-            assert end.r == alone.r == pytest.approx(target)
-            assert end.coeffs.tobytes() == alone.coeffs.tobytes()
-            for name, values in alone_hist.arrays().items():
-                assert hist.arrays()[name].tobytes() == values.tobytes(), name
 
     def test_stack_must_share_its_ray(self):
         rays = [evolve.constant_field(0.5, N=16), evolve.constant_field(0.5, N=16, theta=0.3)]
@@ -329,27 +316,27 @@ class TestDetectBlowup:
         assert np.all(np.diff(h["r"]) > 0)
 
     def test_each_h1_norm_is_computed_once(self, monkeypatch):
-        # One norm for the start, then per error estimate one for the
+        # One norm pass for the start, then per error estimate one for the
         # step-doubling difference and one for the scale; an accepted state
         # reuses its scale norm for the history and the threshold check.
-        calls = {"h1": 0, "estimates": 0}
-        h1_norm, h1_diff = evolve.ComplexField.h1_norm, evolve._h1_diff
+        calls = {"norms": 0, "estimates": 0}
+        norms, h1_diff = evolve._norms, evolve._h1_diff
 
-        def counted_norm(self):
-            calls["h1"] += 1
-            return h1_norm(self)
+        def counted_norms(coeffs, basis):
+            calls["norms"] += 1
+            return norms(coeffs, basis)
 
         def counted_diff(u1, u2):
             calls["estimates"] += 1
             return h1_diff(u1, u2)
 
-        monkeypatch.setattr(evolve.ComplexField, "h1_norm", counted_norm)
+        monkeypatch.setattr(evolve, "_norms", counted_norms)
         monkeypatch.setattr(evolve, "_h1_diff", counted_diff)
         rec = evolve.detect_blowup(evolve.constant_field(1.0, N=8), 0.0, 0.05)
         assert rec.reason == evolve.REASON_HORIZON
         assert rec.final_h1 > 0.0
         assert calls["estimates"] >= len(rec.history["r"]) - 1 > 0
-        assert calls["h1"] == 1 + 2 * calls["estimates"]
+        assert calls["norms"] == 1 + 2 * calls["estimates"]
 
 
 class TestRejectedSteps:
@@ -384,12 +371,31 @@ class TestRejectedSteps:
         assert drs == [drs[0] / 4.0 ** k for k in range(17)]
 
     def test_non_finite_estimate_quarters_the_step_until_collapse(self, monkeypatch):
-        monkeypatch.setattr(evolve, "_h1_diff", lambda u1, u2: math.nan)
+        monkeypatch.setattr(evolve, "_h1_diff", lambda u1, u2: [math.nan])
         drs = self._count_steps(monkeypatch, lambda state: None)
         # one full step and two half steps per attempt
         assert len(drs) == 51
         assert drs[0] == 8.589934592e-3
         assert drs[-3:] == [2e-12, 1e-12, 1e-12]
+
+
+class TestNonFiniteInput:
+    # nan or inf data or lambda must not pass for a blow-up at r = 0 (or for
+    # a boundary corner at (0, 0)): no step can be accepted from them
+    RUNS = {
+        "detect_blowup": lambda w0, lam: evolve.detect_blowup(w0, lam, 0.05),
+        "schrodinger_evolve": lambda w0, lam: evolve.schrodinger_evolve(w0, [0.01], lam),
+        "analyticity_boundary": lambda w0, lam: evolve.analyticity_boundary(
+            w0, [0.0, 0.01], lam, r_cap=0.05),
+    }
+
+    @pytest.mark.parametrize("data, lam", [
+        ([math.nan], 1.0), ([0.5, math.inf * 1j], 1.0), ([0.5], math.nan), ([0.5], -math.inf),
+    ])
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_is_a_domain_error(self, run, data, lam):
+        with pytest.raises(DomainError):
+            self.RUNS[run](evolve.cosine_field(data, N=8), lam)
 
 
 class TestSchrodinger:

@@ -496,10 +496,13 @@ def _advance(
             if not live:
                 break
             states, drs = zip(*asks)
-            if len(live) == 1:      # a stack of one: a view of the row and a float dr
+            # a stack of one steps a view of its row with a float dr; a larger
+            # stack gets tables with one row per ray, because numpy broadcasts
+            # one row over many slowly
+            if len(live) == 1:
                 u, full, half = states[0].coeffs[None], drs[0], drs[0] / 2.0
-            else:                   # tables with one row per ray: numpy broadcasts one row over many slowly
-                u, full, half = np.stack([s.coeffs for s in states]), drs, tuple(dr / 2.0 for dr in drs)
+            else:
+                u, full, half = np.array([s.coeffs for s in states]), drs, tuple(dr / 2.0 for dr in drs)
             stack = _state(u, basis, np.array([s.r for s in states]), theta)
             try:
                 u_full = step(stack, full, lam)

@@ -586,8 +586,8 @@ def _run(state, stops, lam: float, **advance_kw):
 
     The state at each stop reached is copied into fields; the run ends at the
     first status other than HORIZON.  state may also be a list of rays that
-    share basis, N and theta, advanced as one stack; one RayRun per ray
-    comes back.
+    share basis, N and theta, whose steps _advance batches as one stack; one
+    RayRun per ray comes back.
     """
     one = isinstance(state, ComplexField)
     hists = [_History() for _ in ([state] if one else state)]

@@ -6,90 +6,14 @@ resonance certificates, ETDRK4 evolution along complex time rays with
 blow-up detection, the scalar polynomial ODE limit with its period
 lattices, compactified phase portraits with planar-tree invariants, and
 the traveling-wave dictionary.
+
+Each name has one home: import the submodule that defines it, so that a
+program loads only what it uses.  For example
+
+    from eternal_kit import elliptic, evolve
+
+    bp = elliptic.branch_point(1, 0.1)
+    run = evolve.detect_blowup(evolve.cosine_field(bp.profile, N=128), bp.lam, 1.0)
 """
 
 __version__ = "0.1.0"
-
-from .elliptic import (
-    BranchPoint,
-    CosineSeries,
-    branch_point,
-    equilibrium_profile,
-    h_of_lambda,
-    homogeneous_equilibria,
-    lambda_of_h,
-    rescale,
-    residual,
-    theta_of_h,
-)
-from .errors import (
-    BlowupSignal,
-    ConvergenceError,
-    DegenerateFieldError,
-    DomainError,
-    PoleSignal,
-    TruncationError,
-)
-from .evolve import (
-    NEUMANN_HALF,
-    PERIODIC_UNIT,
-    ComplexField,
-    RayRun,
-    analyticity_boundary,
-    constant_field,
-    cosine_field,
-    detect_blowup,
-    heteroclinic_shoot,
-    monochromatic_field,
-    schrodinger_evolve,
-)
-from .portraits import (
-    ChordDiagram,
-    DiskField,
-    PlanarTree,
-    chord_to_tree,
-    compactify,
-    count_portraits,
-    enumerate_codes,
-    enumerate_diagrams,
-    trace_and_extract,
-    tree_to_chord,
-)
-from .resonance import (
-    ResonanceCertificate,
-    fast_bound_check,
-    fast_d_max,
-    homogeneous_resonant_lambdas,
-    identical_resonance_check,
-    numeric_resonance_scan,
-    pythagorean_worst_cases,
-)
-from .scalar_ode import (
-    PeriodLattice,
-    PolyField,
-    classify_subgroup_closure,
-    degeneracy_scan,
-    integrate,
-    period_lattice,
-    quadratic_orbit,
-    reversible_example_check,
-)
-from .spectrum import (
-    SpectrumReport,
-    assemble_operator,
-    eigen,
-    homogeneous_spectrum,
-    morse_index_homogeneous,
-    perturbation_mu,
-)
-from .waves import (
-    C_CRITICAL,
-    WaveParams,
-    resonance_order,
-    resonant_speeds,
-    soliton,
-    soliton_poles,
-    wave_params,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -71,6 +71,9 @@ REASON_CAPTURED = "CAPTURED"
 DR_MIN = 1e-12
 #: default H^1 norm at which a ray is declared divergent
 NORM_THRESHOLD = 1e8
+#: cosine_field drops the coefficients past N when their L^2 norm is at most
+#: this times the series' L^2 norm, and refuses the series otherwise
+EMBED_TAIL_TOL = 1e-13
 
 _TWO_PI = 2.0 * math.pi
 
@@ -162,12 +165,6 @@ class ComplexField:
     def at_zero(self) -> complex:
         return complex(np.sum(self.coeffs))
 
-    def l2_norm(self) -> float:
-        return _norms(self.coeffs[None], self.basis)[0][0]
-
-    def grad_norm(self) -> float:
-        return _norms(self.coeffs[None], self.basis)[1][0]
-
     def h1_norm(self) -> float:
         """H^1 norm, from one |c|^2 for both of its parts."""
         (l2,), (grad,) = _norms(self.coeffs[None], self.basis)
@@ -227,10 +224,18 @@ def constant_field(value, basis: str = NEUMANN_HALF, N: int = 256, theta: float 
 
 
 def cosine_field(series, N: int = 256, theta: float = 0.0) -> ComplexField:
-    """Embed a CosineSeries (or raw cosine coefficients) in an N-mode state."""
+    """Embed a CosineSeries (or raw cosine coefficients) in an N-mode state,
+    dropping a negligible tail past N (see EMBED_TAIL_TOL)."""
+    _check_modes(N)
     coeffs = series.coeffs if isinstance(series, CosineSeries) else np.asarray(series)
     if len(coeffs) > N:
-        raise DomainError(f"profile has {len(coeffs)} modes, state only {N}")
+        # past mode 0 each cosine mode weighs 1/4 in the L^2 norm on (0, 1/2)
+        tail = math.sqrt(np.sum(np.abs(coeffs[N:]) ** 2) / 4.0)
+        whole = _norms(coeffs[None], NEUMANN_HALF)[0][0]
+        if not tail <= EMBED_TAIL_TOL * whole:
+            raise DomainError(f"profile has {len(coeffs)} modes, state only {N}, "
+                              f"and the rest has relative L^2 norm {tail / whole:.3g} > {EMBED_TAIL_TOL:g}")
+        coeffs = coeffs[:N]
     c = np.zeros(N, dtype=complex)
     c[: len(coeffs)] = coeffs
     return ComplexField(c, NEUMANN_HALF, 0.0, theta)
@@ -495,15 +500,11 @@ def _advance(
                     ends[i] = done.value
             if not live:
                 break
-            states, drs = zip(*asks)
-            # a stack of one steps a view of its row with a float dr; a larger
-            # stack gets tables with one row per ray, because numpy broadcasts
-            # one row over many slowly
-            if len(live) == 1:
-                u, full, half = states[0].coeffs[None], drs[0], drs[0] / 2.0
-            else:
-                u, full, half = np.array([s.coeffs for s in states]), drs, tuple(dr / 2.0 for dr in drs)
-            stack = _state(u, basis, np.array([s.r for s in states]), theta)
+            states, full = zip(*asks)
+            half = tuple(dr / 2.0 for dr in full)
+            # the tables get one row per ray, even when all drs agree: numpy
+            # broadcasts one row over many slowly
+            stack = _state(np.array([s.coeffs for s in states]), basis, np.array([s.r for s in states]), theta)
             try:
                 u_full = step(stack, full, lam)
                 u_half = step(step(stack, half, lam), half, lam)
@@ -736,9 +737,12 @@ def heteroclinic_shoot(
 class BoundarySample:
     s: float
     r_star: float | None      # None when undefined at this s
-    defined: bool
     censored: bool            # True when the heat leg reached r_cap intact
     reason: str
+
+    @property
+    def defined(self) -> bool:
+        return self.r_star is not None
 
 
 @dataclass
@@ -792,15 +796,15 @@ def analyticity_boundary(
     samples: dict[float, BoundarySample] = {}
     for s, top in tops.items():
         if top is None:
-            samples[s] = BoundarySample(s=s, r_star=None, defined=False, censored=False,
+            samples[s] = BoundarySample(s=s, r_star=None, censored=False,
                                         reason="vertical leg diverged before reaching s")
             continue
         start, rec = starts[s], legs[s]
         r_star = rec.r_star_lower
         if rec.diverged:
             r_star = _refine_crossing(start, lam, rec, NORM_THRESHOLD, err_target)
-        samples[s] = BoundarySample(s=s, r_star=float(r_star), defined=True,
-                                    censored=not rec.diverged, reason=rec.reason)
+        samples[s] = BoundarySample(s=s, r_star=float(r_star), censored=not rec.diverged,
+                                    reason=rec.reason)
 
     ordered = [samples[float(s)] for s in svals]
     divergent = [b for b in ordered if b.defined and not b.censored]

@@ -125,11 +125,6 @@ class DiskField:
         return math.sin((self.degree - 1) * beta)
 
 
-def compactify(fld: PolyField) -> DiskField:
-    """Disk compactification of a monic polynomial field."""
-    return DiskField(fld)
-
-
 def classify_interior(fld: PolyField) -> list[str]:
     """SOURCE / SINK / CENTER for each root by the sign of Re f'(e_j).
 
@@ -274,9 +269,13 @@ def tree_to_chord(tree: PlanarTree) -> ChordDiagram:
         labels.append(frozenset((u, v)))
         j = tree.neighbors[v].index(u)
         u, v = v, tree.neighbors[v][(j + 1) % len(tree.neighbors[v])]
-    first = {}
-    pairs = []
-    for s, e in enumerate(labels):
+    return _contour_chord(labels)
+
+
+def _contour_chord(edges) -> ChordDiagram:
+    """Canonical chord diagram of a closed contour walk: the two steps over each edge paired."""
+    first, pairs = {}, []
+    for s, e in enumerate(edges):
         if e in first:
             pairs.append((first.pop(e), s))
         else:
@@ -517,7 +516,7 @@ def trace_and_extract(
     """
     from scipy.integrate import solve_ivp
 
-    disk = compactify(fld)
+    disk = DiskField(fld)
     d = fld.degree
     classes = classify_interior(fld)
     non_morse = CENTER in classes
@@ -618,14 +617,7 @@ def trace_and_extract(
         for s in range(m):
             rot[walk[s]].append(walk[(s + 1) % m])
         tree = PlanarTree(dict(rot))
-        first: dict[frozenset, int] = {}
-        pairs = []
-        for s, e in enumerate(sector_edges):
-            if e in first:
-                pairs.append((first.pop(e), s))
-            else:
-                first[e] = s
-        chord = ChordDiagram(tuple(pairs)).canonical()
+        chord = _contour_chord(sector_edges)
         code = chord.code()
 
     return PortraitGraph(

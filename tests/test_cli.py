@@ -64,11 +64,29 @@ def test_golden_output(name):
 def test_import_leaves_the_ode_solver_unloaded():
     # scipy.integrate costs most of the import time; only the ODE commands need it
     src = Path(cli.__file__).resolve().parents[1]
-    code = "import sys, eternal_kit; print('scipy.integrate' in sys.modules)"
+    code = "import sys, eternal_kit.cli; print('scipy.integrate' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_import_loads_only_the_named_submodule():
+    # the package re-exports nothing: each submodule loads what it needs
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys, {target}; print(sorted(m for m in sys.modules if m.startswith('eternal_kit.')"
+            " or m == 'scipy.fftpack'))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    loaded = {}
+    for target in ("eternal_kit", "eternal_kit.elliptic"):
+        proc = subprocess.run([sys.executable, "-c", code.format(target=target)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded[target] = proc.stdout.strip()
+    assert loaded["eternal_kit"] == "[]"
+    assert "eternal_kit.elliptic" in loaded["eternal_kit.elliptic"]
+    assert "eternal_kit.evolve" not in loaded["eternal_kit.elliptic"]
+    assert "scipy.fftpack" not in loaded["eternal_kit.elliptic"]
 
 
 class TestFormats:

@@ -28,9 +28,10 @@ class TestComplexField:
         c = np.zeros(16, dtype=complex)
         c[0], c[2] = 3.0, 4.0
         f = evolve.ComplexField(c)
-        assert f.l2_norm() == pytest.approx(math.sqrt(9.0 / 2.0 + 16.0 / 4.0), rel=1e-14)
-        assert f.grad_norm() == pytest.approx(8.0 * math.pi, rel=1e-14)
-        assert f.h1_norm() == pytest.approx(math.hypot(f.l2_norm(), f.grad_norm()), rel=1e-14)
+        (l2,), (grad,) = evolve._norms(f.coeffs[None], f.basis)
+        assert l2 == pytest.approx(math.sqrt(9.0 / 2.0 + 16.0 / 4.0), rel=1e-14)
+        assert grad == pytest.approx(8.0 * math.pi, rel=1e-14)
+        assert f.h1_norm() == pytest.approx(math.hypot(l2, grad), rel=1e-14)
         assert f.at_zero() == pytest.approx(7.0)
 
     def test_values_match_direct_cosine_sum(self):
@@ -48,8 +49,9 @@ class TestComplexField:
         M = 128
         x = np.arange(M) / M
         assert np.max(np.abs(f.values(M) - a * np.exp(2j * math.pi * x))) < 1e-12
-        assert f.l2_norm() == pytest.approx(abs(a), rel=1e-14)
-        assert f.grad_norm() == pytest.approx(2.0 * math.pi * abs(a), rel=1e-14)
+        (l2,), (grad,) = evolve._norms(f.coeffs[None], f.basis)
+        assert l2 == pytest.approx(abs(a), rel=1e-14)
+        assert grad == pytest.approx(2.0 * math.pi * abs(a), rel=1e-14)
 
     @pytest.mark.parametrize("basis, M_min", [(evolve.NEUMANN_HALF, 32), (evolve.PERIODIC_UNIT, 18)])
     def test_values_need_a_grid_that_holds_every_mode(self, basis, M_min):
@@ -78,6 +80,20 @@ class TestComplexField:
             evolve.cosine_field(np.ones(20), N=8)
         m = evolve.monochromatic_field(1.0, N=16)
         assert m.basis == evolve.PERIODIC_UNIT and m.theta == -math.pi / 2
+
+    def test_embedding_drops_only_a_negligible_tail(self):
+        # relative L^2 size of the tail past N = 8: 5e-14 is dropped, 2e-13 refused
+        whole = math.sqrt(1.0 / 2.0 + 0.25 / 4.0)
+        for rel, fits in ((5e-14, True), (2e-13, False)):
+            coeffs = np.array([1.0, 0.5] + [0.0] * 6 + [2.0 * rel * whole])
+            if fits:
+                f = evolve.cosine_field(coeffs, N=8)
+                assert np.array_equal(f.coeffs, coeffs[:8])
+            else:
+                with pytest.raises(DomainError):
+                    evolve.cosine_field(coeffs, N=8)
+        with pytest.raises(DomainError):
+            evolve.cosine_field(np.ones(20), N=0)
 
     def test_sectorial_flag(self):
         assert evolve.constant_field(0.0, theta=0.0).sectorial
@@ -349,7 +365,8 @@ class TestRejectedSteps:
         step = evolve.step
 
         def counted(state, dr, lam):
-            drs.append(dr)
+            (row_dr,) = dr          # the one ray is a stack of one, with one dr per row
+            drs.append(row_dr)
             fail(state)
             return step(state, dr, lam)
 
@@ -471,6 +488,16 @@ class TestHeteroclinicShoot:
         assert res.target == pytest.approx(-math.sqrt(res.record.lam / 6.0), rel=1e-12)
         assert res.record.reason == evolve.REASON_CAPTURED
         assert res.captured_r == res.record.r_star_lower
+
+    def test_shots_at_small_n_match_the_larger_basis(self):
+        # the 92-mode ground state at W_1(0.1) fits 64 modes: its tail there is 1e-25
+        kw = dict(err_target=1e-8)
+        down = [evolve.heteroclinic_shoot(1, 0.1, "-", N=N, **kw) for N in (64, 128)]
+        assert [d.outcome for d in down] == ["converged"] * 2
+        assert down[0].captured_r == pytest.approx(down[1].captured_r, rel=1e-12)
+        up = [evolve.heteroclinic_shoot(1, 0.1, "+", N=N, r_max=6.0, **kw) for N in (64, 128)]
+        assert [u.outcome for u in up] == ["blowup"] * 2
+        assert up[0].record.r_star_lower == pytest.approx(up[1].record.r_star_lower, abs=1e-6)
 
     def test_plus_direction_blows_up(self):
         res = evolve.heteroclinic_shoot(1, 0.05, "+", N=128, r_max=6.0,

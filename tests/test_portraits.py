@@ -19,16 +19,16 @@ def random_quartic(seed):
 
 class TestDiskField:
     def test_chart_round_trip(self):
-        disk = portraits.compactify(scalar_ode.PolyField.cyclotomic(3))
+        disk = portraits.DiskField(scalar_ode.PolyField.cyclotomic(3))
         for w in (0.2 + 0.1j, -3.0 + 4.0j, 100.0j):
             assert disk.w_of_p(disk.p_of_w(w)) == pytest.approx(w, rel=1e-12)
 
     def test_rejects_linear_fields(self):
         with pytest.raises(DomainError):
-            portraits.compactify(scalar_ode.PolyField(np.array([0.0 + 0j])))
+            portraits.DiskField(scalar_ode.PolyField(np.array([0.0 + 0j])))
 
     def test_saddle_count_and_parity(self):
-        disk = portraits.compactify(scalar_ode.PolyField.cyclotomic(4))
+        disk = portraits.DiskField(scalar_ode.PolyField.cyclotomic(4))
         assert len(disk.saddle_angles) == 6
         assert disk.saddle_parity(0) == "blowup"
         assert disk.saddle_parity(3) == "blowdown"
@@ -37,7 +37,7 @@ class TestDiskField:
         """Interior and near-boundary expressions must match where both are
         valid, across several fields and directions."""
         for fld in (scalar_ode.PolyField.cyclotomic(3), random_quartic(5)):
-            disk = portraits.compactify(fld)
+            disk = portraits.DiskField(fld)
             d = fld.degree
             for ap in (0.55, 0.6, 0.64):
                 for beta in np.linspace(0.0, 2 * math.pi, 9):
@@ -52,18 +52,18 @@ class TestDiskField:
                     assert disk.velocity(p) == pytest.approx(interior, rel=1e-10)
 
     def test_velocity_vanishes_at_boundary_saddles(self):
-        disk = portraits.compactify(scalar_ode.PolyField.cyclotomic(3))
+        disk = portraits.DiskField(scalar_ode.PolyField.cyclotomic(3))
         for alpha in disk.saddle_angles:
             p = complex(math.cos(-alpha), math.sin(-alpha))
             assert abs(disk.velocity(p)) < 1e-12
 
     def test_boundary_flow_alternates_between_saddles(self):
-        disk = portraits.compactify(scalar_ode.PolyField.cyclotomic(3))
+        disk = portraits.DiskField(scalar_ode.PolyField.cyclotomic(3))
         assert disk.boundary_angular_speed(math.pi / 4) > 0
         assert disk.boundary_angular_speed(3 * math.pi / 4) < 0
 
     def test_velocity_points_inward_outside_disk(self):
-        disk = portraits.compactify(scalar_ode.PolyField.cyclotomic(3))
+        disk = portraits.DiskField(scalar_ode.PolyField.cyclotomic(3))
         p = 1.001 * np.exp(0.3j)
         v = disk.velocity(complex(p))
         assert (v * np.conj(p)).real < 0

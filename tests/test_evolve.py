@@ -82,16 +82,14 @@ class TestComplexField:
         assert m.basis == evolve.PERIODIC_UNIT and m.theta == -math.pi / 2
 
     def test_embedding_drops_only_a_negligible_tail(self):
-        # relative L^2 size of the tail past N = 8: 5e-14 is dropped, 2e-13 refused
+        # a cosine mode c weighs |c| / 2 in the L^2 norm: tails past N = 8 of
+        # relative size 5e-14 are dropped, of 2e-13 refused
+        head = [1.0, 0.5] + [0.0] * 6
         whole = math.sqrt(1.0 / 2.0 + 0.25 / 4.0)
-        for rel, fits in ((5e-14, True), (2e-13, False)):
-            coeffs = np.array([1.0, 0.5] + [0.0] * 6 + [2.0 * rel * whole])
-            if fits:
-                f = evolve.cosine_field(coeffs, N=8)
-                assert np.array_equal(f.coeffs, coeffs[:8])
-            else:
-                with pytest.raises(DomainError):
-                    evolve.cosine_field(coeffs, N=8)
+        f = evolve.cosine_field(np.array(head + [1e-13 * whole]), N=8)
+        assert np.array_equal(f.coeffs, head)
+        with pytest.raises(DomainError):
+            evolve.cosine_field(np.array(head + [4e-13 * whole]), N=8)
         with pytest.raises(DomainError):
             evolve.cosine_field(np.ones(20), N=0)
 
@@ -491,11 +489,10 @@ class TestHeteroclinicShoot:
 
     def test_shots_at_small_n_match_the_larger_basis(self):
         # the 92-mode ground state at W_1(0.1) fits 64 modes: its tail there is 1e-25
-        kw = dict(err_target=1e-8)
-        down = [evolve.heteroclinic_shoot(1, 0.1, "-", N=N, **kw) for N in (64, 128)]
+        down = [evolve.heteroclinic_shoot(1, 0.1, "-", N=N, err_target=1e-8) for N in (64, 128)]
         assert [d.outcome for d in down] == ["converged"] * 2
         assert down[0].captured_r == pytest.approx(down[1].captured_r, rel=1e-12)
-        up = [evolve.heteroclinic_shoot(1, 0.1, "+", N=N, r_max=6.0, **kw) for N in (64, 128)]
+        up = [evolve.heteroclinic_shoot(1, 0.1, "+", N=N, r_max=6.0, err_target=1e-8) for N in (64, 128)]
         assert [u.outcome for u in up] == ["blowup"] * 2
         assert up[0].record.r_star_lower == pytest.approx(up[1].record.r_star_lower, abs=1e-6)
 

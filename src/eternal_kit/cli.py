@@ -239,6 +239,7 @@ def _cmd_evolve(args):
         "r_star_lower": rec.r_star_lower, "final_h1": rec.final_h1,
         "h1_growth_ok": rec.h1_growth_ok, "sectorial": rec.sectorial,
         "near_resonant_lambda": rec.near_resonant_lambda, "lambda": lam,
+        "steps_accepted": len(h["r"]) - 1, "steps_rejected": rec.rejected,
     }
     return ["r", "h1", "sup", "re_w0", "im_w0"], rows, meta
 

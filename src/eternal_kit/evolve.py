@@ -13,8 +13,9 @@ Schrodinger evolution i psi_s = psi_xx + 6 psi^2 - lambda forward in s
 
 with complex coefficients in both (no reality constraint anywhere: complex
 data is the whole point).  Both bases go to a uniform grid and back by
-slices and scipy.fftpack, which calls the same pocketfft as numpy.fft and
-gives the same bytes with less overhead per call.  Transforms run along the
+slices and direct calls of pocketfft's c2c, the kernel under numpy.fft and
+scipy.fft, which give the same bytes without their per-call dispatch, in
+place on buffers their callers no longer need.  Transforms run along the
 last axis, so a stack of rays (rows x modes) goes in one call and each row
 gets the bytes of its own transform.  Quadratic products are computed on a
 4N grid, which represents the product exactly, so there is no aliasing.
@@ -47,12 +48,12 @@ Non-finite lambda or initial data is a DomainError, not a blow-up at r = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
 
 import numpy as np
-import scipy.fftpack
+from scipy.fft._pocketfft.pypocketfft import c2c as _c2c
 
 from . import elliptic, spectrum
 from .elliptic import CosineSeries
@@ -74,8 +75,11 @@ NORM_THRESHOLD = 1e8
 #: cosine_field drops the coefficients past N when their L^2 norm is at most
 #: this times the series' L^2 norm, and refuses the series otherwise
 EMBED_TAIL_TOL = 1e-13
+#: a run's history computes the sup norms of up to this many accepted states in one transform
+SUP_BATCH = 64
 
 _TWO_PI = 2.0 * math.pi
+_LAST = (-1,)           # the axis every transform runs along
 
 
 def _wavenumbers(basis: str, N: int) -> np.ndarray:
@@ -104,19 +108,20 @@ def _to_grid(coeffs: np.ndarray, basis: str, M: int) -> np.ndarray:
     full = np.zeros(coeffs.shape[:-1] + (M,), dtype=complex)
     if basis == NEUMANN_HALF:
         full[..., 0] = coeffs[..., 0]
-        full[..., 1:N] = full[..., : M - N : -1] = coeffs[..., 1:] / 2.0
+        full[..., 1:N] = full[..., : M - N : -1] = coeffs[..., 1:] * 0.5
     else:
         pos = (N + 1) // 2
         full[..., :pos] = coeffs[..., :pos]
         full[..., M - N + pos :] = coeffs[..., pos:]
-    grid = scipy.fftpack.ifft(full, axis=-1, overwrite_x=True)
-    return np.multiply(grid, M, grid)
+    _c2c(full, _LAST, False, 2, full)           # inverse, divided by M, in place
+    return np.multiply(full, M, full)
 
 
 def _from_grid(values: np.ndarray, basis: str, N: int) -> np.ndarray:
-    """The N coefficients of the grid function along the last axis (assumed even for cosines)."""
+    """The N coefficients of the complex grid function along the last axis,
+    which the transform overwrites (assumed even for cosines)."""
     M = values.shape[-1]
-    spec = scipy.fftpack.fft(values, axis=-1)
+    spec = _c2c(values, _LAST, True, 0, values)
     if basis == NEUMANN_HALF:
         out = spec[..., :N] / M
         out[..., 1:] *= 2.0
@@ -163,7 +168,7 @@ class ComplexField:
         return _to_grid(self.coeffs, self.basis, M)
 
     def at_zero(self) -> complex:
-        return complex(np.sum(self.coeffs))
+        return complex(np.add.reduce(self.coeffs))
 
     def h1_norm(self) -> float:
         """H^1 norm, from one |c|^2 for both of its parts."""
@@ -262,8 +267,7 @@ def _etdrk4_tables(basis: str, N: int, theta: float, dr: float):
     The arrays are read-only and shaped (1, N): one row of a stack of rays.
     """
     rot = np.exp(1j * theta)
-    L = rot * (-_omega2(basis, N))
-    z = dr * L
+    z = dr * (rot * (-_omega2(basis, N)))
     E = np.exp(z)
     E2 = np.exp(z / 2.0)
 
@@ -275,20 +279,11 @@ def _etdrk4_tables(basis: str, N: int, theta: float, dr: float):
         f3 = (-4.0 - 3.0 * zz - zz * zz + ez * (4.0 - zz)) / zz ** 3
         return q, f1, f2, f3
 
+    # contour means where |z| < 1, the closed forms elsewhere
     small = np.abs(z) < 1.0
-    Q = np.empty(N, dtype=complex)
-    F1 = np.empty(N, dtype=complex)
-    F2 = np.empty(N, dtype=complex)
-    F3 = np.empty(N, dtype=complex)
-    if np.any(small):
-        zs = z[small][:, None] + _CONTOUR[None, :]
-        q, f1, f2, f3 = tables(zs)
-        Q[small], F1[small], F2[small], F3[small] = (
-            q.mean(1), f1.mean(1), f2.mean(1), f3.mean(1),
-        )
-    if np.any(~small):
-        q, f1, f2, f3 = tables(z[~small])
-        Q[~small], F1[~small], F2[~small], F3[~small] = q, f1, f2, f3
+    Q, F1, F2, F3 = np.empty((4, N), dtype=complex)
+    Q[small], F1[small], F2[small], F3[small] = (t.mean(1) for t in tables(z[small][:, None] + _CONTOUR))
+    Q[~small], F1[~small], F2[~small], F3[~small] = tables(z[~small])
 
     out = tuple(t[None] for t in (E, E2, dr * Q, dr * F1, 2.0 * (dr * F2), dr * F3))
     for arr in out:
@@ -313,52 +308,44 @@ def _square(coeffs: np.ndarray, basis: str) -> np.ndarray:
     return _from_grid(np.multiply(u, u, u), basis, N)
 
 
-def _nonlinear(coeffs: np.ndarray, basis: str, rot: complex, lam0: np.ndarray) -> np.ndarray:
-    """rot (6 w^2 - lam) with rot = e^(i theta) and lam0 = lam at mode 0, zero
-    elsewhere (x - 0 is x, bit for bit); the caller holds the errstate."""
+def _nonlinear(coeffs: np.ndarray, basis: str, rot: complex, lam: float) -> np.ndarray:
+    """rot (6 w^2 - lam) for each row, with rot = e^(i theta); the constant lam
+    is taken from mode 0 only.  The caller holds the errstate."""
     out = _square(coeffs, basis)
     np.multiply(6.0, out, out)
-    out -= lam0
+    out[:, 0] -= lam
     return np.multiply(rot, out, out)
 
 
-def step(state: ComplexField, dr, lam: float) -> ComplexField:
-    """One fixed ETDRK4 step of length dr along the state's ray.
+def step(state: ComplexField, dr: tuple, lam: float) -> ComplexField:
+    """One fixed ETDRK4 step along the ray of a stack of states (rows x
+    modes, one r per row), row i by dr[i].
 
-    Raises BlowupSignal (carrying the input state) when the update stops
-    being finite; callers turn that into a divergence report.  On a stack
-    of rays dr is one float for every row or a tuple with one per row, and
-    the signal comes only when no row stays finite: a row that leaves the
-    floating-point range alone shows up in its error estimate instead.
+    Raises BlowupSignal (carrying the input stack) when no row stays
+    finite; callers turn that into a divergence report.  A row that leaves
+    the floating-point range alone shows up in its error estimate instead.
     """
-    if (min(dr) if isinstance(dr, tuple) else dr) <= 0.0:
+    if min(dr) <= 0.0:
         raise DomainError("step length must be positive")
     basis, u = state.basis, state.coeffs
-    one = u.ndim == 1
-    if one:
-        u = u[None]            # one ray is a stack of one
-    N = u.shape[1]
-    tables = _stacked_tables if isinstance(dr, tuple) else _etdrk4_tables
-    rot, E, E2, Q, f1, f2x2, f3 = tables(basis, N, state.theta, dr)
-    lam0 = np.zeros((1, N), dtype=complex)
-    lam0[0, 0] = lam
+    rot, E, E2, Q, f1, f2x2, f3 = _stacked_tables(basis, u.shape[1], state.theta, dr)
     # in place where a temporary allows it, with every product's operands in
     # the order of the textbook formulas: complex multiplication is not
     # bitwise commutative
     with np.errstate(over="ignore", invalid="ignore"):
-        Nu = _nonlinear(u, basis, rot, lam0)
+        Nu = _nonlinear(u, basis, rot, lam)
         E2u = E2 * u
         a = Q * Nu
         a += E2u
-        Na = _nonlinear(a, basis, rot, lam0)
+        Na = _nonlinear(a, basis, rot, lam)
         b = Q * Na
         b += E2u
-        Nb = _nonlinear(b, basis, rot, lam0)
-        c = 2.0 * Nb
+        Nb = _nonlinear(b, basis, rot, lam)
+        c = np.multiply(2.0, Nb, b)
         c -= Nu
         np.multiply(Q, c, c)
-        c += E2 * a                                     # E2 a + Q (2 Nb - Nu)
-        Nc = _nonlinear(c, basis, rot, lam0)
+        c += np.multiply(E2, a, a)                      # E2 a + Q (2 Nb - Nu)
+        Nc = _nonlinear(c, basis, rot, lam)
         unew = E * u
         unew += np.multiply(f1, Nu, Nu)
         Na += Nb
@@ -366,8 +353,7 @@ def step(state: ComplexField, dr, lam: float) -> ComplexField:
         unew += np.multiply(f3, Nc, Nc)                 # E u + f1 Nu + 2 f2 (Na + Nb) + f3 Nc
     if not np.isfinite(unew.view(float)).all(1).any():
         raise BlowupSignal("update left floating-point range", state)
-    r = state.r + (np.array(dr) if isinstance(dr, tuple) else dr)
-    return _state(unew[0] if one else unew, basis, r, state.theta)
+    return _state(unew, basis, state.r + np.array(dr), state.theta)
 
 
 def _h1_diff(u1: ComplexField, u2: ComplexField) -> list:
@@ -376,23 +362,34 @@ def _h1_diff(u1: ComplexField, u2: ComplexField) -> list:
     return [math.hypot(x, y) for x, y in zip(l2, grads)]
 
 
-@dataclass
 class _History:
-    r: list = dc_field(default_factory=list)
-    h1: list = dc_field(default_factory=list)
-    sup: list = dc_field(default_factory=list)
-    grad: list = dc_field(default_factory=list)
-    w0: list = dc_field(default_factory=list)
+    """The start and every accepted step of one run, and its rejected attempts."""
+
+    def __init__(self):
+        self.r, self.h1, self.sup, self.grad, self.w0 = [], [], [], [], []
+        self.queued = []            # accepted states whose sup norm is pending
+        self.rejected = 0
 
     def push(self, state: ComplexField, h1: float, grad: float):
         self.r.append(state.r)
         self.h1.append(h1)
-        self.sup.append(state.sup_norm())
         self.grad.append(grad)
         self.w0.append(state.at_zero())
+        self.queued.append(state)
+        if len(self.queued) == SUP_BATCH:
+            self._flush()
+
+    def _flush(self):
+        """Each queued state's sup_norm, all from one stacked grid."""
+        if self.queued:
+            basis, N = self.queued[0].basis, self.queued[0].N
+            grid = _to_grid(np.array([s.coeffs for s in self.queued]), basis, 4 * N)
+            self.sup += np.max(np.abs(grid), 1).tolist()
+            self.queued.clear()
 
     def arrays(self) -> dict:
-        return {name: np.array(values) for name, values in vars(self).items()}
+        self._flush()
+        return {name: np.array(getattr(self, name)) for name in ("r", "h1", "sup", "grad", "w0")}
 
 
 def _control(state, stops, err_target, norm_threshold, history, fields, on_accept):
@@ -402,8 +399,8 @@ def _control(state, stops, err_target, norm_threshold, history, fields, on_accep
     (err, coeffs, r, l2, grad): the step-doubling H^1 distance, then the
     two-half-step result with its arclength and norms (all nan when the
     step left floating-point range).  At each stop dr restarts on the
-    ladder and a copy of the state goes to fields; history gets the start
-    and every accepted step.  It returns (state, status).
+    ladder and a copy of the state goes to fields; history gets the start,
+    every accepted step and the count of rejected ones.  Returns (state, status).
     """
     if history is not None:
         (l2,), (grad,) = _norms(state.coeffs[None], state.basis)
@@ -435,6 +432,8 @@ def _control(state, stops, err_target, norm_threshold, history, fields, on_accep
                     continue
             # a rejected step: a non-finite estimate (a BlowupSignal
             # included) quarters dr, an estimate over tol halves it
+            if history is not None:
+                history.rejected += 1
             dr /= 2.0 if math.isfinite(e) else 4.0
             if dr < DR_MIN:
                 return state, REASON_STEP
@@ -533,6 +532,7 @@ class RayRun:
     lam: float
     history: dict
     fields: list[ComplexField]
+    rejected: int             # step attempts turned down: over tol or not finite
 
     @property
     def r_star_lower(self) -> float:
@@ -596,7 +596,7 @@ def _run(state, stops, lam: float, **advance_kw):
     ends, whys = _advance(state, stops, lam, history=hists, fields=fields, **advance_kw)
     if one:
         ends, whys = [ends], [whys]
-    runs = [RayRun(end, why, float(lam), hist.arrays(), fs)
+    runs = [RayRun(end, why, float(lam), hist.arrays(), fs, hist.rejected)
             for end, why, hist, fs in zip(ends, whys, hists, fields)]
     return runs[0] if one else runs
 

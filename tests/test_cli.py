@@ -75,7 +75,7 @@ def test_import_loads_only_the_named_submodule():
     # the package re-exports nothing: each submodule loads what it needs
     src = Path(cli.__file__).resolve().parents[1]
     code = ("import sys, {target}; print(sorted(m for m in sys.modules if m.startswith('eternal_kit.')"
-            " or m == 'scipy.fftpack'))")
+            " or m == 'scipy.fft'))")
     env = {**os.environ, "PYTHONPATH": str(src)}
     loaded = {}
     for target in ("eternal_kit", "eternal_kit.elliptic"):
@@ -86,7 +86,7 @@ def test_import_loads_only_the_named_submodule():
     assert loaded["eternal_kit"] == "[]"
     assert "eternal_kit.elliptic" in loaded["eternal_kit.elliptic"]
     assert "eternal_kit.evolve" not in loaded["eternal_kit.elliptic"]
-    assert "scipy.fftpack" not in loaded["eternal_kit.elliptic"]
+    assert "scipy.fft" not in loaded["eternal_kit.elliptic"]
 
 
 class TestFormats:
@@ -513,6 +513,19 @@ class TestSubcommandSmoke:
         header, rows = parse_csv(out)
         assert header == ["r", "h1", "sup", "re_w0", "im_w0"]
         assert len(rows) > 2
+
+    def test_evolve_meta_counts_steps(self):
+        argv = ["evolve", "--constant", "1.5", "--lambda", "6", "--modes", "16"]
+        rc, out, err = run_cli(argv)
+        assert rc == 0
+        _, rows = parse_csv(out)
+        assert f"steps_accepted={len(rows) - 1}" in err
+        rc, text, _ = run_cli(argv + ["--format", "json"])
+        meta = json.loads(text)["meta"]
+        assert meta["steps_accepted"] == len(rows) - 1
+        # a run that ends by STEP_COLLAPSE was refused its last steps
+        assert meta["reason"] == "STEP_COLLAPSE" and meta["steps_rejected"] > 0
+        assert f"steps_rejected={meta['steps_rejected']}" in err
 
     def test_evolve_monochromatic_vertical(self):
         rc, _, err = run_cli(["evolve", "--mono", "0.5", "--modes", "32",

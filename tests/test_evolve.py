@@ -100,25 +100,38 @@ class TestComplexField:
 
 
 class TestStep:
+    # step takes a stack of rays (rows x modes) with one dr per row; one ray
+    # is a stack of one
+
+    @staticmethod
+    def _stack(field):
+        return evolve._state(field.coeffs[None], field.basis, np.array([field.r]), field.theta)
+
     def test_advances_clock(self):
-        st = evolve.constant_field(0.1, N=8)
-        out = evolve.step(st, 0.01, 2.0)
-        assert out.r == pytest.approx(0.01)
+        st = self._stack(evolve.constant_field(0.1, N=8))
+        out = evolve.step(st, (0.01,), 2.0)
+        assert out.coeffs.shape == (1, 8)
+        assert out.r.tolist() == [0.01]
         assert out.basis == st.basis and out.theta == st.theta
+
+    def test_non_positive_step_is_a_domain_error(self):
+        st = self._stack(evolve.constant_field(0.1, N=8))
+        with pytest.raises(DomainError):
+            evolve.step(st, (0.0,), 2.0)
 
     def test_fixed_step_order_about_four(self):
         def run(nsteps):
-            st = evolve.cosine_field([0.2, 0.1, 0.05], N=32)
+            st = self._stack(evolve.cosine_field([0.2, 0.1, 0.05], N=32))
             dr = 0.1 / nsteps
             for _ in range(nsteps):
-                st = evolve.step(st, dr, 4.0)
+                st = evolve.step(st, (dr,), 4.0)
             return st
 
         ref = run(512)
         errs = []
         for n in (8, 16, 32):
             st = run(n)
-            errs.append(evolve.ComplexField(st.coeffs - ref.coeffs, st.basis).h1_norm())
+            errs.append(evolve.ComplexField(st.coeffs[0] - ref.coeffs[0], st.basis).h1_norm())
         slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(slopes >= 3.5)
 
@@ -201,6 +214,65 @@ class TestTransforms:
             assert sq.tobytes() == b.tobytes()
 
 
+class TestTransformInputs:
+    # the transforms run in place on buffers of their own: what a caller
+    # passes in comes back untouched
+
+    @pytest.mark.parametrize("basis", [evolve.NEUMANN_HALF, evolve.PERIODIC_UNIT])
+    @pytest.mark.parametrize("shape", [(16,), (3, 16)])
+    def test_coefficients_stay_byte_identical(self, basis, shape):
+        rng = np.random.default_rng(7)
+        c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        before = c.tobytes()
+        evolve._to_grid(c, basis, 64)
+        assert c.tobytes() == before
+        evolve._square(c, basis)
+        assert c.tobytes() == before
+        if c.ndim == 1:
+            field = evolve.ComplexField(c, basis)
+            field.values()
+            assert field.coeffs.tobytes() == c.tobytes() == before
+
+
+class TestHistorySup:
+    # A run's history computes its sup norms SUP_BATCH states at a time (the
+    # start counts as one); every entry must still be its state's sup_norm.
+
+    @staticmethod
+    def _rays():
+        return [evolve.cosine_field([1.0, 0.4, 0.1j], N=16),
+                evolve.cosine_field([0.5, 0.2j, 0.1], N=16),
+                evolve.constant_field(1.5, N=16)]
+
+    @staticmethod
+    def _check(run):
+        h = run.history
+        assert len(h["sup"]) == len(h["r"])
+        assert h["sup"][-1] == run.final_state.sup_norm()
+
+    @pytest.mark.parametrize("offset", [-2, -1, 0, 1, 2])
+    def test_each_entry_is_its_states_sup_norm(self, monkeypatch, offset):
+        ray = self._rays()[0]
+        accepted = len(evolve._run(ray, [0.05], 6.0).history["r"]) - 1
+        monkeypatch.setattr(evolve, "SUP_BATCH", accepted + offset)
+        want = [ray.sup_norm()]
+        run = evolve._run(ray, [0.05], 6.0, on_accept=lambda prev, new: want.append(new.sup_norm()))
+        self._check(run)
+        assert len(want) == accepted + 1
+        assert run.history["sup"].tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 7, 64])
+    def test_stacked_rows_read_as_they_would_alone(self, monkeypatch, batch):
+        monkeypatch.setattr(evolve, "SUP_BATCH", batch)
+        stacked = evolve._run(self._rays(), [0.05], 6.0)
+        lengths = {len(run.history["r"]) for run in stacked}
+        assert len(lengths) == 3 and max(lengths) > batch
+        for run, ray in zip(stacked, self._rays()):
+            alone = evolve._run(ray, [0.05], 6.0)
+            self._check(run)
+            assert run.history["sup"].tobytes() == alone.history["sup"].tobytes()
+
+
 class TestNonConstantBytes:
     # Constant data never leaves mode 0, so the CLI goldens of constant runs
     # do not see the quadratic product on other modes; these digests do.
@@ -245,6 +317,7 @@ class TestStack:
         assert sorted(run.history) == sorted(alone.history)
         for name, values in alone.history.items():
             assert run.history[name].tobytes() == values.tobytes(), name
+        assert run.rejected == alone.rejected
         assert [(f.r, f.coeffs.tobytes()) for f in run.fields] == [
             (f.r, f.coeffs.tobytes()) for f in alone.fields]
 
@@ -253,6 +326,7 @@ class TestStack:
         assert [run.reason for run in stacked] == [
             evolve.REASON_STEP, evolve.REASON_NORM, evolve.REASON_HORIZON]
         assert len({run.r_star_lower for run in stacked}) == 3
+        assert stacked[0].rejected > 0
         for run, ray in zip(stacked, self._rays()):
             self._assert_same_run(run, evolve.detect_blowup(ray, 6.0, 0.3, norm_threshold=1e4))
 
@@ -373,6 +447,7 @@ class TestRejectedSteps:
         assert rec.reason == evolve.REASON_STEP
         assert rec.r_star_lower == 0.0
         assert len(rec.history["r"]) == 1
+        assert rec.rejected == 17           # every attempt, the last one included
         return drs
 
     def test_blowup_signal_quarters_the_step_until_collapse(self, monkeypatch):

@@ -309,17 +309,17 @@ def _square(coeffs: np.ndarray, basis: str) -> np.ndarray:
 
 
 def _nonlinear(coeffs: np.ndarray, basis: str, rot: complex, lam: float) -> np.ndarray:
-    """rot (6 w^2 - lam) for each row, with rot = e^(i theta); the constant lam
-    is taken from mode 0 only.  The caller holds the errstate."""
+    """rot (6 w^2 - lam) for each row, with rot = e^(i theta) and lam taken
+    from mode 0 only; the caller holds the errstate."""
     out = _square(coeffs, basis)
     np.multiply(6.0, out, out)
-    out[:, 0] -= lam
+    for i in range(len(out)):   # scalar updates: numpy's strided column update costs more on few rows
+        out[i, 0] -= lam
     return np.multiply(rot, out, out)
 
 
 def step(state: ComplexField, dr: tuple, lam: float) -> ComplexField:
-    """One fixed ETDRK4 step along the ray of a stack of states (rows x
-    modes, one r per row), row i by dr[i].
+    """One fixed ETDRK4 step of a stack of states (rows x modes, one r per row), row i by dr[i].
 
     Raises BlowupSignal (carrying the input stack) when no row stays
     finite; callers turn that into a divergence report.  A row that leaves

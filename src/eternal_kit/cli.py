@@ -429,7 +429,7 @@ def build_parser() -> _Parser:
     p.add_argument("--h", type=_finite_float, default=None)
     p.add_argument("--h-max", type=_finite_float, default=0.12)
     p.add_argument("--points", type=_positive_int, default=41)
-    p.add_argument("--tail-tol", type=_finite_float, default=1e-13)
+    p.add_argument("--tail-tol", type=_positive_float, default=1e-13)
     p.add_argument("--fig1", action="store_true", help="branch diagram sweep (n = 1, 2, 3)")
     p.set_defaults(func=_cmd_branch)
 
@@ -440,7 +440,7 @@ def build_parser() -> _Parser:
                    help="homogeneous state instead of a branch profile")
     p.add_argument("--equilibrium", choices=("upper", "lower"), default="upper")
     p.add_argument("--count", type=_positive_int, default=8)
-    p.add_argument("--tail-tol", type=_finite_float, default=1e-13)
+    p.add_argument("--tail-tol", type=_positive_float, default=1e-13)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("resonance", help="no-identical-resonance certificates")

@@ -174,6 +174,8 @@ def profile_tail_bound(h: float, K: int) -> float:
 
 def default_truncation(h: float, tail_tol: float = 1e-13, K_max: int = 4000) -> int:
     """Smallest K certifying both series tails below tail_tol."""
+    if not (math.isfinite(tail_tol) and tail_tol > 0.0):
+        raise DomainError(f"tail tolerance must be finite and positive, got {tail_tol}")
     h = _check_modulus(h)
     if h == 0.0:
         return 1

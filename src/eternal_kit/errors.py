@@ -21,14 +21,7 @@ class ConvergenceError(RuntimeError):
 
 
 class BlowupSignal(RuntimeError):
-    """Controlled divergence report from a time stepper (overflow / NaN).
-
-    Carries the last finite state so callers can turn the signal into data.
-    """
-
-    def __init__(self, message, state=None):
-        super().__init__(message)
-        self.state = state
+    """Controlled divergence report from a time stepper (overflow / NaN)."""
 
 
 class PoleSignal(RuntimeError):

@@ -26,8 +26,8 @@ averaging over 32 roots of unity for |z| < 1 (entire functions: the mean
 over a circle equals the center value) and by the closed forms otherwise.
 The averages stay complex because the linear symbol e^(i theta)(-(2 pi k)^2)
 is complex off the parabolic ray.  The tables are cached per (basis, N,
-theta, dr) and already scaled by dr; the f2 table holds 2 f2, the factor
-with which the scheme uses it.  Step size is adapted by step doubling:
+theta, drs), one row per dr, and scaled by it; the f2 table holds 2 f2, the
+factor the scheme uses.  Step size is adapted by step doubling:
 one full step against two half steps, local error estimated as their
 H^1 distance over 2^4 - 1.  That step control is written once, for one
 ray (_control); the scheduler _advance only batches steps: rays that share
@@ -204,12 +204,8 @@ def _norms(coeffs: np.ndarray, basis: str) -> tuple[list, list]:
             [math.sqrt(g) for g in total(om * a, 1).tolist()])
 
 
-def _state(coeffs: np.ndarray, basis: str, r, theta: float) -> ComplexField:
-    """A ComplexField from parts that are already valid, without re-checking them.
-
-    The scheduler in _advance also builds the stack of rays that step takes
-    this way (rows x modes, one r per row); everything else holds one ray.
-    """
+def _state(coeffs: np.ndarray, basis: str, r: float, theta: float) -> ComplexField:
+    """A ComplexField of one ray from parts that are already valid, without re-checking them."""
     f = object.__new__(ComplexField)
     f.coeffs, f.basis, f.r, f.theta = coeffs, basis, r, theta
     return f
@@ -249,6 +245,8 @@ def cosine_field(series, N: int = 256, theta: float = 0.0) -> ComplexField:
 def monochromatic_field(amplitude: complex, N: int = 256) -> ComplexField:
     """Single positive mode a e^(2 pi i x) on the circle (genuinely complex data)."""
     _check_modes(N)
+    if N < 3:       # at N = 2 the FFT index 1 is the wavenumber -1
+        raise DomainError(f"the mode e^(2 pi i x) needs N >= 3 on the circle, got N = {N}")
     c = np.zeros(N, dtype=complex)
     c[1] = amplitude
     return ComplexField(c, PERIODIC_UNIT, 0.0, -math.pi / 2)
@@ -261,44 +259,35 @@ _CONTOUR = np.exp(2j * math.pi * (np.arange(32) + 0.5) / 32.0)
 
 
 @lru_cache(maxsize=64)
-def _etdrk4_tables(basis: str, N: int, theta: float, dr: float):
-    """(e^(i theta), E, E2, dr Q, dr f1, 2 dr f2, dr f3) for one step of dr.
-
-    The arrays are read-only and shaped (1, N): one row of a stack of rays.
-    """
+def _etdrk4_tables(basis: str, N: int, theta: float, drs: tuple):
+    """(e^(i theta), E, E2, dr Q, dr f1, 2 dr f2, dr f3) for a stack of rays
+    whose row i steps by drs[i]; the arrays are read-only and shaped (rows, N)."""
     rot = np.exp(1j * theta)
+    dr = np.array(drs)[:, None]
     z = dr * (rot * (-_omega2(basis, N)))
     E = np.exp(z)
     E2 = np.exp(z / 2.0)
 
     def tables(zz):
+        # ez times a temporary by np.multiply: on a large temporary * swaps the
+        # operands to work in place, and complex products do not commute bitwise
         ez = np.exp(zz)
         q = (np.exp(zz / 2.0) - 1.0) / zz
-        f1 = (-4.0 - zz + ez * (4.0 - 3.0 * zz + zz * zz)) / zz ** 3
-        f2 = (2.0 + zz + ez * (zz - 2.0)) / zz ** 3
-        f3 = (-4.0 - 3.0 * zz - zz * zz + ez * (4.0 - zz)) / zz ** 3
+        f1 = (-4.0 - zz + np.multiply(ez, 4.0 - 3.0 * zz + zz * zz)) / zz ** 3
+        f2 = (2.0 + zz + np.multiply(ez, zz - 2.0)) / zz ** 3
+        f3 = (-4.0 - 3.0 * zz - zz * zz + np.multiply(ez, 4.0 - zz)) / zz ** 3
         return q, f1, f2, f3
 
     # contour means where |z| < 1, the closed forms elsewhere
     small = np.abs(z) < 1.0
-    Q, F1, F2, F3 = np.empty((4, N), dtype=complex)
+    Q, F1, F2, F3 = np.empty((4,) + z.shape, dtype=complex)
     Q[small], F1[small], F2[small], F3[small] = (t.mean(1) for t in tables(z[small][:, None] + _CONTOUR))
     Q[~small], F1[~small], F2[~small], F3[~small] = tables(z[~small])
 
-    out = tuple(t[None] for t in (E, E2, dr * Q, dr * F1, 2.0 * (dr * F2), dr * F3))
+    out = (E, E2, dr * Q, dr * F1, 2.0 * (dr * F2), dr * F3)
     for arr in out:
         arr.setflags(write=False)
     return (rot,) + out
-
-
-@lru_cache(maxsize=16)
-def _stacked_tables(basis: str, N: int, theta: float, drs: tuple):
-    """_etdrk4_tables with one row per step length in drs; arrays read-only."""
-    rows = [_etdrk4_tables(basis, N, theta, dr) for dr in drs]
-    out = tuple(np.concatenate(t) for t in list(zip(*rows))[1:])
-    for arr in out:
-        arr.setflags(write=False)
-    return (rows[0][0],) + out
 
 
 def _square(coeffs: np.ndarray, basis: str) -> np.ndarray:
@@ -318,47 +307,45 @@ def _nonlinear(coeffs: np.ndarray, basis: str, rot: complex, lam: float) -> np.n
     return np.multiply(rot, out, out)
 
 
-def step(state: ComplexField, dr: tuple, lam: float) -> ComplexField:
-    """One fixed ETDRK4 step of a stack of states (rows x modes, one r per row), row i by dr[i].
+def step(u: np.ndarray, basis: str, theta: float, dr: tuple, lam: float) -> np.ndarray:
+    """One fixed ETDRK4 step of a stack of rays (rows x modes), row i by dr[i].
 
-    Raises BlowupSignal (carrying the input stack) when no row stays
-    finite; callers turn that into a divergence report.  A row that leaves
-    the floating-point range alone shows up in its error estimate instead.
+    Raises BlowupSignal when no row stays finite; callers turn that into a
+    divergence report.  A row that leaves the floating-point range alone
+    shows up in its error estimate instead.  The caller holds the errstate.
     """
     if min(dr) <= 0.0:
         raise DomainError("step length must be positive")
-    basis, u = state.basis, state.coeffs
-    rot, E, E2, Q, f1, f2x2, f3 = _stacked_tables(basis, u.shape[1], state.theta, dr)
+    rot, E, E2, Q, f1, f2x2, f3 = _etdrk4_tables(basis, u.shape[1], theta, dr)
     # in place where a temporary allows it, with every product's operands in
     # the order of the textbook formulas: complex multiplication is not
     # bitwise commutative
-    with np.errstate(over="ignore", invalid="ignore"):
-        Nu = _nonlinear(u, basis, rot, lam)
-        E2u = E2 * u
-        a = Q * Nu
-        a += E2u
-        Na = _nonlinear(a, basis, rot, lam)
-        b = Q * Na
-        b += E2u
-        Nb = _nonlinear(b, basis, rot, lam)
-        c = np.multiply(2.0, Nb, b)
-        c -= Nu
-        np.multiply(Q, c, c)
-        c += np.multiply(E2, a, a)                      # E2 a + Q (2 Nb - Nu)
-        Nc = _nonlinear(c, basis, rot, lam)
-        unew = E * u
-        unew += np.multiply(f1, Nu, Nu)
-        Na += Nb
-        unew += np.multiply(f2x2, Na, Na)
-        unew += np.multiply(f3, Nc, Nc)                 # E u + f1 Nu + 2 f2 (Na + Nb) + f3 Nc
+    Nu = _nonlinear(u, basis, rot, lam)
+    E2u = E2 * u
+    a = Q * Nu
+    a += E2u
+    Na = _nonlinear(a, basis, rot, lam)
+    b = Q * Na
+    b += E2u
+    Nb = _nonlinear(b, basis, rot, lam)
+    c = np.multiply(2.0, Nb, b)
+    c -= Nu
+    np.multiply(Q, c, c)
+    c += np.multiply(E2, a, a)                      # E2 a + Q (2 Nb - Nu)
+    Nc = _nonlinear(c, basis, rot, lam)
+    unew = E * u
+    unew += np.multiply(f1, Nu, Nu)
+    Na += Nb
+    unew += np.multiply(f2x2, Na, Na)
+    unew += np.multiply(f3, Nc, Nc)                 # E u + f1 Nu + 2 f2 (Na + Nb) + f3 Nc
     if not np.isfinite(unew.view(float)).all(1).any():
-        raise BlowupSignal("update left floating-point range", state)
-    return _state(unew, basis, state.r + np.array(dr), state.theta)
+        raise BlowupSignal("update left floating-point range")
+    return unew
 
 
-def _h1_diff(u1: ComplexField, u2: ComplexField) -> list:
+def _h1_diff(u1: np.ndarray, u2: np.ndarray, basis: str) -> list:
     """H^1 distance of each row of two stacks."""
-    l2, grads = _norms(u1.coeffs - u2.coeffs, u1.basis)
+    l2, grads = _norms(u1 - u2, basis)
     return [math.hypot(x, y) for x, y in zip(l2, grads)]
 
 
@@ -396,9 +383,9 @@ def _control(state, stops, err_target, norm_threshold, history, fields, on_accep
     """One ray's step control through its ascending stops, as a generator.
 
     It yields (state, dr) for each step it wants tried and is sent back
-    (err, coeffs, r, l2, grad): the step-doubling H^1 distance, then the
-    two-half-step result with its arclength and norms (all nan when the
-    step left floating-point range).  At each stop dr restarts on the
+    (err, coeffs, l2, grad): the step-doubling H^1 distance, then the
+    two-half-step result and its norms (all nan when the step left
+    floating-point range).  At each stop dr restarts on the
     ladder and a copy of the state goes to fields; history gets the start,
     every accepted step and the count of rejected ones.  Returns (state, status).
     """
@@ -412,12 +399,13 @@ def _control(state, stops, err_target, norm_threshold, history, fields, on_accep
         dr = DR_MIN * 2.0 ** max(0, math.floor(math.log2(min(dr_init, max(stop - state.r, DR_MIN)) / DR_MIN)))
         while state.r < stop * (1.0 - 1e-15) and stop > state.r:
             dr_try = min(dr, stop - state.r)
-            err, coeffs, r, l2, grad = yield state, dr_try
+            err, coeffs, l2, grad = yield state, dr_try
             e = err / 15.0
             if math.isfinite(e):
                 h1 = math.hypot(l2, grad)
                 tol = err_target * dr_try * max(1.0, h1)
                 if e <= tol:
+                    r = state.r + dr_try / 2.0 + dr_try / 2.0     # the clock of two half steps
                     prev, state = state, _state(coeffs, state.basis, r, state.theta)
                     if history is not None:
                         history.push(state, h1, grad)
@@ -503,14 +491,13 @@ def _advance(
             half = tuple(dr / 2.0 for dr in full)
             # the tables get one row per ray, even when all drs agree: numpy
             # broadcasts one row over many slowly
-            stack = _state(np.array([s.coeffs for s in states]), basis, np.array([s.r for s in states]), theta)
+            u = np.array([s.coeffs for s in states])
             try:
-                u_full = step(stack, full, lam)
-                u_half = step(step(stack, half, lam), half, lam)
-                results = zip(_h1_diff(u_full, u_half), u_half.coeffs, u_half.r.tolist(),
-                              *_norms(u_half.coeffs, basis))
+                u_full = step(u, basis, theta, full, lam)
+                u_half = step(step(u, basis, theta, half, lam), basis, theta, half, lam)
+                results = zip(_h1_diff(u_full, u_half, basis), u_half, *_norms(u_half, basis))
             except BlowupSignal:        # no row stayed finite
-                results = [(math.nan,) * 5] * len(live)
+                results = [(math.nan,) * 4] * len(live)
             pending = [(i, ctrl, res) for (i, ctrl), res in zip(live, results)]
     return ends[0] if one else tuple(map(list, zip(*ends)))
 

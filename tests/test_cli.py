@@ -266,6 +266,24 @@ class TestExitCodes:
         assert out == ""
         assert err == "domain error: need N >= 2 modes, got N = 1\n"
 
+    def test_mono_needs_three_modes(self):
+        rc, out, err = run_cli(["evolve", "--mono", "3", "--modes", "2", "--r-max", "0.01"])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("domain error: ") and "N >= 3" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["branch", "--n", "1", "--h", "0.1", "--tail-tol", "0"],
+        ["branch", "--n", "1", "--h", "0.1", "--tail-tol=-1"],
+        ["spectrum", "--n", "1", "--h", "0.1", "--tail-tol", "0"],
+        ["spectrum", "--n", "1", "--h", "0.1", "--tail-tol=-1e-13"],
+    ])
+    def test_tail_tolerance_must_be_positive(self, argv):
+        rc, out, err = run_cli(argv)
+        assert rc == 64
+        assert out == ""
+        assert err.startswith("usage error: ")
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(["--version"])
@@ -402,7 +420,7 @@ class TestExitCodeProperty:
         if any("nan" in v or "inf" in v for v in values):
             assert rc == 64, (argv, rc)
         tolerances = [a.split("=", 1)[1] for a in argv
-                      if a.startswith(("--err-target=", "--norm-threshold="))]
+                      if a.startswith(("--err-target=", "--norm-threshold=", "--tail-tol="))]
         if any(_non_positive(v) for v in tolerances):
             assert rc == 64, (argv, rc)
 

@@ -73,6 +73,14 @@ def test_truncation_cap_raises_when_tail_cannot_certify():
         elliptic.default_truncation(0.999, tail_tol=1e-13, K_max=50)
 
 
+@pytest.mark.parametrize("tail_tol", [0.0, -1e-13, float("nan"), float("inf")])
+def test_truncation_needs_a_finite_positive_tolerance(tail_tol):
+    # a tolerance of 0 was "certified" once the geometric bound underflowed
+    for h in (0.1, 0.0):
+        with pytest.raises(DomainError):
+            elliptic.default_truncation(h, tail_tol)
+
+
 def test_profile_frozen_coefficients():
     prof = elliptic.equilibrium_profile(1, 0.1, tail_tol=1e-16)
     assert prof.coeffs[1] == pytest.approx(7.9754378998701885, rel=1e-12)

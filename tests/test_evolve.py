@@ -81,6 +81,16 @@ class TestComplexField:
         m = evolve.monochromatic_field(1.0, N=16)
         assert m.basis == evolve.PERIODIC_UNIT and m.theta == -math.pi / 2
 
+    def test_monochromatic_field_needs_three_modes(self):
+        # at N = 2 the FFT index 1 is the wavenumber -1, so a e^(2 pi i x)
+        # first fits at N = 3
+        a = 0.7 - 0.2j
+        x = np.arange(12) / 12
+        f = evolve.monochromatic_field(a, N=3)
+        assert np.max(np.abs(f.values(12) - a * np.exp(2j * math.pi * x))) < 1e-12
+        with pytest.raises(DomainError):
+            evolve.monochromatic_field(a, N=2)
+
     def test_embedding_drops_only_a_negligible_tail(self):
         # a cosine mode c weighs |c| / 2 in the L^2 norm: tails past N = 8 of
         # relative size 5e-14 are dropped, of 2e-13 refused
@@ -100,40 +110,85 @@ class TestComplexField:
 
 
 class TestStep:
-    # step takes a stack of rays (rows x modes) with one dr per row; one ray
-    # is a stack of one
+    # step takes a stack of rays (rows x modes) with one dr per row and
+    # returns the stepped stack; one ray is a stack of one
 
-    @staticmethod
-    def _stack(field):
-        return evolve._state(field.coeffs[None], field.basis, np.array([field.r]), field.theta)
+    def test_advances_clock(self, monkeypatch):
+        # step returns bare coefficients; the ray's own controller moves its r
+        # by the two half steps of each accepted attempt
+        u = evolve.constant_field(0.1, N=8).coeffs[None]
+        out = evolve.step(u, evolve.NEUMANN_HALF, 0.0, (0.01,), 2.0)
+        assert isinstance(out, np.ndarray) and out.shape == (1, 8)
 
-    def test_advances_clock(self):
-        st = self._stack(evolve.constant_field(0.1, N=8))
-        out = evolve.step(st, (0.01,), 2.0)
-        assert out.coeffs.shape == (1, 8)
-        assert out.r.tolist() == [0.01]
-        assert out.basis == st.basis and out.theta == st.theta
+        tried, step = [], evolve.step
+
+        def counted(u, basis, theta, dr, lam):
+            tried.append(dr[0])
+            return step(u, basis, theta, dr, lam)
+
+        moves = []
+        monkeypatch.setattr(evolve, "step", counted)
+        evolve._advance(evolve.constant_field(0.1, N=8), 0.05, 2.0,
+                        on_accept=lambda prev, new: moves.append((prev.r, new.r, tried[-3])))
+        assert moves and all(new == prev + dr / 2.0 + dr / 2.0 for prev, new, dr in moves)
 
     def test_non_positive_step_is_a_domain_error(self):
-        st = self._stack(evolve.constant_field(0.1, N=8))
+        u = evolve.constant_field(0.1, N=8).coeffs[None]
         with pytest.raises(DomainError):
-            evolve.step(st, (0.0,), 2.0)
+            evolve.step(u, evolve.NEUMANN_HALF, 0.0, (0.0,), 2.0)
 
     def test_fixed_step_order_about_four(self):
         def run(nsteps):
-            st = self._stack(evolve.cosine_field([0.2, 0.1, 0.05], N=32))
+            u = evolve.cosine_field([0.2, 0.1, 0.05], N=32).coeffs[None]
             dr = 0.1 / nsteps
             for _ in range(nsteps):
-                st = evolve.step(st, (dr,), 4.0)
-            return st
+                u = evolve.step(u, evolve.NEUMANN_HALF, 0.0, (dr,), 4.0)
+            return u[0]
 
         ref = run(512)
         errs = []
         for n in (8, 16, 32):
-            st = run(n)
-            errs.append(evolve.ComplexField(st.coeffs[0] - ref.coeffs[0], st.basis).h1_norm())
+            errs.append(evolve.ComplexField(run(n) - ref).h1_norm())
         slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(slopes >= 3.5)
+
+
+class TestTables:
+    # one cache of phi-function tables, keyed by the tuple of per-row step
+    # lengths; a stack's rows are the bytes of each dr's table alone
+
+    # drs on both sides of |z| = 1 at N = 64; the twenty smallest put more than
+    # 512 z under the contour means, a temporary numpy can reuse in place
+    DRS = tuple(1e-9 * 1.5 ** j for j in range(20)) + (1e-4, 3e-3, 0.05, 0.5)
+
+    @pytest.mark.parametrize("basis", [evolve.NEUMANN_HALF, evolve.PERIODIC_UNIT])
+    @pytest.mark.parametrize("theta", [0.0, 0.7, -math.pi / 2])
+    def test_stack_rows_are_each_drs_table(self, basis, theta):
+        stacked = evolve._etdrk4_tables(basis, 64, theta, self.DRS)
+        assert stacked[1].shape == (len(self.DRS), 64)
+        for i, dr in enumerate(self.DRS):
+            alone = evolve._etdrk4_tables(basis, 64, theta, (dr,))
+            assert alone[0] == stacked[0]
+            for one, rows in zip(alone[1:], stacked[1:]):
+                assert not rows.flags.writeable
+                assert one.shape == (1, 64)
+                assert rows[i].tobytes() == one[0].tobytes()
+
+    def test_each_step_looks_its_tables_up_once(self, monkeypatch):
+        calls, step = [0], evolve.step
+
+        def counted(*args):
+            calls[0] += 1
+            return step(*args)
+
+        monkeypatch.setattr(evolve, "step", counted)
+        before = evolve._etdrk4_tables.cache_info()
+        evolve._run([evolve.constant_field(1.0, N=8), evolve.cosine_field([0.5, 0.2], N=8)],
+                    [0.02, 0.05], 0.0)
+        evolve.detect_blowup(evolve.constant_field(1.5, N=8), 6.0, 0.2)
+        after = evolve._etdrk4_tables.cache_info()
+        assert calls[0] > 0
+        assert (after.hits - before.hits) + (after.misses - before.misses) == calls[0]
 
 
 class TestSquare:
@@ -414,9 +469,9 @@ class TestDetectBlowup:
             calls["norms"] += 1
             return norms(coeffs, basis)
 
-        def counted_diff(u1, u2):
+        def counted_diff(u1, u2, basis):
             calls["estimates"] += 1
-            return h1_diff(u1, u2)
+            return h1_diff(u1, u2, basis)
 
         monkeypatch.setattr(evolve, "_norms", counted_norms)
         monkeypatch.setattr(evolve, "_h1_diff", counted_diff)
@@ -436,11 +491,11 @@ class TestRejectedSteps:
         drs = []
         step = evolve.step
 
-        def counted(state, dr, lam):
+        def counted(u, basis, theta, dr, lam):
             (row_dr,) = dr          # the one ray is a stack of one, with one dr per row
             drs.append(row_dr)
-            fail(state)
-            return step(state, dr, lam)
+            fail(u)
+            return step(u, basis, theta, dr, lam)
 
         monkeypatch.setattr(evolve, "step", counted)
         rec = evolve.detect_blowup(evolve.constant_field(0.5, N=8), 0.0, 0.05)
@@ -451,8 +506,8 @@ class TestRejectedSteps:
         return drs
 
     def test_blowup_signal_quarters_the_step_until_collapse(self, monkeypatch):
-        def fail(state):
-            raise BlowupSignal("forced", state)
+        def fail(u):
+            raise BlowupSignal("forced")
 
         drs = self._count_steps(monkeypatch, fail)
         assert len(drs) == 17
@@ -461,8 +516,8 @@ class TestRejectedSteps:
         assert drs == [drs[0] / 4.0 ** k for k in range(17)]
 
     def test_non_finite_estimate_quarters_the_step_until_collapse(self, monkeypatch):
-        monkeypatch.setattr(evolve, "_h1_diff", lambda u1, u2: [math.nan])
-        drs = self._count_steps(monkeypatch, lambda state: None)
+        monkeypatch.setattr(evolve, "_h1_diff", lambda u1, u2, basis: [math.nan])
+        drs = self._count_steps(monkeypatch, lambda u: None)
         # one full step and two half steps per attempt
         assert len(drs) == 51
         assert drs[0] == 8.589934592e-3

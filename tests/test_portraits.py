@@ -1,5 +1,6 @@
 """Disk-compactified portraits: tracing, trees, chord diagrams, census."""
 
+import hashlib
 import itertools
 import math
 
@@ -134,6 +135,44 @@ class TestTrace:
         a = portraits.trace_and_extract(fld)
         b = portraits.trace_and_extract(fld, rtol=1e-12, atol=1e-14, eps=5e-7)
         assert a.chord_code == b.chord_code
+
+
+
+class TestTraceBytes:
+    # Every separatrix's samples, times, target and boundary return to the
+    # last bit; w^2 + 1 has two centers, so both of its separatrices come
+    # back to the boundary.
+
+    @staticmethod
+    def _digest(graph):
+        h = hashlib.sha256()
+        for s in graph.separatrices:
+            h.update(s.points.tobytes())
+            h.update(s.times.tobytes())
+            ret = None if s.boundary_return is None else tuple(map(float.hex, s.boundary_return))
+            h.update(repr((s.target, ret)).encode())
+        return h.hexdigest()
+
+    @pytest.mark.filterwarnings("ignore:root .* linearly degenerate")
+    @pytest.mark.parametrize("fld, want", [
+        (scalar_ode.PolyField.quadratic(),
+         "11717e6777e963335586c9b024105feb88b3a68560066b3cd26646c5d15bd14e"),
+        (scalar_ode.PolyField(np.array([1j, -1j])),
+         "41920c4a779825770b5c5de0630c03322b29b32b9ca99c4f6865acf09f19c6b1"),
+        (scalar_ode.PolyField.cyclotomic(3),
+         "c3a7e036aa8888773aec3c3ee67b4413e28dbaa6c99ad2e1d83d78d561485160"),
+        (scalar_ode.PolyField.cyclotomic(4),
+         "a0aeef5108ac425401112282ea0182e125f2b3c239e7eb32bd7d1adf159ca810"),
+        (scalar_ode.PolyField.cyclotomic(5),
+         "a4a8b412eb4710bd101cf6517459f398a692f5b82a0e82d62359f6bd20582966"),
+        (random_quartic(0),
+         "4f69956db062558b518d303be56aa720c5b8b52e0c14a06f8fae3ae4440f166e"),
+        (random_quartic(3),
+         "8e95d95f08d324a66d746f9caac64c9aba14e934c859b8921ac1f95c12ef71a0"),
+    ], ids=["quadratic", "two-centers", "cyclotomic-3", "cyclotomic-4",
+            "cyclotomic-5", "quartic-0", "quartic-3"])
+    def test_separatrices(self, fld, want):
+        assert self._digest(portraits.trace_and_extract(fld)) == want
 
 
 class TestChordDiagrams:

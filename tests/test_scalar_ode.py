@@ -1,5 +1,6 @@
 """Complex-time scalar ODE integration, period lattices, closure classification."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -109,6 +110,64 @@ def test_cubic_blowup_time_against_quadrature():
     traj = so.integrate(so.PolyField.cyclotomic(3), 1.3, [2.0])
     assert traj.diverged
     assert traj.blowup_sigma == pytest.approx(t_star, abs=1e-4)
+
+
+def _hex(z):
+    """Bit-exact text of a float, a complex or None."""
+    if z is None:
+        return "None"
+    z = complex(z)
+    return f"{z.real.hex()},{z.imag.hex()}"
+
+
+class TestIntegrateBytes:
+    # Every sample, event and end state of `integrate` to the last bit, over
+    # each of its paths: the w chart alone, swaps into the v chart and back,
+    # a start in the v chart, several segments, escape past ESCAPE_RADIUS and
+    # a min-step failure that only the far-field event witnesses.
+
+    @staticmethod
+    def _digest(traj):
+        h = hashlib.sha256()
+        for arr in (traj.t, traj.w, traj.sigma):
+            h.update(arr.tobytes())
+        h.update(repr((_hex(traj.final), traj.diverged, _hex(traj.blowup_sigma),
+                       _hex(traj.blowup_t), traj.chart_swaps)).encode())
+        for s, t in traj.sup_crossings:
+            h.update(f"{_hex(s)};{_hex(t)}".encode())
+        return h.hexdigest()
+
+    QUADRATIC = so.PolyField.quadratic()
+    CUBIC = so.PolyField.cyclotomic(3)
+    QUINTIC = so.PolyField.cyclotomic(5)
+
+    @pytest.mark.parametrize("fld, w0, path, per_unit, want", [
+        (QUADRATIC, 0.0, [5.0], 40,
+         "6139000dc7cdd25162008ba542df43c0f553af53b4796b03e18dd70d5cea1381"),
+        (QUADRATIC, 0.0, [1.0 + 0.5j], 0,
+         "9ceeecdd40c18c49e3efe4e6c62706456eecef906772902bf092418b0072e1bf"),
+        (QUADRATIC, 1.5, [2.0], 0,
+         "fc801b30feb15dfca285e1432ea0c4dbad80a0ef4ae8a156cc2b0c1ef1a198a4"),
+        (QUADRATIC, 0.0, [1j * math.pi], 40,
+         "68f2b0d66f59353a0c932083ae9eecbaddfae47fb899fb1b08d6a2a91f42839c"),
+        (QUADRATIC, 1j, [1j * math.pi], 0,
+         "3d13f1bdad0483130f257fbc52872d493dbc92caab1d0e882c75e174e42eb60a"),
+        (QUADRATIC, 5.0 + 1j, [1.0, 1.0 + 2j], 0,
+         "412f70378a3c0aca365d9db3388ae86d711468ccefec2117bc74424f88dd9d0d"),
+        (QUADRATIC, 0.0, [1j, 2j, 2j, 0.05 + 4.5j, 4.5j], 10,
+         "b21f923c2954312e9b11b4431a848d04e57c29ccb7b8bd538acd7e46cdb9ca3e"),
+        (CUBIC, 1e7, [1.0], 0,
+         "64e9ad865cc0a036f9b22d5d1fc63dbcec366befb810d8442c4d5b452b7e5169"),
+        (CUBIC, 1.3, [2.0], 0,
+         "cdec2c72e91aa009f6cea87af8d1df2f43a898e621d69085acecfabd3be95c42"),
+        (QUINTIC, QUINTIC.roots[0] + 0.25, [3.0], 50,
+         "c555907c19a8b6507da56f7a0d879e6ec0eeb3a24f6db3e274550e2d73c3cf12"),
+    ], ids=["real-sampled", "tilted", "real-pole", "imag-sampled", "imag",
+            "v-start", "segments", "cubic-escape", "cubic-min-step",
+            "quintic-far-field"])
+    def test_trajectory(self, fld, w0, path, per_unit, want):
+        traj = so.integrate(fld, w0, path, t_eval_per_unit=per_unit)
+        assert self._digest(traj) == want
 
 
 def test_period_lattice_quadratic_is_rank_one():

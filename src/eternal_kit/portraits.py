@@ -536,21 +536,19 @@ def trace_and_extract(
             return [v.real, v.imag]
         return rhs
 
-    def make_events():
-        events = []
-        for j in range(d):
-            def ev(_t, y, j=j):
-                return float(np.hypot(y[0] - targets[j].real, y[1] - targets[j].imag)) - _TRAP_RADIUS
-            ev.terminal = True
-            ev.direction = -1.0
-            events.append(ev)
+    events = []
+    for j in range(d):
+        def ev(_t, y, j=j):
+            return float(np.hypot(y[0] - targets[j].real, y[1] - targets[j].imag)) - _TRAP_RADIUS
+        ev.terminal = True
+        ev.direction = -1.0
+        events.append(ev)
 
-        def ev_boundary(_t, y):
-            return (1.0 - float(np.hypot(y[0], y[1]))) - eps / 2.0
-        ev_boundary.terminal = True
-        ev_boundary.direction = -1.0
-        events.append(ev_boundary)
-        return events
+    def ev_boundary(_t, y):
+        return (1.0 - float(np.hypot(y[0], y[1]))) - eps / 2.0
+    ev_boundary.terminal = True
+    ev_boundary.direction = -1.0
+    events.append(ev_boundary)
 
     separatrices: list[Separatrix] = []
     connections = []
@@ -564,7 +562,7 @@ def trace_and_extract(
             method="DOP853",
             rtol=rtol,
             atol=atol,
-            events=make_events(),
+            events=events,
         )
         pts = sol.y[0] + 1j * sol.y[1]
         target = None

@@ -34,6 +34,9 @@ from .errors import ConvergenceError, DomainError, PoleSignal
 ESCAPE_RADIUS = 1e12
 #: rising crossings of this |w| are recorded as sup_crossings
 SUP_THRESHOLD = 1e6
+#: a degree-2 run moves to the chart v = 1/w when |w| rises past _SWAP_OUT,
+#: and back when |w| falls below _SWAP_IN
+_SWAP_OUT, _SWAP_IN = 4.0, 2.0
 
 
 def quadratic_orbit(t):
@@ -137,34 +140,42 @@ def integrate(
 
     Each segment is parametrized by arclength sigma with dw/dsigma equal to
     the segment direction times f(w).  For degree-2 fields the integration
-    swaps to the v = 1/w chart when |w| grows past 4 and back below 2, so
-    orbits continue regularly through infinity; otherwise crossing
-    ESCAPE_RADIUS terminates the run as blow-up.  Crossings of SUP_THRESHOLD
-    (rising |w|) are recorded with their path position.  t_eval_per_unit > 0
-    adds that many uniform samples per unit arclength on top of the solver's
-    own steps.
+    swaps to the v = 1/w chart when |w| grows past _SWAP_OUT = 4 and back
+    when it falls below _SWAP_IN = 2, so orbits continue regularly through
+    infinity; otherwise crossing ESCAPE_RADIUS terminates the run as
+    blow-up.  Crossings of SUP_THRESHOLD (rising |w|) are recorded with
+    their path position.  t_eval_per_unit > 0 adds that many uniform samples
+    per unit arclength on top of the solver's own steps.  A non-finite w0 or
+    path point, or a negative t_eval_per_unit, raises DomainError.
     """
     from scipy.integrate import solve_ivp
 
-    sphere_chart = fld.degree == 2
     waypoints = [complex(p) for p in np.atleast_1d(np.asarray(path, dtype=complex))]
-    coeffs = fld.coeffs  # [1, c1, c0] for degree 2
-    swap_out, swap_in = 4.0, 2.0
+    if not (np.isfinite(w0) and np.all(np.isfinite(waypoints))):
+        raise DomainError("w0 and every path point must be finite")
+    if t_eval_per_unit < 0:
+        raise DomainError(f"samples per unit arclength must be >= 0, got {t_eval_per_unit}")
+    sphere_chart = fld.degree == 2
+    sup = _radius_event(SUP_THRESHOLD, terminal=False)
+    if sphere_chart:
+        _, c1, c0 = fld.coeffs
+        w_events = [sup, _radius_event(_SWAP_OUT, terminal=True)]
+        back = _radius_event(1.0 / _SWAP_IN, terminal=True)  # |v| rising past 1/2
+    else:
+        # A steep pole stalls the solver while |w| is still far below
+        # ESCAPE_RADIUS, so record entry into the far field (vector field
+        # dominated by the leading power) as a blow-up witness for min-step
+        # failures.
+        far_field = 10.0 * (1.0 + float(np.max(np.abs(fld.roots))))
+        w_events = [sup, _radius_event(ESCAPE_RADIUS, terminal=True),
+                    _radius_event(far_field, terminal=False)]
 
-    ts: list[np.ndarray] = []
-    ws: list[np.ndarray] = []
-    sigmas: list[np.ndarray] = []
+    ts, ws, sigmas = [np.empty(0, dtype=complex)], [np.empty(0, dtype=complex)], [np.empty(0)]
     crossings: list[tuple[float, complex]] = []
     swaps = 0
-
-    far_field = 10.0 * (1.0 + float(np.max(np.abs(fld.roots))))
-    chart = "w"
-    y = np.array([w0.real, w0.imag]) if abs(w0) <= swap_out or not sphere_chart else None
-    if y is None:
-        chart = "v"
-        v0 = 1.0 / w0
-        y = np.array([v0.real, v0.imag])
-
+    in_v = sphere_chart and abs(w0) > _SWAP_OUT
+    z = 1.0 / w0 if in_v else w0
+    y = np.array([z.real, z.imag])
     t_here = 0.0 + 0.0j
     sigma0 = 0.0
     diverged = False
@@ -176,137 +187,77 @@ def integrate(
         if seg_len == 0.0:
             continue
         direction = seg / seg_len
+
+        def w_rhs(_s, yy):
+            w = complex(yy[0], yy[1])
+            dw = direction * np.prod(w - fld.roots)
+            return [dw.real, dw.imag]
+        w_chart = (w_rhs, w_events)
+
+        if sphere_chart:
+            def v_rhs(_s, yy):
+                v = complex(yy[0], yy[1])
+                dv = -direction * (1.0 + c1 * v + c0 * v * v)
+                return [dv.real, dv.imag]
+
+            # |v| can dip under any fixed threshold within one solver step,
+            # so detect closest approach to v = 0 (radial speed changing
+            # sign) and filter by |v| afterwards.
+            def v_sup(s, yy):
+                d = v_rhs(s, yy)
+                return yy[0] * d[0] + yy[1] * d[1]
+            v_sup.direction = 1.0   # minimum of |v| = maximum of |w|
+            v_sup.terminal = False
+            v_chart = (v_rhs, [v_sup, back])
+
         s_local = 0.0
-
         while s_local < seg_len and not diverged:
-            if chart == "w":
-                def rhs(_s, yy):
-                    w = complex(yy[0], yy[1])
-                    dw = direction * np.prod(w - fld.roots)
-                    return [dw.real, dw.imag]
-
-                events = []
-
-                def ev_sup(_s, yy):
-                    return yy[0] ** 2 + yy[1] ** 2 - SUP_THRESHOLD ** 2
-                ev_sup.direction = 1.0
-                ev_sup.terminal = False
-                events.append(ev_sup)
-
-                if sphere_chart:
-                    def ev_swap(_s, yy):
-                        return yy[0] ** 2 + yy[1] ** 2 - swap_out ** 2
-                    ev_swap.direction = 1.0
-                    ev_swap.terminal = True
-                    events.append(ev_swap)
-                else:
-                    def ev_escape(_s, yy):
-                        return yy[0] ** 2 + yy[1] ** 2 - ESCAPE_RADIUS ** 2
-                    ev_escape.direction = 1.0
-                    ev_escape.terminal = True
-                    events.append(ev_escape)
-
-                    # A steep pole stalls the solver while |w| is still far
-                    # below ESCAPE_RADIUS, so record entry into the far field
-                    # (vector field dominated by the leading power) as a
-                    # blow-up witness for min-step failures.
-                    def ev_far(_s, yy):
-                        return yy[0] ** 2 + yy[1] ** 2 - far_field ** 2
-                    ev_far.direction = 1.0
-                    ev_far.terminal = False
-                    events.append(ev_far)
-            else:
-                c1, c0 = coeffs[1], coeffs[2]
-
-                def rhs(_s, yy):
-                    v = complex(yy[0], yy[1])
-                    dv = -direction * (1.0 + c1 * v + c0 * v * v)
-                    return [dv.real, dv.imag]
-
-                # |v| can dip under any fixed threshold within one solver
-                # step, so detect closest approach to v = 0 (radial speed
-                # changing sign) and filter by |v| afterwards.
-                def ev_sup(s, yy):
-                    d = rhs(s, yy)
-                    return yy[0] * d[0] + yy[1] * d[1]
-                ev_sup.direction = 1.0   # minimum of |v| = maximum of |w|
-                ev_sup.terminal = False
-
-                def ev_back(_s, yy):
-                    return yy[0] ** 2 + yy[1] ** 2 - swap_in ** -2
-                ev_back.direction = 1.0   # |v| rising past 1/2 = |w| below 2
-                ev_back.terminal = True
-                events = [ev_sup, ev_back]
-
+            rhs, events = v_chart if in_v else w_chart
             t_eval = None
             if t_eval_per_unit > 0:
                 n_ev = max(2, int((seg_len - s_local) * t_eval_per_unit))
                 t_eval = np.linspace(s_local, seg_len, n_ev)
 
-            sol = solve_ivp(
-                rhs,
-                (s_local, seg_len),
-                y,
-                method="DOP853",
-                rtol=1e-11,
-                atol=1e-13,
-                events=events,
-                dense_output=False,
-                t_eval=t_eval,
-            )
-            if sol.status == -1:
-                # min-step failure: legitimate only as a pole approach.  With
-                # t_eval the reported tail can sit well before the failure
-                # point, so trust the far-field crossing event as witness.
-                far_hits = (sol.t_events[2] if len(sol.t_events) > 2
-                            else np.empty(0))
-                tail_big = (sol.y.size > 0
-                            and sol.y[0, -1] ** 2 + sol.y[1, -1] ** 2
-                            >= SUP_THRESHOLD ** 2)
-                if chart == "w" and (far_hits.size > 0 or tail_big):
-                    diverged = True
-                else:
-                    raise ConvergenceError(f"integrator failed: {sol.message}")
-
+            sol = solve_ivp(rhs, (s_local, seg_len), y, method="DOP853",
+                            rtol=1e-11, atol=1e-13, events=events, t_eval=t_eval)
             vals = sol.y[0] + 1j * sol.y[1]
-            w_vals = vals if chart == "w" else _invert_chart(vals)
             ts.append(t_here + direction * sol.t)
-            ws.append(w_vals)
+            ws.append(_invert_chart(vals) if in_v else vals)
             sigmas.append(sigma0 + sol.t)
-
             for s_ev, y_ev in zip(sol.t_events[0], sol.y_events[0]):
-                if chart == "v" and np.hypot(*y_ev) * SUP_THRESHOLD > 1.0:
+                if in_v and np.hypot(*y_ev) * SUP_THRESHOLD > 1.0:
                     continue   # closest approach to infinity was not close
                 crossings.append((sigma0 + float(s_ev), t_here + direction * s_ev))
 
-            if sol.status == 1:  # terminal event: swap or escape
-                s_local = float(sol.t_events[1][0])
-                y = sol.y_events[1][0].copy()
-                if chart == "w" and sphere_chart:
-                    w_here = complex(y[0], y[1])
-                    v_here = 1.0 / w_here
-                    y = np.array([v_here.real, v_here.imag])
-                    chart = "v"
-                    swaps += 1
-                elif chart == "v":
-                    v_here = complex(y[0], y[1])
-                    w_here = 1.0 / v_here
-                    y = np.array([w_here.real, w_here.imag])
-                    chart = "w"
-                    swaps += 1
-                else:
-                    diverged = True
-                    blow_sigma = sigma0 + s_local
-                    blow_t = t_here + direction * s_local
-            elif diverged:
-                s_end = float(sol.t[-1]) if sol.t.size else s_local
-                if len(sol.t_events) > 2 and sol.t_events[2].size:
-                    s_end = max(s_end, float(sol.t_events[2][-1]))
-                blow_sigma = sigma0 + s_end
-                blow_t = t_here + direction * s_end
-            else:
+            if sol.status == 0:
                 s_local = seg_len
                 y = sol.y[:, -1].copy()
+                continue
+            if sol.status == 1:  # terminal event: chart swap or escape
+                s_end = float(sol.t_events[1][0])
+                if sphere_chart:
+                    s_local = s_end
+                    z = 1.0 / complex(*sol.y_events[1][0])
+                    y = np.array([z.real, z.imag])
+                    in_v = not in_v
+                    swaps += 1
+                    continue
+            else:
+                # min-step failure: legitimate only as a pole approach.  With
+                # t_eval the reported tail can sit well before the failure
+                # point, so trust the far-field crossing event as witness.
+                far_hits = () if sphere_chart else sol.t_events[2]
+                tail_big = (sol.y.size > 0
+                            and sol.y[0, -1] ** 2 + sol.y[1, -1] ** 2
+                            >= SUP_THRESHOLD ** 2)
+                if in_v or not (len(far_hits) or tail_big):
+                    raise ConvergenceError(f"integrator failed: {sol.message}")
+                s_end = float(sol.t[-1]) if sol.t.size else s_local
+                if len(far_hits):
+                    s_end = max(s_end, float(far_hits[-1]))
+            diverged = True
+            blow_sigma = sigma0 + s_end
+            blow_t = t_here + direction * s_end
 
         t_here = target
         sigma0 += seg_len
@@ -315,16 +266,15 @@ def integrate(
 
     final = None
     if not diverged:
-        if chart == "v":
-            v_fin = complex(y[0], y[1])
-            final = 1.0 / v_fin if v_fin != 0.0 else complex(math.inf, 0.0)
-        else:
-            final = complex(y[0], y[1])
+        z = complex(y[0], y[1])
+        if in_v:
+            z = 1.0 / z if z != 0.0 else complex(math.inf, 0.0)
+        final = z
 
     return OdeTrajectory(
-        t=np.concatenate(ts) if ts else np.array([], dtype=complex),
-        w=np.concatenate(ws) if ws else np.array([], dtype=complex),
-        sigma=np.concatenate(sigmas) if sigmas else np.array([]),
+        t=np.concatenate(ts),
+        w=np.concatenate(ws),
+        sigma=np.concatenate(sigmas),
         final=final,
         diverged=diverged,
         blowup_sigma=blow_sigma,
@@ -332,6 +282,15 @@ def integrate(
         sup_crossings=crossings,
         chart_swaps=swaps,
     )
+
+
+def _radius_event(radius: float, *, terminal: bool):
+    """solve_ivp event for |y| rising past radius, as y0^2 + y1^2 - radius^2."""
+    def ev(_s, yy):
+        return yy[0] ** 2 + yy[1] ** 2 - radius ** 2
+    ev.direction = 1.0
+    ev.terminal = terminal
+    return ev
 
 
 def _invert_chart(v: np.ndarray) -> np.ndarray:
@@ -465,7 +424,6 @@ def _ratio_class(r: float) -> str:
     ratio reaches 7e-13 within q < 10^6), but never under eps * q^2.
     """
     ref = max(1.0, abs(r))
-    best_small = math.inf
     x = r
     p_prev, q_prev, p, q = 1, 0, int(math.floor(r)), 1
     err = abs(r - p)

@@ -272,6 +272,12 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("domain error: ") and "N >= 3" in err
 
+    def test_negative_samples_per_unit_is_domain_error(self):
+        rc, out, err = run_cli(["ode", "--samples-per-unit=-1"])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("domain error: ") and "samples per unit" in err
+
     @pytest.mark.parametrize("argv", [
         ["branch", "--n", "1", "--h", "0.1", "--tail-tol", "0"],
         ["branch", "--n", "1", "--h", "0.1", "--tail-tol=-1"],

@@ -112,6 +112,22 @@ def test_cubic_blowup_time_against_quadrature():
     assert traj.blowup_sigma == pytest.approx(t_star, abs=1e-4)
 
 
+
+@pytest.mark.parametrize("w0, path, per_unit", [
+    (math.nan, [1.0], 0),
+    (complex(0.0, math.inf), [1.0], 0),
+    (0.0, [1.0, complex(math.nan, 0.0)], 0),
+    (0.0, [complex(math.inf, 0.0)], 0),
+    (0.0, [1.0], -1),
+], ids=["nan-start", "infinite-start", "nan-waypoint", "infinite-waypoint",
+        "negative-samples"])
+def test_integrate_refuses_non_finite_input(w0, path, per_unit):
+    # a NaN start ended in scipy's ValueError, a NaN waypoint in an empty
+    # trajectory with final = w0, an infinite one in ConvergenceError, and a
+    # negative sample count was ignored
+    with pytest.raises(DomainError):
+        so.integrate(so.PolyField.quadratic(), w0, path, t_eval_per_unit=per_unit)
+
 def _hex(z):
     """Bit-exact text of a float, a complex or None."""
     if z is None:

@@ -160,7 +160,7 @@ def integrate(
     if sphere_chart:
         _, c1, c0 = fld.coeffs
         w_events = [sup, _radius_event(_SWAP_OUT, terminal=True)]
-        back = _radius_event(1.0 / _SWAP_IN, terminal=True)  # |v| rising past 1/2
+        back = _radius_event(1.0 / _SWAP_IN, terminal=True)  # |w| falling below _SWAP_IN
     else:
         # A steep pole stalls the solver while |w| is still far below
         # ESCAPE_RADIUS, so record entry into the far field (vector field

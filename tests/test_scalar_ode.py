@@ -122,9 +122,6 @@ def test_cubic_blowup_time_against_quadrature():
 ], ids=["nan-start", "infinite-start", "nan-waypoint", "infinite-waypoint",
         "negative-samples"])
 def test_integrate_refuses_non_finite_input(w0, path, per_unit):
-    # a NaN start ended in scipy's ValueError, a NaN waypoint in an empty
-    # trajectory with final = w0, an infinite one in ConvergenceError, and a
-    # negative sample count was ignored
     with pytest.raises(DomainError):
         so.integrate(so.PolyField.quadratic(), w0, path, t_eval_per_unit=per_unit)
 

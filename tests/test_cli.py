@@ -61,6 +61,36 @@ def test_golden_output(name):
     assert out == (GOLDEN_DIR / name).read_text()
 
 
+def test_evolve_mono_golden_run_matches_the_exact_mode_system():
+    # products of e^(2 pi i k x) with k >= 0 only feed higher k, so the 16-mode
+    # circle carries wavenumbers 0..7 of this run with no truncation: the same
+    # run is a small ODE for those 8 modes, solved here far past err_target
+    from scipy.integrate import solve_ivp
+    rc, out, _ = run_cli(GOLDEN_CASES["evolve_mono.csv"])
+    assert rc == 0
+    _, rows = parse_csv(out)
+    r, h1, sup = (np.array([float(row[col]) for row in rows]) for col in ("r", "h1", "sup"))
+    w0 = np.array([complex(float(row["re_w0"]), float(row["im_w0"])) for row in rows])
+    om2 = (2.0 * math.pi * np.arange(8)) ** 2
+
+    def rhs(_r, y):
+        c = y[:8] + 1j * y[8:]
+        dc = -om2 * c + 6.0 * np.convolve(c, c)[:8]
+        return np.concatenate((dc.real, dc.imag))
+
+    y0 = np.zeros(16)
+    y0[1] = 3.0
+    sol = solve_ivp(rhs, (0.0, 0.1), y0, method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True)
+    y = sol.sol(r)
+    c = y[:8] + 1j * y[8:]
+    assert len(rows) == 534 and r[-1] == 0.1
+    assert np.max(np.abs(w0 - c.sum(0)) / np.abs(c.sum(0))) < 1e-10
+    assert np.max(np.abs(h1 - np.sqrt(np.sum((1.0 + om2[:, None]) * np.abs(c) ** 2, 0))) / h1) < 1e-11
+    # every coefficient stays real and positive: w peaks at x = 0
+    assert np.max(np.abs(w0.imag)) < 1e-15 * np.max(sup)
+    assert np.max(np.abs(sup - np.abs(w0)) / sup) < 1e-14
+
+
 def test_import_leaves_the_ode_solver_unloaded():
     # scipy.integrate costs most of the import time; only the ODE commands need it
     src = Path(cli.__file__).resolve().parents[1]

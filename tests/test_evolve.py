@@ -342,6 +342,22 @@ class TestNonConstantBytes:
         h.update(run.final_state.coeffs.tobytes())
         return h.hexdigest()
 
+    @pytest.mark.parametrize("theta", [-math.pi / 2, 0.7])
+    def test_runs_match_a_finer_reference(self, theta):
+        # the digested runs against twice the modes and a tenth of the error
+        # target (a hundredth ends the vertical ray by STEP_COLLAPSE)
+        def run(N, tighter):
+            state = evolve.cosine_field(self.DATA, N=N, theta=theta)
+            if theta == 0.7:
+                return evolve.detect_blowup(state, 3.0, 0.05, err_target=1e-9 / tighter)
+            return evolve.schrodinger_evolve(state, [0.05], 3.0, err_target=1e-10 / tighter)
+
+        got, ref = run(64, 1).final_state, run(128, 10).final_state
+        assert got.r == ref.r == 0.05
+        assert np.max(np.abs(ref.coeffs[64:])) < 1e-18
+        diff = evolve.ComplexField(got.coeffs - ref.coeffs[:64]).h1_norm()
+        assert diff < 1e-9 * ref.h1_norm()
+
     def test_vertical_ray(self):
         run = evolve.schrodinger_evolve(evolve.cosine_field(self.DATA, N=64), [0.05], 3.0)
         assert run.reason == evolve.REASON_HORIZON and len(run.history["r"]) == 374
@@ -722,6 +738,30 @@ class TestBoundaryBytes:
     def test_constant_start(self, w0, N, s_values, lam, kw, want):
         scan = evolve.analyticity_boundary(evolve.constant_field(w0, N=N), s_values, lam, **kw)
         assert self._digest(scan) == want
+
+    def test_pole_row_samples_sit_just_below_the_pole(self):
+        # constant data 1.5 at lambda = 6 poles at ln 5 / 12 on the real axis and
+        # again on the row s = pi / 6; both legs end by STEP_COLLAPSE just short
+        exact = math.log(5.0) / 12.0
+        scan = evolve.analyticity_boundary(evolve.constant_field(1.5, N=16), [0.0, math.pi / 6.0], 6.0,
+                                           r_cap=1.0)
+        for b in scan.samples:
+            assert b.defined and not b.censored
+            assert 0.0 < exact - b.r_star < 5e-5
+        assert scan.corner == min((b.r_star, b.s) for b in scan.samples)
+
+    def test_cosine_start_agrees_across_resolutions(self):
+        # the s = 0 leg ends by STEP_COLLAPSE, whose place moves with roundoff
+        # at the 1e-5 level; the tilted legs reach r_cap at any N
+        def scan(N):
+            return evolve.analyticity_boundary(evolve.cosine_field([1.0, 0.4, 0.1j], N=N),
+                                               [-0.02, 0.0, 0.02, 0.05], 3.0, r_cap=1.0)
+
+        coarse, fine = scan(16), scan(32)
+        for a, b in zip(coarse.samples, fine.samples):
+            assert (a.censored, a.reason) == (b.censored, b.reason)
+            assert abs(a.r_star - b.r_star) < 5e-5
+        assert coarse.corner == (coarse.samples[1].r_star, 0.0)
 
     def test_cosine_start(self):
         # s = 0 diverges, the tilted legs reach r_cap

@@ -13,26 +13,26 @@ Schrodinger evolution i psi_s = psi_xx + 6 psi^2 - lambda forward in s
 
 with complex coefficients in both (no reality constraint anywhere: complex
 data is the whole point).  Both bases go to a uniform grid and back by
-slices and direct calls of pocketfft's c2c, the kernel under numpy.fft and
-scipy.fft, which give the same bytes without their per-call dispatch, in
-place on buffers their callers no longer need.  Transforms run along the
-last axis, so a stack of rays (rows x modes) goes in one call and each row
-gets the bytes of its own transform.  Quadratic products are computed on a
-4N grid, which represents the product exactly, so there is no aliasing.
+slices and unnormalized calls of pocketfft's c2c (numpy.fft's kernel without
+its dispatch), in place, along the last axis: a stack of rays (rows x modes)
+goes in one call and each row gets the bytes of its own transform.  The
+quadratic product is formed exactly on the smallest grid that holds its N
+kept modes, 3N points for cosines and 2N on the circle, and one cached
+per-mode scale applies every normalization, the 6 and e^(i theta) at once.
 
 The stepper is the standard fourth-order exponential time differencing
 Runge-Kutta scheme; its phi-function coefficients are evaluated by contour
 averaging over 32 roots of unity for |z| < 1 (entire functions: the mean
 over a circle equals the center value) and by the closed forms otherwise.
 The averages stay complex because the linear symbol e^(i theta)(-(2 pi k)^2)
-is complex off the parabolic ray.  The tables are cached per (basis, N,
-theta, drs), one row per dr, and scaled by it; the f2 table holds 2 f2, the
-factor the scheme uses.  Step size is adapted by step doubling:
-one full step against two half steps, local error estimated as their
-H^1 distance over 2^4 - 1.  That step control is written once, for one
-ray (_control); the scheduler _advance only batches steps: rays that share
-basis, N, theta and lambda go through each step as one stack, a single ray
-as a stack of one, and no ray waits for another at its stops.
+is complex off the parabolic ray.  Each dr's tables are built once, scaled
+by dr, and stacked per tuple of drs; the f2 table holds 2 f2, the factor
+the scheme uses.  Step size is adapted by step doubling: one full step
+against two half steps, local error estimated as their H^1 distance over
+2^4 - 1.  That step control is written once, for one ray (_control); the
+scheduler _advance only batches steps: rays that share basis, N, theta and
+lambda go through each step as one stack, a single ray as a stack of one,
+and no ray waits for another at its stops.
 
 Blow-up is reported, never guessed: a run ends with NORM_THRESHOLD when the
 H^1 norm passes the threshold (NORM_THRESHOLD = 1e8 unless the caller sets
@@ -98,36 +98,20 @@ def _omega2(basis: str, N: int) -> np.ndarray:
 
 
 def _to_grid(coeffs: np.ndarray, basis: str, M: int) -> np.ndarray:
-    """Point values at x_j = j / M of the series whose coefficients run along the last axis.
-
-    Cosine coefficient k >= 1 is the pair e^(+-2 pi i k x), half of it at grid
-    mode k and half at M - k; the circle's negative modes sit at the top end.
-    M must hold every mode: M >= 2N for cosines, M >= N + 2 on the circle.
-    """
+    """Values at x_j = j / M of the series along the last axis, by one unnormalized
+    inverse transform: cosine k >= 1, the pair e^(+-2 pi i k x), goes whole to grid
+    modes k and M - k and 2 c_0 to mode 0, so the grid holds 2w; the circle's
+    negative modes sit at the top end.  M >= 2N for cosines, M >= N + 2 on the circle."""
     N = coeffs.shape[-1]
     full = np.zeros(coeffs.shape[:-1] + (M,), dtype=complex)
     if basis == NEUMANN_HALF:
-        full[..., 0] = coeffs[..., 0]
-        full[..., 1:N] = full[..., : M - N : -1] = coeffs[..., 1:] * 0.5
+        full[..., 0] = coeffs[..., 0] * 2.0
+        full[..., 1:N] = full[..., : M - N : -1] = coeffs[..., 1:]
     else:
         pos = (N + 1) // 2
         full[..., :pos] = coeffs[..., :pos]
         full[..., M - N + pos :] = coeffs[..., pos:]
-    _c2c(full, _LAST, False, 2, full)           # inverse, divided by M, in place
-    return np.multiply(full, M, full)
-
-
-def _from_grid(values: np.ndarray, basis: str, N: int) -> np.ndarray:
-    """The N coefficients of the complex grid function along the last axis,
-    which the transform overwrites (assumed even for cosines)."""
-    M = values.shape[-1]
-    spec = _c2c(values, _LAST, True, 0, values)
-    if basis == NEUMANN_HALF:
-        out = spec[..., :N] / M
-        out[..., 1:] *= 2.0
-        return out
-    pos = (N + 1) // 2
-    return np.concatenate((spec[..., :pos], spec[..., M - N + pos :]), axis=-1) / M
+    return _c2c(full, _LAST, False, 0, full)       # in place
 
 
 @dataclass
@@ -165,7 +149,7 @@ class ComplexField:
         top = self.N - 1 if self.basis == NEUMANN_HALF else self.N // 2     # largest |wavenumber|
         if M < 2 * top + 2:
             raise DomainError(f"grid of {M} points too coarse for {self.N} modes of {self.basis}")
-        return _to_grid(self.coeffs, self.basis, M)
+        return _to_grid(self.coeffs, self.basis, M) * (0.5 if self.basis == NEUMANN_HALF else 1.0)
 
     def at_zero(self) -> complex:
         return complex(np.add.reduce(self.coeffs))
@@ -258,12 +242,11 @@ def monochromatic_field(amplitude: complex, N: int = 256) -> ComplexField:
 _CONTOUR = np.exp(2j * math.pi * (np.arange(32) + 0.5) / 32.0)
 
 
-@lru_cache(maxsize=64)
-def _etdrk4_tables(basis: str, N: int, theta: float, drs: tuple):
-    """(e^(i theta), E, E2, dr Q, dr f1, 2 dr f2, dr f3) for a stack of rays
-    whose row i steps by drs[i]; the arrays are read-only and shaped (rows, N)."""
+@lru_cache(maxsize=256)
+def _etdrk4_row(basis: str, N: int, theta: float, dr: float):
+    """(E, E2, dr Q, dr f1, 2 dr f2, dr f3) of one step length, each shaped (1, N)."""
     rot = np.exp(1j * theta)
-    dr = np.array(drs)[:, None]
+    dr = np.array([[dr]])
     z = dr * (rot * (-_omega2(basis, N)))
     E = np.exp(z)
     E2 = np.exp(z / 2.0)
@@ -283,28 +266,54 @@ def _etdrk4_tables(basis: str, N: int, theta: float, drs: tuple):
     Q, F1, F2, F3 = np.empty((4,) + z.shape, dtype=complex)
     Q[small], F1[small], F2[small], F3[small] = (t.mean(1) for t in tables(z[small][:, None] + _CONTOUR))
     Q[~small], F1[~small], F2[~small], F3[~small] = tables(z[~small])
+    return E, E2, dr * Q, dr * F1, 2.0 * (dr * F2), dr * F3
 
-    out = (E, E2, dr * Q, dr * F1, 2.0 * (dr * F2), dr * F3)
+
+@lru_cache(maxsize=64)
+def _etdrk4_tables(basis: str, N: int, theta: float, drs: tuple):
+    """(e^(i theta), E, E2, dr Q, dr f1, 2 dr f2, dr f3) for a stack of rays whose row i
+    steps by drs[i]: read-only (rows, N) stacks of each dr's row, built once."""
+    out = tuple(map(np.concatenate, zip(*(_etdrk4_row(basis, N, theta, dr) for dr in drs))))
     for arr in out:
         arr.setflags(write=False)
-    return (rot,) + out
+    return (np.exp(1j * theta),) + out
 
 
-def _square(coeffs: np.ndarray, basis: str) -> np.ndarray:
-    """Coefficients of w^2 for each row, exactly (4N grid holds every product mode)."""
+@lru_cache(maxsize=32)
+def _fold(basis: str, N: int, factor: complex) -> np.ndarray:
+    """Read-only per-mode scale of _square: factor / M on the circle; for cosines,
+    whose grid squares to 4 w^2, factor / 4M at mode 0 and factor / 2M past it."""
+    cosine = basis == NEUMANN_HALF
+    scale = np.full(N, factor / (3 * N if cosine else 2 * N), dtype=complex)
+    scale *= np.where(np.arange(N) == 0, 0.25, 0.5) if cosine else 1.0
+    scale.setflags(write=False)
+    return scale
+
+
+def _square(coeffs: np.ndarray, basis: str, scale: np.ndarray | None = None) -> np.ndarray:
+    """scale (by default _fold(basis, N, 1)) times the coefficients of w^2 for each row.
+
+    Exact on the smallest grid: cosine product modes reach 2N - 2 and so, on M = 3N
+    points, alias only onto grid modes from M - 2N + 2 = N + 2 up, past the N kept
+    (M >= 3N - 2 is enough); on the circle all 2N - 1 product wavenumbers fit on
+    M = 2N.  Both transforms are unnormalized: scale applies every factor at once."""
     N = coeffs.shape[-1]
-    u = _to_grid(coeffs, basis, 4 * N)
-    return _from_grid(np.multiply(u, u, u), basis, N)
+    u = _to_grid(coeffs, basis, 3 * N if basis == NEUMANN_HALF else 2 * N)
+    spec = _c2c(np.multiply(u, u, u), _LAST, True, 0, u)
+    scale = _fold(basis, N, 1.0) if scale is None else scale
+    if basis == NEUMANN_HALF:
+        return spec[..., :N] * scale
+    pos = (N + 1) // 2
+    return np.multiply(np.concatenate((spec[..., :pos], spec[..., pos - N :]), axis=-1), scale)
 
 
-def _nonlinear(coeffs: np.ndarray, basis: str, rot: complex, lam: float) -> np.ndarray:
-    """rot (6 w^2 - lam) for each row, with rot = e^(i theta) and lam taken
-    from mode 0 only; the caller holds the errstate."""
-    out = _square(coeffs, basis)
-    np.multiply(6.0, out, out)
+def _nonlinear(coeffs: np.ndarray, basis: str, fold: np.ndarray, rot_lam: complex) -> np.ndarray:
+    """e^(i theta) (6 w^2 - lam) for each row from fold = _fold(basis, N, 6 e^(i theta))
+    and rot_lam = e^(i theta) lam, taken from mode 0 only; the caller holds the errstate."""
+    out = _square(coeffs, basis, fold)
     for i in range(len(out)):   # scalar updates: numpy's strided column update costs more on few rows
-        out[i, 0] -= lam
-    return np.multiply(rot, out, out)
+        out[i, 0] -= rot_lam
+    return out
 
 
 def step(u: np.ndarray, basis: str, theta: float, dr: tuple, lam: float) -> np.ndarray:
@@ -317,22 +326,23 @@ def step(u: np.ndarray, basis: str, theta: float, dr: tuple, lam: float) -> np.n
     if min(dr) <= 0.0:
         raise DomainError("step length must be positive")
     rot, E, E2, Q, f1, f2x2, f3 = _etdrk4_tables(basis, u.shape[1], theta, dr)
+    fold, rot_lam = _fold(basis, u.shape[1], 6.0 * rot), rot * lam
     # in place where a temporary allows it, with every product's operands in
     # the order of the textbook formulas: complex multiplication is not
     # bitwise commutative
-    Nu = _nonlinear(u, basis, rot, lam)
+    Nu = _nonlinear(u, basis, fold, rot_lam)
     E2u = E2 * u
     a = Q * Nu
     a += E2u
-    Na = _nonlinear(a, basis, rot, lam)
+    Na = _nonlinear(a, basis, fold, rot_lam)
     b = Q * Na
     b += E2u
-    Nb = _nonlinear(b, basis, rot, lam)
+    Nb = _nonlinear(b, basis, fold, rot_lam)
     c = np.multiply(2.0, Nb, b)
     c -= Nu
     np.multiply(Q, c, c)
     c += np.multiply(E2, a, a)                      # E2 a + Q (2 Nb - Nu)
-    Nc = _nonlinear(c, basis, rot, lam)
+    Nc = _nonlinear(c, basis, fold, rot_lam)
     unew = E * u
     unew += np.multiply(f1, Nu, Nu)
     Na += Nb
@@ -371,7 +381,7 @@ class _History:
         if self.queued:
             basis, N = self.queued[0].basis, self.queued[0].N
             grid = _to_grid(np.array([s.coeffs for s in self.queued]), basis, 4 * N)
-            self.sup += np.max(np.abs(grid), 1).tolist()
+            self.sup += (np.max(np.abs(grid), 1) * (0.5 if basis == NEUMANN_HALF else 1.0)).tolist()
             self.queued.clear()
 
     def arrays(self) -> dict:

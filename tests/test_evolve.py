@@ -218,26 +218,79 @@ class TestSquare:
         assert np.max(np.abs(got - want)) < 1e-14 * np.sum(np.abs(c)) ** 2
 
 
+    @pytest.mark.parametrize("basis", [evolve.NEUMANN_HALF, evolve.PERIODIC_UNIT])
+    @pytest.mark.parametrize("N", [2, 5, 16, 37, 128])
+    def test_stack_rows_are_each_rows_square(self, basis, N):
+        rng = np.random.default_rng(N + 2)
+        c = rng.normal(size=(3, N)) + 1j * rng.normal(size=(3, N))
+        stacked = evolve._square(c, basis)
+        assert stacked.shape == (3, N)
+        for row, sq in zip(c, stacked):
+            assert sq.tobytes() == evolve._square(row, basis).tobytes()
+
+
+class TestSquareCalls:
+    # one _square per ETDRK4 stage: 4 per step and 12 per step-doubling attempt
+    # (a full step and two half steps); the benchmark's tracer relies on both
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls, fn = [0], getattr(evolve, name)
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(evolve, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("basis", [evolve.NEUMANN_HALF, evolve.PERIODIC_UNIT])
+    def test_four_per_step(self, monkeypatch, basis):
+        squares = self._count(monkeypatch, "_square")
+        u = np.array([[0.5, 0.2, 0.1j, 0.0], [1.0, 0.0, 0.3, 0.1]], dtype=complex)
+        evolve.step(u, basis, 0.3, (1e-3, 2e-3), 2.0)
+        assert squares == [4]
+
+    @pytest.mark.parametrize("ray", [evolve.cosine_field([1.0, 0.4, 0.1j], N=16),
+                                     evolve.monochromatic_field(0.5, N=16),
+                                     evolve.constant_field(1.5, N=16)],
+                             ids=["cosine", "circle", "collapse"])
+    def test_twelve_per_attempt_on_one_ray(self, monkeypatch, ray):
+        squares, steps = self._count(monkeypatch, "_square"), self._count(monkeypatch, "step")
+        run = evolve._run(ray, [0.2], 6.0)
+        attempts = len(run.history["r"]) - 1 + run.rejected
+        assert attempts > 0
+        assert steps == [3 * attempts]
+        assert squares == [12 * attempts]
+
+
 class TestTransforms:
-    # The grid transforms must give exactly the bytes of the plain np.fft
-    # recipe: the goldens and the digests below depend on every float.
+    # The grid transforms and the product kernel must give exactly the bytes
+    # of the plain np.fft recipe: the goldens and the digests below depend on
+    # every float.
 
     @staticmethod
     def _np_to_grid(c, basis, M):
+        # the unnormalized inverse transform of 2w for cosines (2 c_0 at mode 0
+        # and c_k whole at k and M - k) and of w on the circle
         k = evolve._wavenumbers(basis, len(c)).astype(int)
         full = np.zeros(M, dtype=complex)
         full[k % M] = c
         if basis == evolve.NEUMANN_HALF:
-            full[k[1:]] = full[M - k[1:]] = c[1:] / 2.0
-        return np.fft.ifft(full) * M
+            full[0] = 2.0 * c[0]
+            full[M - k[1:]] = c[1:]
+        return np.fft.ifft(full, norm="forward")
 
-    @staticmethod
-    def _np_from_grid(values, basis, N):
+    @classmethod
+    def _np_square(cls, c, basis):
+        # the product on its smallest exact grid, 3N points for cosines and 2N
+        # on the circle, then one scale per mode
+        N = len(c)
         k = evolve._wavenumbers(basis, N).astype(int)
-        out = (np.fft.fft(values) / len(values))[k % len(values)]
-        if basis == evolve.NEUMANN_HALF:
-            out[1:] *= 2.0
-        return out
+        M = 3 * N if basis == evolve.NEUMANN_HALF else 2 * N
+        scale = np.where(k == 0, 0.25, 0.5) / M if basis == evolve.NEUMANN_HALF else np.full(N, 1.0 / M)
+        grid = cls._np_to_grid(c, basis, M)
+        return np.fft.fft(grid * grid)[k % M] * scale.astype(complex)
 
     @pytest.mark.parametrize("basis", [evolve.NEUMANN_HALF, evolve.PERIODIC_UNIT])
     @pytest.mark.parametrize("M", [16, 64, 148, 256, 400, 512, 1024])
@@ -247,9 +300,9 @@ class TestTransforms:
         c = rng.normal(size=N) + 1j * rng.normal(size=N)
         grid = evolve._to_grid(c, basis, M)
         assert grid.tobytes() == self._np_to_grid(c, basis, M).tobytes()
-        back = evolve._from_grid(grid * grid, basis, N)
-        assert back.tobytes() == self._np_from_grid(grid * grid, basis, N).tobytes()
-        assert evolve._square(c, basis).tobytes() == back.tobytes()
+        half = 0.5 if basis == evolve.NEUMANN_HALF else 1.0
+        assert evolve.ComplexField(c, basis).values(M).tobytes() == (grid * half).tobytes()
+        assert evolve._square(c, basis).tobytes() == self._np_square(c, basis).tobytes()
 
     @pytest.mark.parametrize("basis", [evolve.NEUMANN_HALF, evolve.PERIODIC_UNIT])
     @pytest.mark.parametrize("M", [16, 64, 148, 256, 400, 512, 1024])
@@ -260,13 +313,11 @@ class TestTransforms:
         rng = np.random.default_rng(M + 1)
         c = rng.normal(size=(3, N)) + 1j * rng.normal(size=(3, N))
         grid = evolve._to_grid(c, basis, M)
-        back = evolve._from_grid(grid * grid, basis, N)
         square = evolve._square(c, basis)
-        assert grid.shape == (3, M) and back.shape == square.shape == (3, N)
-        for row, g, b, sq in zip(c, grid, back, square):
+        assert grid.shape == (3, M) and square.shape == (3, N)
+        for row, g, sq in zip(c, grid, square):
             assert g.tobytes() == self._np_to_grid(row, basis, M).tobytes()
-            assert b.tobytes() == self._np_from_grid(g * g, basis, N).tobytes()
-            assert sq.tobytes() == b.tobytes()
+            assert sq.tobytes() == self._np_square(row, basis).tobytes()
 
 
 class TestTransformInputs:
@@ -361,12 +412,12 @@ class TestNonConstantBytes:
     def test_vertical_ray(self):
         run = evolve.schrodinger_evolve(evolve.cosine_field(self.DATA, N=64), [0.05], 3.0)
         assert run.reason == evolve.REASON_HORIZON and len(run.history["r"]) == 374
-        assert self._digest(run) == "2ceff6bcccfb1cd6c404c35e436e832be1b01c582f0eff0b486ec375972c0163"
+        assert self._digest(run) == "b5dd22bc3c83b75277e4776037d0e44f8172524abb98db2a4977faec5c4da692"
 
     def test_oblique_ray(self):
         run = evolve.detect_blowup(evolve.cosine_field(self.DATA, N=64, theta=0.7), 3.0, 0.05)
         assert run.reason == evolve.REASON_HORIZON and len(run.history["r"]) == 143
-        assert self._digest(run) == "e82aac41bd7a6036219fb2e6af3aec9ad1e1ff523148a419cd3bd2d04862114f"
+        assert self._digest(run) == "f8696bdcccdfd94a8cd2c79fa3930153e929279d24e12983982bb3825f6f4b47"
 
 
 class TestStack:
@@ -731,7 +782,7 @@ class TestBoundaryBytes:
         (0.5, 32, [-0.1, 0.0, 0.1], 0.0, {},
          "62813459589e70b5b17adde57817d4d0a04473745f476d00a2faa2cbdb3e5ec0"),
         (1.5, 16, [0.0, math.pi / 6.0], 6.0, {"r_cap": 1.0},
-         "9869e2614d37adf46cebddd6a29beab28100310f50f1070ec3a5fecdc6c35b1b"),
+         "f3c4011e65a269bbebd6774ecd99efdb2eb114df65ceec0dd3bf5a6bfc75d8b3"),
         (0.0, 32, [-0.3, -0.2, 0.2, 0.3], 6.0, {},
          "7fe248dddda81bb86a9e75946b43ed89d003a00a4af45c7efe409cde9150333b"),
     ], ids=["lambda0-grid", "pole-row", "vertical-horizon"])
@@ -768,7 +819,7 @@ class TestBoundaryBytes:
         scan = evolve.analyticity_boundary(evolve.cosine_field([1.0, 0.4, 0.1j], N=16),
                                            [-0.02, 0.0, 0.02, 0.05], 3.0, r_cap=1.0)
         assert [b.censored for b in scan.samples] == [True, False, True, True]
-        assert self._digest(scan) == "9fd07f447eaf628fbd1ee2d152427a702c9ac1d0d06fa6fa6fba6f876825cf21"
+        assert self._digest(scan) == "3c4a59475eedd2d6be09981fc818db20918cf0d13248eb3d6daa567f051da549"
 
 
 class TestRefineCrossing:

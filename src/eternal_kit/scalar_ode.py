@@ -218,8 +218,9 @@ def integrate(
                 n_ev = max(2, int((seg_len - s_local) * t_eval_per_unit))
                 t_eval = np.linspace(s_local, seg_len, n_ev)
 
-            sol = solve_ivp(rhs, (s_local, seg_len), y, method="DOP853",
-                            rtol=1e-11, atol=1e-13, events=events, t_eval=t_eval)
+            # with samples, the dense output keeps the solver's own last step
+            sol = solve_ivp(rhs, (s_local, seg_len), y, method="DOP853", rtol=1e-11, atol=1e-13,
+                            events=events, t_eval=t_eval, dense_output=t_eval is not None)
             vals = sol.y[0] + 1j * sol.y[1]
             ts.append(t_here + direction * sol.t)
             ws.append(_invert_chart(vals) if in_v else vals)
@@ -243,18 +244,18 @@ def integrate(
                     swaps += 1
                     continue
             else:
-                # min-step failure: legitimate only as a pole approach.  With
-                # t_eval the reported tail can sit well before the failure
-                # point, so trust the far-field crossing event as witness.
+                # min-step failure: legitimate only as a pole approach, witnessed
+                # by a far-field entry or by |w| past SUP_THRESHOLD at the
+                # solver's last accepted step, which samples can stop short of
+                s_end, y_end = s_local, y
+                if sol.sol is not None and sol.sol.n_segments:
+                    s_end = float(sol.sol.t_max)
+                    y_end = sol.sol(s_end)
+                elif sol.sol is None and sol.t.size:
+                    s_end, y_end = float(sol.t[-1]), sol.y[:, -1]
                 far_hits = () if sphere_chart else sol.t_events[2]
-                tail_big = (sol.y.size > 0
-                            and sol.y[0, -1] ** 2 + sol.y[1, -1] ** 2
-                            >= SUP_THRESHOLD ** 2)
-                if in_v or not (len(far_hits) or tail_big):
+                if in_v or not (len(far_hits) or y_end[0] ** 2 + y_end[1] ** 2 >= SUP_THRESHOLD ** 2):
                     raise ConvergenceError(f"integrator failed: {sol.message}")
-                s_end = float(sol.t[-1]) if sol.t.size else s_local
-                if len(far_hits):
-                    s_end = max(s_end, float(far_hits[-1]))
             diverged = True
             blow_sigma = sigma0 + s_end
             blow_t = t_here + direction * s_end

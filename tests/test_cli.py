@@ -594,6 +594,12 @@ class TestSubcommandSmoke:
         assert "chart_swaps=2" in err
         assert "diverged=False" in err
 
+    def test_ode_start_beyond_the_far_field_diverges_with_samples(self):
+        rc, _, err = run_cli(["ode", "--cyclotomic", "3", "--w0", "100,0", "--t-end", "1",
+                              "--samples-per-unit", "10"])
+        assert rc == 0
+        assert "diverged=True" in err
+
     def test_portrait_seeded_quartic_chord_code(self):
         rc, out, _ = run_cli(["portrait", "--random-quartic", "--seed", "3"])
         assert rc == 0

@@ -113,6 +113,28 @@ def test_cubic_blowup_time_against_quadrature():
 
 
 
+@pytest.mark.parametrize("d, w0", [(3, 1.3), (5, 1.25)])
+@pytest.mark.parametrize("per_unit", [0, 5, 50])
+def test_sampled_blowup_time_is_the_solvers_last_step(d, w0, per_unit):
+    # samples stop short of a min-step failure; the blow-up time is the
+    # solver's own last step whether or not samples are asked for
+    from scipy.integrate import quad
+    t_star = quad(lambda w: 1.0 / (w ** d - 1.0), w0, np.inf)[0]
+    traj = so.integrate(so.PolyField.cyclotomic(d), w0, [2.0], t_eval_per_unit=per_unit)
+    assert traj.diverged
+    assert traj.blowup_sigma == pytest.approx(t_star, abs=1e-5)
+    assert traj.blowup_sigma == so.integrate(so.PolyField.cyclotomic(d), w0, [2.0]).blowup_sigma
+
+
+@pytest.mark.parametrize("per_unit", [0, 10])
+def test_start_beyond_the_far_field_blows_up(per_unit):
+    # |w0| = 100 is past the far-field radius 20, so that event never fires
+    traj = so.integrate(so.PolyField.cyclotomic(3), 100.0, [1.0], t_eval_per_unit=per_unit)
+    assert traj.diverged
+    # the pole of w^3 - 1 from 100 is about 1 / (2 * 100^2) away
+    assert traj.blowup_sigma == pytest.approx(5e-5, rel=1e-4)
+
+
 @pytest.mark.parametrize("w0, path, per_unit", [
     (math.nan, [1.0], 0),
     (complex(0.0, math.inf), [1.0], 0),
@@ -174,7 +196,7 @@ class TestIntegrateBytes:
         (CUBIC, 1.3, [2.0], 0,
          "cdec2c72e91aa009f6cea87af8d1df2f43a898e621d69085acecfabd3be95c42"),
         (QUINTIC, QUINTIC.roots[0] + 0.25, [3.0], 50,
-         "c555907c19a8b6507da56f7a0d879e6ec0eeb3a24f6db3e274550e2d73c3cf12"),
+         "2e6321326c8b19a03adadda8cd7927f3aa275b7fbef8ea4319a27360a87a92cb"),
     ], ids=["real-sampled", "tilted", "real-pole", "imag-sampled", "imag",
             "v-start", "segments", "cubic-escape", "cubic-min-step",
             "quintic-far-field"])

@@ -145,7 +145,8 @@ def integrate(
     infinity; otherwise crossing ESCAPE_RADIUS terminates the run as
     blow-up.  Crossings of SUP_THRESHOLD (rising |w|) are recorded with
     their path position.  t_eval_per_unit > 0 adds that many uniform samples
-    per unit arclength on top of the solver's own steps.  A non-finite w0 or
+    per unit arclength on top of the solver's own steps; a blow-up is placed
+    at the solver's last accepted step either way.  A non-finite w0 or
     path point, or a negative t_eval_per_unit, raises DomainError.
     """
     from scipy.integrate import solve_ivp

@@ -217,7 +217,6 @@ class TestSquare:
         got = evolve._square(c, evolve.PERIODIC_UNIT)
         assert np.max(np.abs(got - want)) < 1e-14 * np.sum(np.abs(c)) ** 2
 
-
     @pytest.mark.parametrize("basis", [evolve.NEUMANN_HALF, evolve.PERIODIC_UNIT])
     @pytest.mark.parametrize("N", [2, 5, 16, 37, 128])
     def test_stack_rows_are_each_rows_square(self, basis, N):

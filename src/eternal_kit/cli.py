@@ -14,10 +14,11 @@ One executable, `eternal-kit`, with a subcommand per capability:
 
 Every subcommand writes a flat table, CSV by default or JSON with
 --format json; floats are printed with 17 significant digits so output
-is byte-reproducible.  --out FILE writes the table to FILE and a run
-descriptor (arguments, tolerances, outputs, and the Python, numpy and
-scipy versions the bytes depend on; no timestamp) to FILE.run.json, so a
-run can be re-executed and compared byte for byte.
+is byte-reproducible.  --out FILE, a file in an existing directory,
+writes the table to FILE and a run descriptor (arguments, tolerances,
+outputs, and the Python, numpy and scipy versions the bytes depend on; no
+timestamp) to FILE.run.json, so a run can be re-executed and compared byte
+for byte.
 Exit codes: 0 success, 1 domain error, 2 convergence or truncation
 failure, 64 usage error.  A malformed or non-finite number is a usage error.
 """
@@ -28,6 +29,7 @@ import argparse
 import cmath
 import json
 import math
+import os
 import platform
 import sys
 
@@ -127,6 +129,13 @@ def _positive_float(text: str) -> float:
     if not value > 0.0:
         raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
     return value
+
+
+def _out_path(text: str) -> str:
+    """A file name in a directory that exists, so the table can be written after it is computed."""
+    if os.path.isdir(text) or not os.path.isdir(os.path.dirname(os.path.abspath(text))):
+        raise argparse.ArgumentTypeError(f"cannot write {text!r}: not a file in an existing directory")
+    return text
 
 
 def _mono_arg(text: str) -> complex:
@@ -407,7 +416,8 @@ def _cmd_waves(args):
 
 def _add_common(p):
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None, help="write table here plus OUT.run.json descriptor")
+    p.add_argument("--out", type=_out_path, default=None,
+                   help="write table here plus OUT.run.json descriptor")
 
 
 def _add_field_args(p):

@@ -13,8 +13,8 @@ Schrodinger evolution i psi_s = psi_xx + 6 psi^2 - lambda forward in s
 
 with complex coefficients in both (no reality constraint anywhere: complex
 data is the whole point).  Both bases go to a uniform grid and back by
-slices and unnormalized calls of pocketfft's c2c (numpy.fft's kernel without
-its dispatch), in place, along the last axis: a stack of rays (rows x modes)
+slices and unnormalized in-place calls of c2c from scipy's pocketfft extension
+(loaded alone, not the scipy.fft package) along the last axis: a stack of rays
 goes in one call and each row gets the bytes of its own transform.  The
 quadratic product is formed exactly on the smallest grid that holds its N
 kept modes, 3N points for cosines and 2N on the circle, and one cached
@@ -47,17 +47,31 @@ Non-finite lambda or initial data is a DomainError, not a blow-up at r = 0.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
 
 import numpy as np
-from scipy.fft._pocketfft.pypocketfft import c2c as _c2c
+import scipy
 
 from . import elliptic, spectrum
 from .elliptic import CosineSeries
 from .errors import BlowupSignal, DomainError
+
+
+def _pocketfft():
+    name, where = "scipy.fft._pocketfft.pypocketfft", f"{scipy.__path__[0]}/fft/_pocketfft"
+    if name in sys.modules:
+        return sys.modules[name]
+    if (spec := importlib.machinery.PathFinder.find_spec(name, [where])) is None:
+        raise ImportError(f"scipy's pypocketfft extension is not in {where}")
+    spec.loader.exec_module(module := importlib.util.module_from_spec(spec))
+    return module
+
 
 NEUMANN_HALF = "NEUMANN_HALF"
 PERIODIC_UNIT = "PERIODIC_UNIT"
@@ -80,6 +94,7 @@ SUP_BATCH = 64
 
 _TWO_PI = 2.0 * math.pi
 _LAST = (-1,)           # the axis every transform runs along
+_c2c = _pocketfft().c2c  # alone: importing the scipy.fft package would double a cold start
 
 
 def _wavenumbers(basis: str, N: int) -> np.ndarray:

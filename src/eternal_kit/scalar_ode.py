@@ -219,9 +219,11 @@ def integrate(
                 n_ev = max(2, int((seg_len - s_local) * t_eval_per_unit))
                 t_eval = np.linspace(s_local, seg_len, n_ev)
 
-            # with samples, the dense output keeps the solver's own last step
-            sol = solve_ivp(rhs, (s_local, seg_len), y, method="DOP853", rtol=1e-11, atol=1e-13,
-                            events=events, t_eval=t_eval, dense_output=t_eval is not None)
+            # with samples, the dense output keeps the solver's own last step; a rejected
+            # trial step may overflow, and the solver shrinks it without a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                sol = solve_ivp(rhs, (s_local, seg_len), y, method="DOP853", rtol=1e-11, atol=1e-13,
+                                events=events, t_eval=t_eval, dense_output=t_eval is not None)
             vals = sol.y[0] + 1j * sol.y[1]
             ts.append(t_here + direction * sol.t)
             ws.append(_invert_chart(vals) if in_v else vals)

@@ -102,13 +102,15 @@ def test_import_leaves_the_ode_solver_unloaded():
 
 
 def test_import_loads_only_the_named_submodule():
-    # the package re-exports nothing: each submodule loads what it needs
+    # the package re-exports nothing: each submodule loads what it needs, and the
+    # transforms load pocketfft's extension alone, without the scipy.fft package
+    # (and the scipy.special it pulls in), which would double a cold start
     src = Path(cli.__file__).resolve().parents[1]
     code = ("import sys, {target}; print(sorted(m for m in sys.modules if m.startswith('eternal_kit.')"
-            " or m == 'scipy.fft'))")
+            " or m in ('scipy.fft', 'scipy.special')))")
     env = {**os.environ, "PYTHONPATH": str(src)}
     loaded = {}
-    for target in ("eternal_kit", "eternal_kit.elliptic"):
+    for target in ("eternal_kit", "eternal_kit.elliptic", "eternal_kit.evolve", "eternal_kit.cli"):
         proc = subprocess.run([sys.executable, "-c", code.format(target=target)], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
@@ -116,7 +118,37 @@ def test_import_loads_only_the_named_submodule():
     assert loaded["eternal_kit"] == "[]"
     assert "eternal_kit.elliptic" in loaded["eternal_kit.elliptic"]
     assert "eternal_kit.evolve" not in loaded["eternal_kit.elliptic"]
-    assert "scipy.fft" not in loaded["eternal_kit.elliptic"]
+    assert "eternal_kit.evolve" in loaded["eternal_kit.evolve"]
+    assert "eternal_kit.cli" in loaded["eternal_kit.cli"]
+    for target, modules in loaded.items():
+        assert "scipy.fft" not in modules and "scipy.special" not in modules, target
+
+
+def test_transforms_do_not_depend_on_the_import_order():
+    # with scipy.fft loaded first, evolve reuses its pocketfft extension; loaded
+    # after evolve, scipy.fft still works; the product kernel's bytes are the same
+    src = Path(cli.__file__).resolve().parents[1]
+    code = """{imports}
+import hashlib, sys
+import numpy as np
+x = np.random.default_rng(7).standard_normal((3, 96)).view(complex)
+print(evolve._c2c is sys.modules["scipy.fft._pocketfft.pypocketfft"].c2c)
+print(scipy.fft.fft(x).tobytes() == np.fft.fft(x).tobytes())
+print(hashlib.sha256(evolve._square(x, evolve.NEUMANN_HALF).tobytes()
+                     + evolve._square(x, evolve.PERIODIC_UNIT).tobytes()).hexdigest())
+"""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    runs = {}
+    for imports in ("import scipy.fft; from eternal_kit import evolve",
+                    "from eternal_kit import evolve; import scipy.fft"):
+        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code.format(imports=imports)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        runs[imports.startswith("import scipy.fft")] = proc.stdout.split()
+    fft_first, evolve_first = runs[True], runs[False]
+    assert fft_first[:2] == ["True", "True"]
+    assert evolve_first[1] == "True"
+    assert fft_first[2] == evolve_first[2]
 
 
 class TestFormats:
@@ -218,6 +250,16 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("usage error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["missing/x.csv", "."])
+    def test_out_must_name_a_file_in_an_existing_directory(self, tmp_path, monkeypatch, where):
+        # refused while parsing: the table is never computed, and nothing is written
+        monkeypatch.setattr(cli, "_cmd_trees", lambda args: pytest.fail("subcommand ran"))
+        rc, out, err = run_cli(["trees", "--d-max", "3", "--out", str(tmp_path / where)])
+        assert rc == 64
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["evolve", "--constant", "nan", "--modes", "8", "--r-max", "0.05"],

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -317,6 +319,13 @@ class TestTransforms:
         for row, g, sq in zip(c, grid, square):
             assert g.tobytes() == self._np_to_grid(row, basis, M).tobytes()
             assert sq.tobytes() == self._np_square(row, basis).tobytes()
+
+    def test_missing_extension_names_the_directory_searched(self, tmp_path, monkeypatch):
+        import scipy
+        monkeypatch.delitem(sys.modules, "scipy.fft._pocketfft.pypocketfft", raising=False)
+        monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+        with pytest.raises(ImportError, match=re.escape(f"{tmp_path}/fft/_pocketfft")):
+            evolve._pocketfft()
 
 
 class TestTransformInputs:

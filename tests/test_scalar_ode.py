@@ -158,8 +158,10 @@ def _hex(z):
 class TestIntegrateBytes:
     # Every sample, event and end state of `integrate` to the last bit, over
     # each of its paths: the w chart alone, swaps into the v chart and back,
-    # a start in the v chart, several segments, escape past ESCAPE_RADIUS and
-    # a min-step failure that only the far-field event witnesses.
+    # a start in the v chart, several segments, escape past ESCAPE_RADIUS,
+    # a min-step failure that only the far-field event witnesses, and a quartic
+    # run whose rejected trial step overflows: under the suite's warnings-as-errors
+    # filter it ends undiverged, with the bytes it has when warnings are ignored.
 
     @staticmethod
     def _digest(traj):
@@ -174,6 +176,7 @@ class TestIntegrateBytes:
 
     QUADRATIC = so.PolyField.quadratic()
     CUBIC = so.PolyField.cyclotomic(3)
+    QUARTIC = so.PolyField.cyclotomic(4)
     QUINTIC = so.PolyField.cyclotomic(5)
 
     @pytest.mark.parametrize("fld, w0, path, per_unit, want", [
@@ -197,9 +200,11 @@ class TestIntegrateBytes:
          "cdec2c72e91aa009f6cea87af8d1df2f43a898e621d69085acecfabd3be95c42"),
         (QUINTIC, QUINTIC.roots[0] + 0.25, [3.0], 50,
          "2e6321326c8b19a03adadda8cd7927f3aa275b7fbef8ea4319a27360a87a92cb"),
+        (QUARTIC, -5.94 + 1.01j, [-1.79 - 1.06j], 0,
+         "93ffe7d50d85ffe0968744ec235cd77a8ff8b19c30b55962b3f4c2dbde46efbf"),
     ], ids=["real-sampled", "tilted", "real-pole", "imag-sampled", "imag",
             "v-start", "segments", "cubic-escape", "cubic-min-step",
-            "quintic-far-field"])
+            "quintic-far-field", "quartic-overflowing-trial-step"])
     def test_trajectory(self, fld, w0, path, per_unit, want):
         traj = so.integrate(fld, w0, path, t_eval_per_unit=per_unit)
         assert self._digest(traj) == want

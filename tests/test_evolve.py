@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from eternal_kit import elliptic, evolve
 from eternal_kit.errors import BlowupSignal, DomainError
@@ -321,7 +322,6 @@ class TestTransforms:
             assert sq.tobytes() == self._np_square(row, basis).tobytes()
 
     def test_missing_extension_names_the_directory_searched(self, tmp_path, monkeypatch):
-        import scipy
         monkeypatch.delitem(sys.modules, "scipy.fft._pocketfft.pypocketfft", raising=False)
         monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
         with pytest.raises(ImportError, match=re.escape(f"{tmp_path}/fft/_pocketfft")):

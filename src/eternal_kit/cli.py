@@ -20,7 +20,8 @@ outputs, and the Python, numpy and scipy versions the bytes depend on; no
 timestamp) to FILE.run.json, so a run can be re-executed and compared byte
 for byte.
 Exit codes: 0 success, 1 domain error, 2 convergence or truncation
-failure, 64 usage error.  A malformed or non-finite number is a usage error.
+failure, 64 usage error.  A malformed or non-finite number is a usage error,
+and so is a second option naming a run's starting data.
 """
 
 from __future__ import annotations
@@ -97,15 +98,15 @@ def _emit(args, columns, rows, meta):
                 print(f"{k}={meta[k]}", file=sys.stderr)
 
 
-def _positive_int(text: str) -> int:
-    """A whole number >= 1."""
+def _positive_int(text: str, low: int = 1) -> int:
+    """A whole number >= low."""
     try:
         value = int(text)
-        if value >= 1:
+        if value >= low:
             return value
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
 
 
 def _finite(value):
@@ -138,7 +139,7 @@ def _out_path(text: str) -> str:
     return text
 
 
-def _mono_arg(text: str) -> complex:
+def _complex_literal(text: str) -> complex:
     """A Python complex literal with finite parts."""
     try:
         return _finite(complex(text))
@@ -169,14 +170,29 @@ def _roots_arg(text: str) -> list[complex]:
     return [_complex_arg(part) for part in text.split(";")]
 
 
-def _initial_field(args, lam):
+def _initial_field(args):
+    """The one starting field the source group names, and its lambda: W_n(h) fixes its own."""
     if args.profile:
+        if args.lam is not None:
+            raise _UsageError("argument --lambda: not allowed with argument --profile")
         bp = elliptic.branch_point(*args.profile)
         return evolve.cosine_field(bp.profile, N=args.modes), bp.lam
+    lam = 0.0 if args.lam is None else args.lam
     if args.mono is not None:
         return evolve.monochromatic_field(args.mono, N=args.modes), lam
-    w0 = complex(args.constant, args.imag)
-    return evolve.constant_field(w0, N=args.modes), lam
+    return evolve.constant_field(0j if args.constant is None else args.constant, N=args.modes), lam
+
+
+def _poly_field(args, default):
+    """The field the source group names (--roots, --cyclotomic or --random-quartic), else default()."""
+    if args.roots:
+        return scalar_ode.PolyField(args.roots)
+    if args.cyclotomic is not None:
+        return scalar_ode.PolyField.cyclotomic(args.cyclotomic)
+    if getattr(args, "random_quartic", None) is not None:
+        rng = np.random.default_rng(args.random_quartic)
+        return scalar_ode.PolyField(rng.normal(size=4) + 1j * rng.normal(size=4))
+    return default()
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +219,15 @@ def _cmd_branch(args):
 
 def _cmd_spectrum(args):
     if args.lam is not None:
+        if args.n is not None or args.h is not None:
+            raise _UsageError("argument --lambda: not allowed with argument --n or --h")
         mus = spectrum.homogeneous_spectrum(args.lam, count=args.count,
                                             equilibrium=args.equilibrium)
         morse = spectrum.morse_index_homogeneous(args.lam) if args.equilibrium == "upper" else None
         rows = [(k, float(mu), "" if morse is None else morse) for k, mu in enumerate(mus)]
         return ["k", "mu", "morse_index"], rows, {"lambda": args.lam}
-    bp = elliptic.branch_point(args.n, args.h, tail_tol=args.tail_tol)
+    bp = elliptic.branch_point(1 if args.n is None else args.n, 0.0 if args.h is None else args.h,
+                               tail_tol=args.tail_tol)
     rep = spectrum.eigen(bp.profile)
     rows = [(k, float(mu), rep.morse_index)
             for k, mu in enumerate(rep.eigenvalues[: args.count])]
@@ -231,8 +250,7 @@ def _cmd_resonance(args):
 
 
 def _cmd_evolve(args):
-    lam = args.lam
-    field0, lam = _initial_field(args, lam)
+    field0, lam = _initial_field(args)
     field0.theta = args.theta
     rec = evolve.detect_blowup(
         field0, lam, args.r_max,
@@ -254,8 +272,7 @@ def _cmd_evolve(args):
 
 
 def _cmd_boundary(args):
-    lam = args.lam
-    field0, lam = _initial_field(args, lam)
+    field0, lam = _initial_field(args)
     svals = np.linspace(args.s_min, args.s_max, args.points)
     scan = evolve.analyticity_boundary(
         field0, svals, lam,
@@ -271,18 +288,10 @@ def _cmd_boundary(args):
     return ["s", "r_star", "defined", "censored", "reason"], rows, meta
 
 
-def _ode_field(args):
-    if args.cyclotomic is not None:
-        return scalar_ode.PolyField.cyclotomic(args.cyclotomic)
-    if args.roots:
-        return scalar_ode.PolyField(args.roots)
-    return scalar_ode.PolyField.quadratic()
-
-
 def _cmd_ode(args):
     if args.fig2:
         return _fig2_rows()
-    fld = _ode_field(args)
+    fld = _poly_field(args, scalar_ode.PolyField.quadratic)
     if args.lattice:
         lat = scalar_ode.period_lattice(fld)
         rows = [(j, g.real, g.imag) for j, g in enumerate(lat.generators)]
@@ -319,20 +328,10 @@ def _fig2_rows():
     return ["family", "member", "t", "re_w", "im_w"], rows, {}
 
 
-def _portrait_field(args):
-    if args.random_quartic:
-        rng = np.random.default_rng(args.seed)
-        pts = rng.normal(size=4) + 1j * rng.normal(size=4)
-        return scalar_ode.PolyField(pts)
-    if args.roots:
-        return scalar_ode.PolyField(args.roots)
-    return scalar_ode.PolyField.cyclotomic(args.cyclotomic or 3)
-
-
 def _cmd_portrait(args):
     if args.fig3:
         return _fig3_rows()
-    fld = _portrait_field(args)
+    fld = _poly_field(args, lambda: scalar_ode.PolyField.cyclotomic(3))
     graph = portraits.trace_and_extract(fld)
     rows = []
     for j, (root, kind) in enumerate(zip(graph.roots, graph.classes)):
@@ -349,8 +348,8 @@ def _cmd_portrait(args):
         rows.append(("chord", 0, graph.chord_code, "", ""))
     meta = {"non_morse": graph.non_morse,
             "saddle_connections": len(graph.saddle_connections)}
-    if args.random_quartic:
-        meta["seed"] = args.seed
+    if args.random_quartic is not None:
+        meta["seed"] = args.random_quartic
     return ["row", "index", "a", "b", "c"], rows, meta
 
 
@@ -421,13 +420,12 @@ def _add_common(p):
 
 
 def _add_field_args(p):
-    p.add_argument("--constant", type=_finite_float, default=0.0, help="Re of constant initial data")
-    p.add_argument("--imag", type=_finite_float, default=0.0, help="Im of constant initial data")
-    p.add_argument("--profile", type=_profile_arg, default=None, help="N,H equilibrium initial data")
-    p.add_argument("--mono", type=_mono_arg, default=None, help="amplitude of e^(2 pi i x) initial data")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--constant", type=_complex_literal, default=None, help="constant initial data (0)")
+    source.add_argument("--profile", type=_profile_arg, default=None, help="N,H: W_N(H) at its own lambda")
+    source.add_argument("--mono", type=_complex_literal, default=None, help="amplitude of e^(2 pi i x)")
     p.add_argument("--modes", type=_positive_int, default=256)
-    p.add_argument("--lambda", dest="lam", type=_finite_float, default=0.0)
-
+    p.add_argument("--lambda", dest="lam", type=_finite_float, default=None, help="0 when absent")
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="eternal-kit", description=__doc__.split("\n\n")[0])
@@ -444,8 +442,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_branch)
 
     p = sub.add_parser("spectrum", help="linearization eigenvalues")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--h", type=_finite_float, default=0.0)
+    p.add_argument("--n", type=int, default=None, help="1 when absent")
+    p.add_argument("--h", type=_finite_float, default=None, help="0 when absent")
     p.add_argument("--lambda", dest="lam", type=_finite_float, default=None,
                    help="homogeneous state instead of a branch profile")
     p.add_argument("--equilibrium", choices=("upper", "lower"), default="upper")
@@ -454,8 +452,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("resonance", help="no-identical-resonance certificates")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--n-max", type=int, default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--n", type=_positive_int, default=None)
+    source.add_argument("--n-max", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_resonance)
 
     p = sub.add_parser("evolve", help="complex-time ray with blow-up detection")
@@ -476,8 +475,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_boundary)
 
     p = sub.add_parser("ode", help="scalar polynomial ODE in complex time")
-    p.add_argument("--cyclotomic", type=_positive_int, default=None)
-    p.add_argument("--roots", type=_roots_arg, default=None, help='"re,im;re,im;..."')
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--cyclotomic", type=_positive_int, default=None)
+    source.add_argument("--roots", type=_roots_arg, default=None, help='"re,im;re,im;..."')
     p.add_argument("--w0", type=_complex_arg, default="0.0,0.0", help="re,im")
     p.add_argument("--t-end", type=_finite_float, default=5.0)
     p.add_argument("--imag-time", action="store_true")
@@ -487,10 +487,11 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_ode)
 
     p = sub.add_parser("portrait", help="compactified phase portrait")
-    p.add_argument("--cyclotomic", type=_positive_int, default=None)
-    p.add_argument("--roots", type=_roots_arg, default=None, help='"re,im;re,im;..."')
-    p.add_argument("--random-quartic", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--cyclotomic", type=_positive_int, default=None)
+    source.add_argument("--roots", type=_roots_arg, default=None, help='"re,im;re,im;..."')
+    source.add_argument("--random-quartic", type=lambda text: _positive_int(text, 0), nargs="?", const=0,
+                        default=None, metavar="SEED", help="four normal random roots from SEED (0)")
     p.add_argument("--fig3", action="store_true", help="separatrix traces for d = 3, 4")
     p.set_defaults(func=_cmd_portrait)
 
@@ -520,8 +521,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.subcommand == "resonance" and args.n is None and args.n_max is None:
-            raise _UsageError("resonance needs --n or --n-max")
         args._argv = argv
         columns, rows, meta = args.func(args)
         _emit(args, columns, rows, meta)

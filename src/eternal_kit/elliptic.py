@@ -281,6 +281,8 @@ def h_of_lambda(n: int, lam: float) -> float:
 
     n = _check_branch_index(n)
     lam = float(lam)
+    if not math.isfinite(lam):
+        raise DomainError(f"need a finite lambda, got {lam}")
     lam0 = lambda_of_h(n, 0.0)
     if lam < lam0:
         raise DomainError(f"branch {n} only exists for lambda >= {lam0:.6g}")

@@ -41,7 +41,12 @@ DR_MIN = 1e-12, CAPTURED when the caller's on_accept hook stops it, or
 HORIZON when the requested arclength is reached.  Every ray driver returns
 a RayRun holding the final state, that reason and the history of accepted
 steps.  Its r_star_lower is the arclength actually reached with finite
-norm, a certified lower bound for the existence time along that ray.
+norm.  It bounds the existence time along that ray from below only as far
+as the accepted steps are accurate: their error is controlled to
+err_target, not certified, and at a loose err_target the last steps before
+a pole can step past it.  Constant data 1.5 at lambda = 6 (pole at
+ln 5 / 12) reports 2.6e-8 past the pole at err_target 1e-5 and 2.8e-7 short
+of it at 1e-7.
 Non-finite lambda or initial data is a DomainError, not a blow-up at r = 0.
 """
 
@@ -548,7 +553,8 @@ class RayRun:
 
     @property
     def r_star_lower(self) -> float:
-        """Arclength certified with finite H^1 norm."""
+        """Arclength reached with finite H^1 norm: a lower bound for the existence
+        time as far as the accepted steps meet err_target (a loose one can pass a pole)."""
         return float(self.final_state.r)
 
     @property

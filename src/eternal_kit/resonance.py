@@ -230,8 +230,8 @@ def numeric_resonance_scan(mu) -> list[tuple[int, tuple[int, ...]]]:
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 1 or len(mu) == 0:
         raise DomainError("mu must be a nonempty 1-d array")
-    if np.any(mu <= 0.0) or np.any(np.diff(mu) >= 0.0):
-        raise DomainError("mu must be strictly decreasing and positive")
+    if not np.isfinite(mu).all() or np.any(mu <= 0.0) or np.any(np.diff(mu) >= 0.0):
+        raise DomainError("mu must be finite, strictly decreasing and positive")
     tol = 1e-8 * mu[0]
     bound = min(6, math.ceil(mu[0] / mu[-1]) + 1)
 

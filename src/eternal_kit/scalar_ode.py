@@ -67,8 +67,8 @@ class PolyField:
 
     def __post_init__(self):
         r = np.atleast_1d(np.asarray(self.roots, dtype=complex))
-        if r.ndim != 1 or r.size == 0:
-            raise DomainError("need a nonempty 1-d array of roots")
+        if r.ndim != 1 or r.size == 0 or not np.isfinite(r).all():
+            raise DomainError("need a nonempty 1-d array of finite roots")
         scale = max(1.0, float(np.max(np.abs(r))))
         for i, j in itertools.combinations(range(len(r)), 2):
             if abs(r[i] - r[j]) < 1e-8 * scale:

@@ -127,6 +127,8 @@ def eigen(profile: CosineSeries, N: int | None = None) -> SpectrumReport:
     Eigenvalues, Morse index and eigenvectors all come from the N-mode
     solve; each eigenvector is built when it is read.
     """
+    if not np.isfinite(profile.coeffs).all():
+        raise DomainError("profile coefficients must be finite")
     if N is None:
         N = 4 * profile.K + 32
     vals, vecs = _sorted_eigh(assemble_operator(profile, N))
@@ -178,8 +180,8 @@ def homogeneous_spectrum(lam: float, count: int = 8, equilibrium: str = "upper")
     lower (-sqrt(lam/6)): mu_k = -2 sqrt(6 lam) - (2 pi k)^2.
     """
     lam = float(lam)
-    if lam < 0.0:
-        raise DomainError(f"need lambda >= 0, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise DomainError(f"need finite lambda >= 0, got {lam}")
     k = np.arange(count)
     sign = {"upper": 1.0, "lower": -1.0}.get(equilibrium)
     if sign is None:
@@ -190,8 +192,8 @@ def homogeneous_spectrum(lam: float, count: int = 8, equilibrium: str = "upper")
 def morse_index_homogeneous(lam: float) -> int:
     """Unstable dimension of +sqrt(lam/6): #{k >= 0 : (2 pi k)^2 < 2 sqrt(6 lam)}."""
     lam = float(lam)
-    if lam <= 0.0:
-        raise DomainError(f"need lambda > 0, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise DomainError(f"need finite lambda > 0, got {lam}")
     bound = 2.0 * math.sqrt(6.0 * lam)
     count = 0
     while (_TWO_PI * count) ** 2 < bound:

@@ -76,6 +76,8 @@ class WaveParams:
 def wave_params(c: float) -> WaveParams:
     """Exact rates and period scale at speed c (closed forms, no iteration)."""
     c = float(c)
+    if not math.isfinite(c):
+        raise DomainError(f"need a finite speed, got {c}")
     mu_minus = (-c + math.sqrt(c * c + 8.0)) / 2.0
     disc = cmath.sqrt(c * c - 8.0)
     mu_plus = ((-c + disc) / 2.0, (-c - disc) / 2.0)

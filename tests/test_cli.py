@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -205,6 +206,18 @@ class TestOutDescriptor:
         assert Path(target).read_text() == table1
         assert Path(target + ".run.json").read_text() == desc1
 
+    def test_records_only_the_source_that_ran(self, tmp_path):
+        from eternal_kit import elliptic
+        target = str(tmp_path / "ray.csv")
+        rc, _, _ = run_cli(["evolve", "--profile", "1,0.05", "--modes", "16", "--r-max", "0.001",
+                            "--out", target])
+        assert rc == 0
+        desc = json.loads(Path(target + ".run.json").read_text())
+        params = desc["params"]
+        assert params["profile"] == [1, 0.05]
+        assert params["constant"] is None and params["mono"] is None and params["lam"] is None
+        assert desc["meta"]["lambda"] == elliptic.branch_point(1, 0.05).lam
+
 
 class TestExitCodes:
     def test_success(self):
@@ -234,6 +247,31 @@ class TestExitCodes:
         rc, _, err = run_cli(["resonance"])
         assert rc == 64
         assert "usage error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--profile", "1,0.05", "--constant", "1", "--modes", "64", "--r-max", "0.01"],
+        ["evolve", "--profile", "1,0.05", "--lambda", "3", "--modes", "64", "--r-max", "0.01"],
+        ["boundary", "--constant", "0.5", "--mono", "1", "--modes", "16", "--points", "1",
+         "--s-max", "0", "--r-cap", "0.01"],
+        ["boundary", "--profile", "1,0.05", "--mono", "1", "--modes", "16", "--points", "1"],
+        ["spectrum", "--lambda", "5", "--n", "3"],
+        ["spectrum", "--lambda", "5", "--h", "0.05"],
+        ["ode", "--cyclotomic", "3", "--roots", "1,0;-1,0", "--lattice"],
+        ["portrait", "--cyclotomic", "3", "--roots", "1,0;-1,0"],
+        ["portrait", "--random-quartic", "--roots", "1,0;-1,0"],
+        ["portrait", "--random-quartic", "2", "--cyclotomic", "4"],
+        ["portrait", "--random-quartic", "-1"],
+        ["resonance", "--n", "2", "--n-max", "4"],
+        ["resonance", "--n-max", "0"],
+        ["resonance", "--n", "0"],
+    ])
+    def test_one_source_per_run(self, argv):
+        # each run starts from the one state its options name: a second source,
+        # or a lambda beside a branch profile that fixes its own, is refused
+        rc, out, err = run_cli(argv)
+        assert rc == 64
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["evolve", "--profile", "1"],
@@ -413,8 +451,7 @@ OPTION_VALUES = {
     "lam": _floats(-3.0, 3.0),
     "count": _ints(-3, 12),
     "n_max": _ints(-1, 5),
-    "constant": _floats(-3.0, 3.0),
-    "imag": _floats(-3.0, 3.0),
+    "constant": st.builds(complex, _float(-3, 3), _float(-3, 3)).map(str),
     "profile": _pair(st.integers(-1, 3), _float(-0.2, 0.2)),
     "mono": st.builds(complex, _float(-3, 3), _float(-3, 3)).map(str),
     "modes": _ints(-2, 16),
@@ -430,7 +467,7 @@ OPTION_VALUES = {
     "w0": _pair(_float(-3, 3), _float(-3, 3)),
     "t_end": _floats(-2.0, 2.0),
     "samples_per_unit": _ints(-2, 8),
-    "seed": _ints(0, 5),
+    "random_quartic": _ints(-1, 5),
     "d_min": _ints(-1, 12),
     "d_max": _ints(-1, 12),
     "codes": _ints(-1, 12),
@@ -467,12 +504,18 @@ def _option_value(action):
 @st.composite
 def cli_argv(draw):
     name, sub = draw(st.sampled_from(sorted(_subcommands().items())))
+    # one candidate from each group of exclusive options, so that most argv
+    # test a rule other than exclusion (TestExitCodes checks that one)
+    dropped = set()
+    for group in sub._mutually_exclusive_groups:
+        kept = draw(st.sampled_from(group._group_actions))
+        dropped.update(a.dest for a in group._group_actions if a is not kept)
     # half the argv may hold junk values; the other half is well formed but
     # for the non-finite floats, so that each of those must be refused alone
     junk = draw(st.booleans())
     argv = [name]
     for action in sub._actions:
-        if not action.option_strings or action.dest in NOT_DRAWN:
+        if not action.option_strings or action.dest in NOT_DRAWN | dropped:
             continue
         flag = action.option_strings[0]
         if action.nargs == 0:
@@ -642,8 +685,21 @@ class TestSubcommandSmoke:
         assert rc == 0
         assert "diverged=True" in err
 
+    @pytest.mark.parametrize("argv,digest", [
+        (["evolve", "--constant", "0.5+0.25j", "--modes", "16", "--r-max", "0.05"],
+         "bd5da01fe6afcb81420a4d445ee53202de59071abd027496c43252e296e5daaa"),
+        (["portrait", "--random-quartic", "3"],
+         "4a4117276b2f5a4998ddd25f7ccb86a6211b91044caef4f696c42da39ff122b1"),
+    ])
+    def test_one_option_sources_print_the_pinned_bytes(self, argv, digest):
+        # the tables the two-option spellings --constant 0.5 --imag 0.25 and
+        # --random-quartic --seed 3 printed, before each became one option
+        rc, out, _ = run_cli(argv)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_portrait_seeded_quartic_chord_code(self):
-        rc, out, _ = run_cli(["portrait", "--random-quartic", "--seed", "3"])
+        rc, out, _ = run_cli(["portrait", "--random-quartic", "3"])
         assert rc == 0
         _, rows = parse_csv(out)
         chord = [r for r in rows if r["row"] == "chord"]

@@ -54,6 +54,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:  # --opt=--: argparse would store []
+            self.error(f"argument {action.option_strings[0]}: expected one argument")
+        return super()._get_values(action, arg_strings)
+
 
 def _fmt(value) -> str:
     if isinstance(value, bool):
@@ -189,7 +194,7 @@ def _poly_field(args, default):
         return scalar_ode.PolyField(args.roots)
     if args.cyclotomic is not None:
         return scalar_ode.PolyField.cyclotomic(args.cyclotomic)
-    if getattr(args, "random_quartic", None) is not None:
+    if args.random_quartic is not None:
         rng = np.random.default_rng(args.random_quartic)
         return scalar_ode.PolyField(rng.normal(size=4) + 1j * rng.normal(size=4))
     return default()
@@ -200,15 +205,11 @@ def _poly_field(args, default):
 
 
 def _cmd_branch(args):
-    if args.fig1:
-        ns = args.n or [1, 2, 3]
-        hs = np.linspace(-args.h_max, args.h_max, args.points)
+    ns = args.n or ([1, 2, 3] if args.fig1 else [1])
+    if args.h is not None and not args.fig1:
+        hs = np.array([args.h])
     else:
-        ns = args.n or [1]
-        if args.h is not None:
-            hs = np.array([args.h])
-        else:
-            hs = np.linspace(-args.h_max, args.h_max, args.points)
+        hs = np.linspace(-args.h_max, args.h_max, args.points)
     rows = []
     for n in ns:
         for h in hs:
@@ -374,19 +375,16 @@ def _cmd_trees(args):
         codes = portraits.enumerate_codes(args.codes)
         return ["d", "code"], [(args.codes, c) for c in codes], {"count": len(codes)}
     degrees = range(args.d_min, args.d_max + 1)
-    if args.enumerate:
-        for d in degrees:
-            portraits.check_enumerable(d)
+    if not args.enumerate:
+        return ["d", "count"], [(d, portraits.count_portraits(d)) for d in degrees], {}
+    for d in degrees:
+        portraits.check_enumerable(d)
     rows = []
     for d in degrees:
         cnt = portraits.count_portraits(d)
-        if args.enumerate:
-            enum = len(portraits.enumerate_codes(d))
-            rows.append((d, cnt, enum, cnt == enum))
-        else:
-            rows.append((d, cnt))
-    cols = ["d", "count", "enumerated", "match"] if args.enumerate else ["d", "count"]
-    return cols, rows, {}
+        enum = len(portraits.enumerate_codes(d))
+        rows.append((d, cnt, enum, cnt == enum))
+    return ["d", "count", "enumerated", "match"], rows, {}
 
 
 def _cmd_waves(args):
@@ -426,6 +424,7 @@ def _add_field_args(p):
     source.add_argument("--mono", type=_complex_literal, default=None, help="amplitude of e^(2 pi i x)")
     p.add_argument("--modes", type=_positive_int, default=256)
     p.add_argument("--lambda", dest="lam", type=_finite_float, default=None, help="0 when absent")
+
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="eternal-kit", description=__doc__.split("\n\n")[0])
@@ -484,7 +483,7 @@ def build_parser() -> _Parser:
     p.add_argument("--samples-per-unit", type=int, default=20)
     p.add_argument("--lattice", action="store_true", help="period lattice and closure")
     p.add_argument("--fig2", action="store_true", help="real/imaginary-time orbit families")
-    p.set_defaults(func=_cmd_ode)
+    p.set_defaults(func=_cmd_ode, random_quartic=None)
 
     p = sub.add_parser("portrait", help="compactified phase portrait")
     source = p.add_mutually_exclusive_group()

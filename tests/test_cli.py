@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -289,6 +290,20 @@ class TestExitCodes:
         assert err.startswith("usage error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["resonance", "--n=--"],
+        ["branch", "--n=--"],
+        ["trees", "--d-max=--"],
+        ["ode", "--w0=--"],
+        ["evolve", "--modes=--", "--r-max", "0.001"],
+    ])
+    def test_double_dash_as_a_value_is_a_usage_error(self, argv):
+        # argparse strips "--" from --opt=-- and would store [] unconverted
+        rc, out, err = run_cli(argv)
+        assert rc == 64
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("where", ["missing/x.csv", "."])
     def test_out_must_name_a_file_in_an_existing_directory(self, tmp_path, monkeypatch, where):
         # refused while parsing: the table is never computed, and nothing is written
@@ -501,15 +516,28 @@ def _option_value(action):
     return OPTION_VALUES[action.dest]
 
 
+def _source_cases():
+    """(subcommand, sources) for every subcommand and every choice of its
+    exclusive groups: one candidate each, or none where the group is optional."""
+    for name, sub in sorted(_subcommands().items()):
+        choices = [([] if group.required else [None]) + [a.dest for a in group._group_actions]
+                   for group in sub._mutually_exclusive_groups]
+        for kept in itertools.product(*choices):
+            yield name, frozenset(kept) - {None}
+
+
+#: every example draws one argv per case, so that each subcommand and each of
+#: its sources is drawn as often as the others
+SOURCE_CASES = list(_source_cases())
+
+
 @st.composite
-def cli_argv(draw):
-    name, sub = draw(st.sampled_from(sorted(_subcommands().items())))
-    # one candidate from each group of exclusive options, so that most argv
+def cli_argv(draw, name, sources):
+    sub = _subcommands()[name]
+    # the other members of each exclusive group are left out, so that most argv
     # test a rule other than exclusion (TestExitCodes checks that one)
-    dropped = set()
-    for group in sub._mutually_exclusive_groups:
-        kept = draw(st.sampled_from(group._group_actions))
-        dropped.update(a.dest for a in group._group_actions if a is not kept)
+    dropped = {a.dest for group in sub._mutually_exclusive_groups
+               for a in group._group_actions} - sources
     # half the argv may hold junk values; the other half is well formed but
     # for the non-finite floats, so that each of those must be refused alone
     junk = draw(st.booleans())
@@ -521,7 +549,10 @@ def cli_argv(draw):
         if action.nargs == 0:
             if draw(st.booleans()):
                 argv.append(flag)
-        elif action.dest in ALWAYS_PASSED or draw(st.booleans()):
+        elif action.dest in ALWAYS_PASSED | sources or draw(st.booleans()):
+            if action.nargs == "?" and draw(st.booleans()):
+                argv.append(flag)  # the value is optional: its const
+                continue
             value = _option_value(action)
             value = draw(st.one_of(value, _JUNK) if junk else value)
             argv.append(f"{flag}={value}")
@@ -529,21 +560,27 @@ def cli_argv(draw):
 
 
 class TestExitCodeProperty:
+    def test_every_source_has_its_own_case(self):
+        assert [sorted(sources) for name, sources in SOURCE_CASES if name == "portrait"] == [
+            [], ["cyclotomic"], ["roots"], ["random_quartic"]]
+        assert {name for name, _ in SOURCE_CASES} == set(_subcommands())
+
     @pytest.mark.filterwarnings("ignore:root .* linearly degenerate")
-    @settings(max_examples=150, deadline=timedelta(seconds=10), derandomize=True,
+    @settings(max_examples=20, deadline=timedelta(seconds=30), derandomize=True,
               database=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(argv=cli_argv())
-    def test_drawn_argv_exits_with_a_documented_code(self, argv):
-        rc, _, err = run_cli(argv)
-        assert rc in (0, 1, 2, 64), (argv, rc)
-        assert "Traceback" not in err
-        values = [a.split("=", 1)[1] for a in argv if "=" in a]
-        if any("nan" in v or "inf" in v for v in values):
-            assert rc == 64, (argv, rc)
-        tolerances = [a.split("=", 1)[1] for a in argv
-                      if a.startswith(("--err-target=", "--norm-threshold=", "--tail-tol="))]
-        if any(_non_positive(v) for v in tolerances):
-            assert rc == 64, (argv, rc)
+    @given(argvs=st.tuples(*(cli_argv(name, sources) for name, sources in SOURCE_CASES)))
+    def test_drawn_argv_exits_with_a_documented_code(self, argvs):
+        for argv in argvs:
+            rc, _, err = run_cli(argv)
+            assert rc in (0, 1, 2, 64), (argv, rc)
+            assert "Traceback" not in err
+            values = [a.split("=", 1)[1] for a in argv if "=" in a]
+            if any("nan" in v or "inf" in v for v in values):
+                assert rc == 64, (argv, rc)
+            tolerances = [a.split("=", 1)[1] for a in argv
+                          if a.startswith(("--err-target=", "--norm-threshold=", "--tail-tol="))]
+            if any(_non_positive(v) for v in tolerances):
+                assert rc == 64, (argv, rc)
 
 
 class TestTailTolerance:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -68,6 +69,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _descriptor_value(value):
+    """A complex number as its [re, im] pair, anything else JSON lacks as its str."""
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return str(value)
+
+
 def _emit(args, columns, rows, meta):
     if args.format == "json":
         payload = {"columns": list(columns), "rows": [list(r) for r in rows], "meta": meta}
@@ -95,7 +103,8 @@ def _emit(args, columns, rows, meta):
                          "scipy": scipy.__version__},
         }
         with open(args.out + ".run.json", "w") as fh:
-            fh.write(json.dumps(descriptor, sort_keys=True, separators=(",", ":"), default=str) + "\n")
+            fh.write(json.dumps(descriptor, sort_keys=True, separators=(",", ":"),
+                                default=_descriptor_value) + "\n")
     else:
         sys.stdout.write(text)
         if meta and args.format == "csv":
@@ -426,7 +435,9 @@ def _add_field_args(p):
     p.add_argument("--lambda", dest="lam", type=_finite_float, default=None, help="0 when absent")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of this process; each parse_args call returns a fresh namespace."""
     parser = _Parser(prog="eternal-kit", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"eternal-kit {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)

@@ -15,10 +15,13 @@ W = sum w_l cos(2 pi l x) has the exact matrix elements
 (k, l >= 1, k != l), which follow from the product-to-sum identity, so the
 only discretization error is basis truncation.  For the analytic branch
 profiles the coefficients decay geometrically and eigenvalues converge
-superexponentially in N; `eigen` certifies this by refining N -> 2N.  The
-2N solve computes eigenvalues only, since nothing but that comparison reads
-it, and the reported eigenvectors are built from the coarse solve's matrix
-one at a time, when read.
+superexponentially in N; `eigen` certifies this by refining N -> 2N.  Each
+`eigen` call assembles one matrix, the 2N one, built from Hankel and
+Toeplitz views of the coefficients; the N-mode matrix is its leading N x N
+block, the same bytes as an N-mode assembly.  The 2N solve computes
+eigenvalues only, since nothing but that comparison reads it, and the
+reported eigenvectors are built from the coarse solve's matrix one at a
+time, when read.
 
 At the homogeneous equilibria +-sqrt(lam/6) the matrix is diagonal with
 eigenvalues +-2 sqrt(6 lam) - (2 pi k)^2, reproduced exactly.
@@ -40,6 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .elliptic import CosineSeries
 from .errors import ConvergenceError, DomainError
@@ -53,21 +57,29 @@ REFINEMENT_TOL = 1e-9
 DEGENERACY_TOL = 1e-8
 
 
-def assemble_operator(profile: CosineSeries, N: int) -> np.ndarray:
-    """Dense symmetric Galerkin matrix of d^2/dx^2 + 12 W on N cosine modes.
-
-    Requires N >= 2 K so the multiplication matrix sees every coefficient of
-    W (mode sums k + l reach beyond K otherwise silently).
-    """
-    K = profile.K
+def _require_modes(K: int, N: int) -> None:
     if N < 2 * K:
         raise DomainError(f"need N >= 2K = {2 * K} basis modes, got N = {N}")
     if N < 1:
         raise DomainError("need at least one basis mode")
+
+
+def assemble_operator(profile: CosineSeries, N: int) -> np.ndarray:
+    """Dense symmetric Galerkin matrix of d^2/dx^2 + 12 W on N cosine modes.
+
+    Requires N >= 2 K so the multiplication matrix sees every coefficient of
+    W (mode sums k + l reach beyond K otherwise silently).  The leading
+    n x n block of the N-mode matrix is the n-mode matrix, byte for byte.
+    """
+    K = profile.K
+    _require_modes(K, N)
     w = np.zeros(2 * N, dtype=profile.coeffs.dtype)
     w[: K + 1] = profile.coeffs
+    # read-only views: hankel[i, j] = w[i + j], toeplitz[i, j] = w[|i - j|]
+    hankel = sliding_window_view(w[: 2 * N - 1], N)
+    toeplitz = sliding_window_view(np.concatenate((w[N - 1 : 0 : -1], w[:N])), N)[::-1]
+    V = (hankel + toeplitz) / 2.0
     idx = np.arange(N)
-    V = (w[idx[:, None] + idx[None, :]] + w[np.abs(idx[:, None] - idx[None, :])]) / 2.0
     V[0, 1:] = w[1:N] / math.sqrt(2.0)
     V[1:, 0] = V[0, 1:]
     V[0, 0] = w[0]
@@ -131,9 +143,11 @@ def eigen(profile: CosineSeries, N: int | None = None) -> SpectrumReport:
         raise DomainError("profile coefficients must be finite")
     if N is None:
         N = 4 * profile.K + 32
-    vals, vecs = _sorted_eigh(assemble_operator(profile, N))
+    _require_modes(profile.K, N)
+    fine = assemble_operator(profile, 2 * N)
+    vals, vecs = _sorted_eigh(fine[:N, :N])
 
-    fine_vals = np.linalg.eigvalsh(assemble_operator(profile, 2 * N))[::-1]
+    fine_vals = np.linalg.eigvalsh(fine)[::-1]
     top = min(11, N)
     defect = float(np.max(np.abs(vals[:top] - fine_vals[:top])))
     noise_floor = 16.0 * np.finfo(float).eps * float(np.abs(fine_vals).max())
@@ -223,4 +237,6 @@ def perturbation_mu(n: int, k: int, h: float) -> float:
     """Second-order expansion of the eigenvalue over mode k near onset of branch n."""
     mu0, mu1, mu2 = perturbation_mu_coefficients(n, k)
     h = float(h)
+    if not math.isfinite(h):
+        raise DomainError(f"need a finite modulus, got {h}")
     return 4.0 * math.pi ** 2 * (mu0 + mu1 * h + float(mu2) * h * h)

@@ -40,11 +40,15 @@ C_CRITICAL = 2.0 * math.sqrt(2.0)
 def soliton(xi):
     """Standing soliton Gamma(xi) = -1 + 3 / cosh^2(xi / sqrt 2).
 
-    Accepts real or complex scalars and arrays.  Evaluation where |cosh| is
-    below 1e-12, next to a pole, raises PoleSignal instead of returning a
-    huge number of unknowable accuracy.
+    Accepts finite real or complex scalars and arrays; nan or inf anywhere is
+    a DomainError.  Evaluation where |cosh| is below 1e-12, next to a pole,
+    raises PoleSignal instead of returning a huge number of unknowable
+    accuracy.
     """
-    z = np.asarray(xi, dtype=complex) / math.sqrt(2.0)
+    z = np.asarray(xi, dtype=complex)
+    if not np.isfinite(z).all():
+        raise DomainError("soliton argument must be finite")
+    z = z / math.sqrt(2.0)
     c = np.cosh(z)
     if np.any(np.abs(c) < 1e-12):
         raise PoleSignal("soliton evaluated within 1e-12 of a pole")
@@ -106,6 +110,9 @@ def resonance_order(c: float) -> int | None:
     This is the rational-dependence test on the mu_+ pair: the decay-rate
     ratio is m exactly at c_m and irrational generically.
     """
+    c = float(c)
+    if not math.isfinite(c):
+        raise DomainError(f"need a finite speed, got {c}")
     for m, cm in resonant_speeds(64):
         if abs(c - cm) <= 1e-9:
             return m

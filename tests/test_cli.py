@@ -219,6 +219,23 @@ class TestOutDescriptor:
         assert params["constant"] is None and params["mono"] is None and params["lam"] is None
         assert desc["meta"]["lambda"] == elliptic.branch_point(1, 0.05).lam
 
+    @pytest.mark.parametrize("argv,params", [
+        (["evolve", "--constant", "0.5+0.25j", "--modes", "8", "--r-max", "0.001"],
+         {"constant": [0.5, 0.25]}),
+        (["evolve", "--mono", "1", "--modes", "8", "--r-max", "0.001"], {"mono": [1.0, 0.0]}),
+        (["ode", "--roots", "1,0;-1,0", "--t-end", "0.1"],
+         {"roots": [[1.0, 0.0], [-1.0, 0.0]], "w0": [0.0, 0.0]}),
+    ])
+    def test_complex_parameters_are_re_im_pairs(self, tmp_path, argv, params):
+        target = str(tmp_path / "run.csv")
+        argv = argv + ["--out", target]
+        assert run_cli(argv)[0] == 0
+        text = Path(target + ".run.json").read_text()
+        desc = json.loads(text)
+        assert {k: desc["params"][k] for k in params} == params
+        assert run_cli(argv)[0] == 0
+        assert Path(target + ".run.json").read_text() == text
+
 
 class TestExitCodes:
     def test_success(self):
@@ -307,7 +324,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("where", ["missing/x.csv", "."])
     def test_out_must_name_a_file_in_an_existing_directory(self, tmp_path, monkeypatch, where):
         # refused while parsing: the table is never computed, and nothing is written
-        monkeypatch.setattr(cli, "_cmd_trees", lambda args: pytest.fail("subcommand ran"))
+        from eternal_kit import portraits
+        monkeypatch.setattr(portraits, "count_portraits", lambda d: pytest.fail("subcommand ran"))
         rc, out, err = run_cli(["trees", "--d-max", "3", "--out", str(tmp_path / where)])
         assert rc == 64
         assert out == ""
@@ -557,6 +575,33 @@ def cli_argv(draw, name, sources):
             value = draw(st.one_of(value, _JUNK) if junk else value)
             argv.append(f"{flag}={value}")
     return argv
+
+
+class TestParserReuse:
+    """main parses with one parser per process; no parse may leak into the next."""
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_appended_values_start_empty_each_call(self):
+        assert run_cli(["branch", "--n", "1", "--n", "2", "--h", "0.05"])[0] == 0
+        rc, out, _ = run_cli(["branch", "--n", "3", "--h", "0.05"])
+        assert rc == 0
+        _, rows = parse_csv(out)
+        assert [r["n"] for r in rows] == ["3"]
+
+    def test_a_usage_error_leaves_no_trace(self):
+        valid = ["evolve", "--modes", "8", "--r-max", "0.01"]
+        cli.build_parser.cache_clear()
+        alone = run_cli(valid)
+        assert alone[0] == 0
+        cli.build_parser.cache_clear()
+        assert run_cli(["evolve", "--constant", "0.5", "--lambda", "2", "--modes", "nan"])[0] == 64
+        assert run_cli(valid) == alone
+
+    def test_a_subcommand_default_stays_with_its_subcommand(self):
+        assert run_cli(["portrait", "--random-quartic", "3"])[0] == 0
+        assert cli.build_parser().parse_args(["ode"]).random_quartic is None
 
 
 class TestExitCodeProperty:

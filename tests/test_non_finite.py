@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from eternal_kit import elliptic, resonance, scalar_ode, spectrum, waves
@@ -15,6 +16,10 @@ CALLS = {
     "spectrum.eigen": lambda x: spectrum.eigen(elliptic.CosineSeries([x])),
     "spectrum.homogeneous_spectrum": spectrum.homogeneous_spectrum,
     "spectrum.morse_index_homogeneous": spectrum.morse_index_homogeneous,
+    "spectrum.perturbation_mu": lambda x: spectrum.perturbation_mu(1, 0, x),
+    "waves.resonance_order": waves.resonance_order,
+    "waves.soliton": waves.soliton,
+    "waves.soliton[array]": lambda x: waves.soliton(np.array([0.0, x])),
     "waves.wave_params": waves.wave_params,
 }
 

@@ -55,6 +55,39 @@ def test_assemble_operator_needs_room_for_products():
         spectrum.assemble_operator(prof, prof.K + 1)
 
 
+def test_eigen_needs_room_for_products():
+    # eigen assembles only the 2N matrix, which would have room at N = 2K - 1
+    prof = elliptic.equilibrium_profile(1, 0.1)
+    with pytest.raises(DomainError, match="need N >= 2K"):
+        spectrum.eigen(prof, N=2 * prof.K - 1)
+
+
+def reference_operator(profile, N):
+    """The Galerkin matrix gathered through N x N integer index arrays."""
+    K = profile.K
+    w = np.zeros(2 * N, dtype=profile.coeffs.dtype)
+    w[: K + 1] = profile.coeffs
+    idx = np.arange(N)
+    V = (w[idx[:, None] + idx[None, :]] + w[np.abs(idx[:, None] - idx[None, :])]) / 2.0
+    V[0, 1:] = w[1:N] / math.sqrt(2.0)
+    V[1:, 0] = V[0, 1:]
+    V[0, 0] = w[0]
+    d = idx[1:]
+    V[d, d] = w[0] + w[2 * d] / 2.0
+    M = 12.0 * V
+    M[idx, idx] -= (2.0 * math.pi * idx) ** 2
+    return M
+
+
+@pytest.mark.parametrize("n,h", [(1, 0.05), (2, 0.1), (3, -0.08), (6, 0.05), (23, 3e-5)])
+def test_assembly_is_byte_equal_to_the_index_formula(n, h):
+    profile = elliptic.branch_point(n, h).profile
+    K = profile.K
+    for N in (2 * K, 2 * K + 1, 4 * K + 32, 8 * K + 64):
+        assert spectrum.assemble_operator(profile, N).tobytes() == \
+            reference_operator(profile, N).tobytes(), N
+
+
 @pytest.mark.parametrize("n,h", [(1, 0.05), (2, 0.05), (3, 0.08), (4, 0.02),
                                  (5, 0.02), (6, 0.02)])
 def test_morse_index_along_branches(n, h):
@@ -192,7 +225,7 @@ GUARD_PROFILES = [(1, 0.05), (6, 0.05), (23, 3e-5)]
 
 def reference_spectrum(profile, N):
     """Coarse eigenpairs straight from eigh, descending, sign-fixed."""
-    vals, vecs = np.linalg.eigh(spectrum.assemble_operator(profile, N))
+    vals, vecs = np.linalg.eigh(reference_operator(profile, N))
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
     coeffs = []
@@ -220,9 +253,11 @@ def test_eigenpairs_are_byte_equal_to_the_coarse_eigh(n, h):
 def test_refinement_defect_stays_under_tolerance_plus_noise_floor(n, h):
     profile = elliptic.branch_point(n, h).profile
     rep = spectrum.eigen(profile)
-    fine = np.linalg.eigvalsh(spectrum.assemble_operator(profile, 2 * rep.N))
+    fine = np.linalg.eigvalsh(reference_operator(profile, 2 * rep.N))[::-1]
     noise_floor = 16.0 * np.finfo(float).eps * float(np.abs(fine).max())
     assert rep.refinement_defect < spectrum.REFINEMENT_TOL + noise_floor
+    # the same bytes as a separate 2N assembly and solve
+    assert rep.refinement_defect == float(np.max(np.abs(rep.eigenvalues[:11] - fine[:11])))
 
 
 def test_eigenvectors_read_like_a_sequence():

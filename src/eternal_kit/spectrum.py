@@ -137,7 +137,8 @@ def eigen(profile: CosineSeries, N: int | None = None) -> SpectrumReport:
     N^2), else ConvergenceError; the achieved defect is reported.
     Eigenvalue gaps below DEGENERACY_TOL are flagged, not resolved.
     Eigenvalues, Morse index and eigenvectors all come from the N-mode
-    solve; each eigenvector is built when it is read.
+    solve, whose matrix is the leading block of the one 2 N assembly; each
+    eigenvector is built when it is read.
     """
     if not np.isfinite(profile.coeffs).all():
         raise DomainError("profile coefficients must be finite")

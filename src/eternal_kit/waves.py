@@ -48,8 +48,7 @@ def soliton(xi):
     z = np.asarray(xi, dtype=complex)
     if not np.isfinite(z).all():
         raise DomainError("soliton argument must be finite")
-    z = z / math.sqrt(2.0)
-    c = np.cosh(z)
+    c = np.cosh(z / math.sqrt(2.0))
     if np.any(np.abs(c) < 1e-12):
         raise PoleSignal("soliton evaluated within 1e-12 of a pole")
     vals = -1.0 + 3.0 / (c * c)

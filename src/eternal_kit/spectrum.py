@@ -15,11 +15,12 @@ W = sum w_l cos(2 pi l x) has the exact matrix elements
 (k, l >= 1, k != l), which follow from the product-to-sum identity, so the
 only discretization error is basis truncation.  For the analytic branch
 profiles the coefficients decay geometrically and eigenvalues converge
-superexponentially in N; `eigen` certifies this by refining N -> 2N.  Each
-`eigen` call assembles one matrix, the 2N one, built from Hankel and
-Toeplitz views of the coefficients; the N-mode matrix is its leading N x N
-block, the same bytes as an N-mode assembly.  The 2N solve computes
-eigenvalues only, since nothing but that comparison reads it, and the
+superexponentially in N; `eigen` certifies the top eleven by their Ritz
+residuals.  Since w_l = 0 for l > K and N >= 2K, the N kept modes couple
+only to the K modes N .. N + K - 1 past them, so each `eigen` call
+assembles one matrix of N + K modes from Hankel and Toeplitz views of the
+coefficients.  Its leading N x N block is the N-mode matrix byte for byte,
+and its last K rows give every residual in every larger truncation.  The
 reported eigenvectors are built from the coarse solve's matrix one at a
 time, when read.
 
@@ -50,8 +51,8 @@ from .errors import ConvergenceError, DomainError
 
 _TWO_PI = 2.0 * math.pi
 
-#: default refinement certificate: doubling N must move the top eigenvalues
-#: by less than this
+#: truncation certificate: the top eigenvalues of every larger truncation lie
+#: within this of the N-mode ones
 REFINEMENT_TOL = 1e-9
 #: eigenvalue gaps below this are flagged as degenerate pairs, not resolved
 DEGENERACY_TOL = 1e-8
@@ -131,31 +132,54 @@ def _sorted_eigh(M: np.ndarray):
 def eigen(profile: CosineSeries, N: int | None = None) -> SpectrumReport:
     """Spectrum of the linearization at `profile`.
 
-    N defaults to 4 K + 32.  The eigenvalues alone are recomputed at 2 N and
-    the top eleven must agree to REFINEMENT_TOL plus the dense-solver
-    roundoff floor (a few eps times the spectral radius, which grows like
-    N^2), else ConvergenceError; the achieved defect is reported.
-    Eigenvalue gaps below DEGENERACY_TOL are flagged, not resolved.
-    Eigenvalues, Morse index and eigenvectors all come from the N-mode
-    solve, whose matrix is the leading block of the one 2 N assembly; each
-    eigenvector is built when it is read.
+    N defaults to 4 K + 32.  Eigenvalues, Morse index and eigenvectors all
+    come from the N-mode solve, whose matrix is the leading block of the one
+    N + K assembly; each eigenvector is built when it is read.
+
+    The top eleven Ritz pairs (theta_i, v_i) are certified against every
+    larger truncation, the operator included: Cauchy interlacing gives
+    lambda_i >= theta_i, and Kahan's theorem for a Rayleigh-Ritz block
+    (Parlett, The Symmetric Eigenvalue Problem, 11.5) gives
+    lambda_i - theta_i <= ||R||_2 with R = fine[N:, :N] @ V[:, :11], once
+    the discarded modes hold no eigenvalue above theta_11.  That separation
+    is checked without a solve: the modes past N lie below
+    d = 12 (w_0 + sum_{l>=1} |w_l|) - (2 pi N)^2, and with g_j the coupling
+    ||fine[N:, :N] v_j|| of Ritz vector j > 11 it suffices that
+    sum_j g_j^2 / (theta_11 - theta_j) <= theta_11 - d.
+    ||R||_2 is reported as `refinement_defect` and must stay under
+    REFINEMENT_TOL plus the roundoff floor 16 eps max|diag|, else
+    ConvergenceError.  Eigenvalue gaps below DEGENERACY_TOL are flagged,
+    not resolved.
     """
     if not np.isfinite(profile.coeffs).all():
         raise DomainError("profile coefficients must be finite")
+    K = profile.K
     if N is None:
-        N = 4 * profile.K + 32
-    _require_modes(profile.K, N)
-    fine = assemble_operator(profile, 2 * N)
+        N = 4 * K + 32
+    _require_modes(K, N)
+    fine = assemble_operator(profile, N + K)
     vals, vecs = _sorted_eigh(fine[:N, :N])
 
-    fine_vals = np.linalg.eigvalsh(fine)[::-1]
     top = min(11, N)
-    defect = float(np.max(np.abs(vals[:top] - fine_vals[:top])))
-    noise_floor = 16.0 * np.finfo(float).eps * float(np.abs(fine_vals).max())
+    coupling = fine[N:, :N] @ vecs
+    defect = float(np.linalg.norm(coupling[:, :top], 2)) if K else 0.0
+    noise_floor = 16.0 * np.finfo(float).eps * float(np.abs(np.diag(fine)).max())
     if defect >= REFINEMENT_TOL + noise_floor:
         raise ConvergenceError(
-            f"top eigenvalues moved by {defect:.3e} when refining "
-            f"N = {N} -> {2 * N}; increase N"
+            f"top Ritz residual {defect:.3e} at N = {N} bounds the "
+            f"truncation error above tolerance; increase N"
+        )
+    # separation: the Ritz vectors past the top eleven, coupled to modes that
+    # lie below fine_top, must not lift the discarded spectrum above theta_11
+    g2 = np.sum(coupling[:, top:] ** 2, axis=0)
+    coupled = g2 > 0.0
+    with np.errstate(divide="ignore"):
+        spill = float(np.sum(g2[coupled] / (vals[top - 1] - vals[top:][coupled])))
+    w = profile.coeffs
+    fine_top = 12.0 * float(w[0] + np.abs(w[1:]).sum()) - (_TWO_PI * N) ** 2
+    if not spill <= vals[top - 1] - fine_top:
+        raise ConvergenceError(
+            f"modes past N = {N} may hold eigenvalues above the top {top}; increase N"
         )
 
     gaps = np.abs(np.diff(vals))

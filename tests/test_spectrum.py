@@ -251,13 +251,72 @@ def test_eigenpairs_are_byte_equal_to_the_coarse_eigh(n, h):
 
 @pytest.mark.parametrize("n,h", GUARD_PROFILES)
 def test_refinement_defect_stays_under_tolerance_plus_noise_floor(n, h):
+    # a separate 2N assembly and full solve, against the residual bound
     profile = elliptic.branch_point(n, h).profile
     rep = spectrum.eigen(profile)
     fine = np.linalg.eigvalsh(reference_operator(profile, 2 * rep.N))[::-1]
-    noise_floor = 16.0 * np.finfo(float).eps * float(np.abs(fine).max())
-    assert rep.refinement_defect < spectrum.REFINEMENT_TOL + noise_floor
-    # the same bytes as a separate 2N assembly and solve
-    assert rep.refinement_defect == float(np.max(np.abs(rep.eigenvalues[:11] - fine[:11])))
+    floor = 16.0 * np.finfo(float).eps * float(np.abs(fine).max())
+    assert rep.refinement_defect < spectrum.REFINEMENT_TOL + floor
+    fine, theta = fine[:11], rep.eigenvalues[:11]
+    assert np.all(fine >= theta - floor)
+    assert np.all(np.abs(fine - theta) <= rep.refinement_defect + floor)
+
+
+@pytest.mark.parametrize("W", [-2.0, 0.5, 1.7])
+def test_constant_profile_certificate_is_exact(W):
+    # K = 0: no mode past N couples to the kept ones
+    rep = spectrum.eigen(elliptic.CosineSeries([W]))
+    assert rep.refinement_defect == 0.0
+    k = np.arange(rep.N)
+    assert np.array_equal(rep.eigenvalues, 12.0 * W - (2.0 * math.pi * k) ** 2)
+
+
+def geometric_profile(A, q, K=40):
+    return elliptic.CosineSeries(A * q ** np.arange(K + 1))
+
+
+def test_residual_bound_holds_against_a_4n_reference():
+    profile = geometric_profile(10.0, 0.7)
+    N = 80
+    rep = spectrum.eigen(profile, N=N)
+    assert 0.0 < rep.refinement_defect < 1e-10
+    fine = np.linalg.eigvalsh(reference_operator(profile, 4 * N))[::-1]
+    # both solves' roundoff floors
+    floor = 16.0 * np.finfo(float).eps * (float(np.abs(fine).max())
+                                          + float(np.abs(rep.eigenvalues).max()))
+    fine, theta = fine[:11], rep.eigenvalues[:11]
+    assert np.all(fine >= theta - floor)
+    assert np.all(np.abs(fine - theta) <= rep.refinement_defect + floor)
+
+
+@pytest.mark.parametrize("A,q", [(100.0, 0.8), (3e3, 0.9)])
+def test_slowly_decaying_profiles_are_refused_at_the_minimal_truncation(A, q):
+    with pytest.raises(ConvergenceError, match="Ritz residual"):
+        spectrum.eigen(geometric_profile(A, q), N=80)
+
+
+def test_unseparated_discarded_modes_are_refused(monkeypatch):
+    # with the residual check lifted, the top-mode spike still fails the
+    # separation check: modes past N may rise above the eleventh Ritz value
+    monkeypatch.setattr(spectrum, "REFINEMENT_TOL", math.inf)
+    coeffs = np.zeros(31)
+    coeffs[30] = 1e6
+    with pytest.raises(ConvergenceError, match="modes past N"):
+        spectrum.eigen(elliptic.CosineSeries(coeffs), N=60)
+
+
+EXACT_WORKLOAD_SPECTRA = (
+    [(n, s * h) for n in range(1, 24) for h in (3e-5, 6e-5) for s in (1, -1)]
+    + [(n, h) for n in range(1, 7) for h in (0.02, 0.06)]
+)
+
+
+def test_every_exact_workload_spectrum_certifies_below_1e_12():
+    worst = max(
+        (spectrum.eigen(elliptic.branch_point(n, h).profile).refinement_defect, n, h)
+        for n, h in EXACT_WORKLOAD_SPECTRA
+    )
+    assert worst[0] < 1e-12, worst
 
 
 def test_eigenvectors_read_like_a_sequence():

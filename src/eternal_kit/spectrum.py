@@ -137,11 +137,12 @@ def eigen(profile: CosineSeries, N: int | None = None) -> SpectrumReport:
     N + K assembly; each eigenvector is built when it is read.
 
     The top eleven Ritz pairs (theta_i, v_i) are certified against every
-    larger truncation, the operator included: Cauchy interlacing gives
+    larger truncation and the operator itself: Cauchy interlacing gives
     lambda_i >= theta_i, and Kahan's theorem for a Rayleigh-Ritz block
     (Parlett, The Symmetric Eigenvalue Problem, 11.5) gives
     lambda_i - theta_i <= ||R||_2 with R = fine[N:, :N] @ V[:, :11], once
-    the discarded modes hold no eigenvalue above theta_11.  That separation
+    the operator restricted to the complement of those eleven Ritz vectors
+    has no eigenvalue above theta_11.  That separation
     is checked without a solve: the modes past N lie below
     d = 12 (w_0 + sum_{l>=1} |w_l|) - (2 pi N)^2, and with g_j the coupling
     ||fine[N:, :N] v_j|| of Ritz vector j > 11 it suffices that
@@ -153,6 +154,8 @@ def eigen(profile: CosineSeries, N: int | None = None) -> SpectrumReport:
     """
     if not np.isfinite(profile.coeffs).all():
         raise DomainError("profile coefficients must be finite")
+    if np.iscomplexobj(profile.coeffs):
+        raise DomainError("the linearization is self-adjoint only at a real profile")
     K = profile.K
     if N is None:
         N = 4 * K + 32
@@ -166,8 +169,8 @@ def eigen(profile: CosineSeries, N: int | None = None) -> SpectrumReport:
     noise_floor = 16.0 * np.finfo(float).eps * float(np.abs(np.diag(fine)).max())
     if defect >= REFINEMENT_TOL + noise_floor:
         raise ConvergenceError(
-            f"top Ritz residual {defect:.3e} at N = {N} bounds the "
-            f"truncation error above tolerance; increase N"
+            f"top Ritz residual {defect:.3e} at N = {N} exceeds the "
+            f"truncation tolerance; increase N"
         )
     # separation: the Ritz vectors past the top eleven, coupled to modes that
     # lie below fine_top, must not lift the discarded spectrum above theta_11

@@ -62,6 +62,12 @@ def test_eigen_needs_room_for_products():
         spectrum.eigen(prof, N=2 * prof.K - 1)
 
 
+def test_eigen_refuses_a_complex_profile():
+    # eigh would read the complex symmetric matrix as Hermitian
+    with pytest.raises(DomainError, match="real profile"):
+        spectrum.eigen(elliptic.CosineSeries(np.array([1.0, 0.5j])))
+
+
 def reference_operator(profile, N):
     """The Galerkin matrix gathered through N x N integer index arrays."""
     K = profile.K

@@ -338,3 +338,17 @@ def test_eigenvectors_read_like_a_sequence():
         vecs[n]
     with pytest.raises(TypeError):
         vecs[0] = vecs[1]
+
+
+@pytest.mark.parametrize("h", [0.05, 3e-5])
+@pytest.mark.parametrize("n", [2, 6, 23])
+def test_rescaled_branch_spectrum_is_n_squared_times_branch_one(n, h):
+    # W_n(x) = n^2 W_1(n x): on cosines of multiples of n the linearization
+    # at W_n is n^2 times the one at W_1
+    top = spectrum.eigen(elliptic.branch_point(1, h).profile).eigenvalues[:8]
+    rep = spectrum.eigen(elliptic.branch_point(n, h).profile)
+    off = np.arange(rep.N) % n != 0
+    lifted = [lam for lam, v in zip(rep.eigenvalues, rep.eigenvectors)
+              if np.abs(v.coeffs[off]).max() < 1e-8][:8]
+    err = np.abs(np.array(lifted) - n * n * top) / np.maximum(1.0, np.abs(lifted))
+    assert err.max() < 1e-11, err.max()

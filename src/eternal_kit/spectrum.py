@@ -20,9 +20,15 @@ residuals.  Since w_l = 0 for l > K and N >= 2K, the N kept modes couple
 only to the K modes N .. N + K - 1 past them, so each `eigen` call
 assembles one matrix of N + K modes from Hankel and Toeplitz views of the
 coefficients.  Its leading N x N block is the N-mode matrix byte for byte,
-and its last K rows give every residual in every larger truncation.  The
-reported eigenvectors are built from the coarse solve's matrix one at a
-time, when read.
+and its last K rows give every residual in every larger truncation.
+
+If the nonzero w_l (l >= 1) all sit on multiples of g, as they do for the
+branch profiles W_n = n^2 W_1(n x) with g = n, then w_{k+l} and w_{|k-l|}
+vanish unless l = +-k (mod g), and the matrix splits into floor(g/2) + 1
+blocks, one per class {k : k = +-r (mod g)}.  `eigen` solves each block
+alone: about g/2 blocks of 2N/g modes, or 4/g^2 of the flops of one
+N x N solve.  For g <= 1 the one block is the whole N x N matrix.  The reported eigenvectors, zero off their
+class, are built from the coarse solve's matrix one at a time, when read.
 
 At the homogeneous equilibria +-sqrt(lam/6) the matrix is diagonal with
 eigenvalues +-2 sqrt(6 lam) - (2 pi k)^2, reproduced exactly.
@@ -123,30 +129,29 @@ class SpectrumReport:
     degenerate_pairs: list[tuple[int, int, float]] = field(default_factory=list)
 
 
-def _sorted_eigh(M: np.ndarray):
-    vals, vecs = np.linalg.eigh(M)
-    order = np.argsort(vals)[::-1]
-    return vals[order], vecs[:, order]
-
-
 def eigen(profile: CosineSeries, N: int | None = None) -> SpectrumReport:
     """Spectrum of the linearization at `profile`.
 
     N defaults to 4 K + 32.  Eigenvalues, Morse index and eigenvectors all
-    come from the N-mode solve, whose matrix is the leading block of the one
-    N + K assembly; each eigenvector is built when it is read.
+    come from the N-mode matrix, the leading block of the one N + K
+    assembly.  With g the gcd of the indices l >= 1 of the nonzero profile
+    coefficients, each class of modes k = +-r (mod g), r = 0 .. floor(g/2),
+    gets its own eigh; the pairs are merged in descending order.  For g <= 1
+    (W_1, constants, generic profiles) that is one eigh of the whole N x N
+    block.  Each eigenvector is built when it is read.
 
     The top eleven Ritz pairs (theta_i, v_i) are certified against every
     larger truncation and the operator itself: Cauchy interlacing gives
     lambda_i >= theta_i, and Kahan's theorem for a Rayleigh-Ritz block
     (Parlett, The Symmetric Eigenvalue Problem, 11.5) gives
-    lambda_i - theta_i <= ||R||_2 with R = fine[N:, :N] @ V[:, :11], once
+    lambda_i - theta_i <= ||R||_2 with R = fine[N:, :N] @ V[:, :11]
+    (formed class by class, as fine[N:, class] @ V[class, :]), once
     the operator restricted to the complement of those eleven Ritz vectors
     has no eigenvalue above theta_11.  That separation
     is checked without a solve: the modes past N lie below
-    d = 12 (w_0 + sum_{l>=1} |w_l|) - (2 pi N)^2, and with g_j the coupling
+    d = 12 (w_0 + sum_{l>=1} |w_l|) - (2 pi N)^2, and with c_j the coupling
     ||fine[N:, :N] v_j|| of Ritz vector j > 11 it suffices that
-    sum_j g_j^2 / (theta_11 - theta_j) <= theta_11 - d.
+    sum_j c_j^2 / (theta_11 - theta_j) <= theta_11 - d.
     ||R||_2 is reported as `refinement_defect` and must stay under
     REFINEMENT_TOL plus the roundoff floor 16 eps max|diag|, else
     ConvergenceError.  Eigenvalue gaps below DEGENERACY_TOL are flagged,
@@ -161,10 +166,32 @@ def eigen(profile: CosineSeries, N: int | None = None) -> SpectrumReport:
         N = 4 * K + 32
     _require_modes(K, N)
     fine = assemble_operator(profile, N + K)
-    vals, vecs = _sorted_eigh(fine[:N, :N])
+    # W on multiples of g couples cosine mode k only to the modes l = +-k
+    # (mod g): one eigh per class, each Ritz vector zero off its class
+    w = profile.coeffs
+    g = max(1, math.gcd(*(np.flatnonzero(w[1:]) + 1).tolist()))
+    modes = np.arange(N)
+    residue = np.minimum(modes % g, -modes % g)
+    classes = [np.flatnonzero(residue == r) for r in range(g // 2 + 1)]
+    vals = np.empty(N)
+    vecs = np.zeros((N, N))
+    owner = np.empty(N, dtype=int)
+    start = 0
+    for r, idx in enumerate(classes):
+        cols = slice(start, start + len(idx))
+        vals[cols], vecs[idx, cols] = np.linalg.eigh(fine[np.ix_(idx, idx)])
+        owner[cols] = r
+        start += len(idx)
+    order = np.argsort(vals)[::-1]
+    vals, vecs, owner = vals[order], vecs[:, order], owner[order]
+    # the class's Ritz residuals; take keeps fine's rows row-major, so one
+    # class computes the unsplit product fine[N:, :N] @ vecs byte for byte
+    coupling = np.empty((K, N))
+    for r, idx in enumerate(classes):
+        cols = np.flatnonzero(owner == r)
+        coupling[:, cols] = fine[N:].take(idx, axis=1) @ vecs[idx][:, cols]
 
     top = min(11, N)
-    coupling = fine[N:, :N] @ vecs
     defect = float(np.linalg.norm(coupling[:, :top], 2)) if K else 0.0
     noise_floor = 16.0 * np.finfo(float).eps * float(np.abs(np.diag(fine)).max())
     if defect >= REFINEMENT_TOL + noise_floor:
@@ -174,11 +201,10 @@ def eigen(profile: CosineSeries, N: int | None = None) -> SpectrumReport:
         )
     # separation: the Ritz vectors past the top eleven, coupled to modes that
     # lie below fine_top, must not lift the discarded spectrum above theta_11
-    g2 = np.sum(coupling[:, top:] ** 2, axis=0)
-    coupled = g2 > 0.0
+    c2 = np.sum(coupling[:, top:] ** 2, axis=0)
+    coupled = c2 > 0.0
     with np.errstate(divide="ignore"):
-        spill = float(np.sum(g2[coupled] / (vals[top - 1] - vals[top:][coupled])))
-    w = profile.coeffs
+        spill = float(np.sum(c2[coupled] / (vals[top - 1] - vals[top:][coupled])))
     fine_top = 12.0 * float(w[0] + np.abs(w[1:]).sum()) - (_TWO_PI * N) ** 2
     if not spill <= vals[top - 1] - fine_top:
         raise ConvergenceError(

@@ -106,14 +106,17 @@ def test_import_leaves_the_ode_solver_unloaded():
 def test_import_loads_only_the_named_submodule():
     # the package re-exports nothing: each submodule loads what it needs, and the
     # transforms load pocketfft's extension alone, without the scipy.fft package
-    # (and the scipy.special it pulls in), which would double a cold start
+    # (and the scipy.special it pulls in), which would double a cold start;
+    # the eigensolves use numpy's eigh, since scipy.linalg alone costs more
+    # than a whole set-up
     src = Path(cli.__file__).resolve().parents[1]
     code = ("import sys, {target}; print(sorted(m for m in sys.modules if m.startswith('eternal_kit.')"
-            " or m in ('scipy.fft', 'scipy.special')))")
+            " or m in {refused!r}))")
+    refused = ("scipy.fft", "scipy.special", "scipy.linalg")
     env = {**os.environ, "PYTHONPATH": str(src)}
     loaded = {}
     for target in ("eternal_kit", "eternal_kit.elliptic", "eternal_kit.evolve", "eternal_kit.cli"):
-        proc = subprocess.run([sys.executable, "-c", code.format(target=target)], env=env,
+        proc = subprocess.run([sys.executable, "-c", code.format(target=target, refused=refused)], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         loaded[target] = proc.stdout.strip()
@@ -123,7 +126,7 @@ def test_import_loads_only_the_named_submodule():
     assert "eternal_kit.evolve" in loaded["eternal_kit.evolve"]
     assert "eternal_kit.cli" in loaded["eternal_kit.cli"]
     for target, modules in loaded.items():
-        assert "scipy.fft" not in modules and "scipy.special" not in modules, target
+        assert not any(f"'{name}'" in modules for name in refused), (target, modules)
 
 
 def test_transforms_do_not_depend_on_the_import_order():

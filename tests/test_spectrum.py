@@ -159,6 +159,8 @@ def test_mu2_fractions_match_extrapolated_galerkin_spectra():
     O(h^2); one Richardson step against step 2h removes the h^2 term.  The
     step must be small: near-resonant denominators n^2 - 4 k^2 shrink the
     radius of the expansion, and at h = 1e-3 the estimate is off by 2%.
+    At h = 3e-5 the eigenvalues' roundoff, amplified by 1 / h^2, sets the
+    error; solving each class of modes alone keeps it under 1e-7.
     """
     h = 3e-5
     for n in range(1, 24):
@@ -173,7 +175,7 @@ def test_mu2_fractions_match_extrapolated_galerkin_spectra():
             d2 = (mus[2 * h][k] + mus[-2 * h][k] - 2.0 * mu0) / (8.0 * h * h)
             got = (4.0 * d1 - d2) / 3.0
             err = abs(got - float(exact)) / abs(float(exact))
-            assert err < 1e-5, (n, k, got, exact)
+            assert err < 1e-7, (n, k, got, exact)
 
 
 def _defect_slope(n, k, hs):
@@ -229,15 +231,18 @@ def test_default_truncation_converges_for_moderate_moduli():
 GUARD_PROFILES = [(1, 0.05), (6, 0.05), (23, 3e-5)]
 
 
-def reference_spectrum(profile, N):
-    """Coarse eigenpairs straight from eigh, descending, sign-fixed."""
-    vals, vecs = np.linalg.eigh(reference_operator(profile, N))
+def reference_spectrum(M, idx):
+    """Eigenpairs of the block M[idx, idx] straight from eigh, descending,
+    as N-mode cosine coefficients, sign-fixed."""
+    vals, vecs = np.linalg.eigh(M[np.ix_(idx, idx)])
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
     coeffs = []
-    for i in range(N):
-        a = 2.0 * vecs[:, i].copy()
-        a[0] = math.sqrt(2.0) * vecs[0, i]
+    for i in range(len(idx)):
+        col = np.zeros(len(M))
+        col[idx] = vecs[:, i]
+        a = 2.0 * col
+        a[0] = math.sqrt(2.0) * col[0]
         if a[np.argmax(np.abs(a))] < 0:
             a = -a
         coeffs.append(a)
@@ -246,13 +251,31 @@ def reference_spectrum(profile, N):
 
 @pytest.mark.parametrize("n,h", GUARD_PROFILES)
 def test_eigenpairs_are_byte_equal_to_the_coarse_eigh(n, h):
+    # W_n lives on multiples of n, so eigen solves each class of modes
+    # k = +-r (mod n) alone; at n = 1 the one class is the whole N x N matrix
     profile = elliptic.branch_point(n, h).profile
     rep = spectrum.eigen(profile)
-    vals, coeffs = reference_spectrum(profile, rep.N)
-    assert rep.eigenvalues.tobytes() == vals.tobytes()
-    assert len(rep.eigenvectors) == len(coeffs)
-    for i, want in enumerate(coeffs):
-        assert rep.eigenvectors[i].coeffs.tobytes() == want.tobytes(), i
+    M = reference_operator(profile, rep.N)
+    full = np.linalg.eigvalsh(M)[::-1]
+    floor = 16.0 * np.finfo(float).eps * float(np.abs(full).max())
+    assert np.all(np.abs(rep.eigenvalues - full) <= floor)
+
+    modes = np.arange(rep.N)
+    residue = np.minimum(modes % n, -modes % n)
+    owner = []
+    for v in rep.eigenvectors:
+        held = set(residue[v.coeffs != 0.0].tolist())
+        assert len(held) == 1, held
+        owner.append(held.pop())
+    owner = np.array(owner)
+    assert set(owner.tolist()) == set(range(n // 2 + 1))
+    for r in range(n // 2 + 1):
+        vals, coeffs = reference_spectrum(M, np.flatnonzero(residue == r))
+        members = np.flatnonzero(owner == r)
+        assert rep.eigenvalues[members].tobytes() == vals.tobytes(), r
+        assert len(members) == len(coeffs)
+        for i, want in zip(members, coeffs):
+            assert rep.eigenvectors[i].coeffs.tobytes() == want.tobytes(), (r, i)
 
 
 @pytest.mark.parametrize("n,h", GUARD_PROFILES)

@@ -27,8 +27,9 @@ branch profiles W_n = n^2 W_1(n x) with g = n, then w_{k+l} and w_{|k-l|}
 vanish unless l = +-k (mod g), and the matrix splits into floor(g/2) + 1
 blocks, one per class {k : k = +-r (mod g)}.  `eigen` solves each block
 alone: about g/2 blocks of 2N/g modes, or 4/g^2 of the flops of one
-N x N solve.  For g <= 1 the one block is the whole N x N matrix.  The reported eigenvectors, zero off their
-class, are built from the coarse solve's matrix one at a time, when read.
+N x N solve.  For g <= 1 the one block is the whole N x N matrix.  The
+reported eigenvectors, zero off their class, are built from the coarse
+solve's matrix one at a time, when read.
 
 At the homogeneous equilibria +-sqrt(lam/6) the matrix is diagonal with
 eigenvalues +-2 sqrt(6 lam) - (2 pi k)^2, reproduced exactly.
@@ -175,21 +176,21 @@ def eigen(profile: CosineSeries, N: int | None = None) -> SpectrumReport:
     classes = [np.flatnonzero(residue == r) for r in range(g // 2 + 1)]
     vals = np.empty(N)
     vecs = np.zeros((N, N))
-    owner = np.empty(N, dtype=int)
+    coupling = np.empty((K, N))
     start = 0
-    for r, idx in enumerate(classes):
+    for idx in classes:
         cols = slice(start, start + len(idx))
-        vals[cols], vecs[idx, cols] = np.linalg.eigh(fine[np.ix_(idx, idx)])
-        owner[cols] = r
+        block_vals, block = np.linalg.eigh(fine[np.ix_(idx, idx)])
+        down = np.argsort(block_vals)[::-1]
+        vals[cols], block = block_vals[down], block[:, down]
+        vecs[idx, cols] = block
+        # the class's Ritz residuals, in descending order and with fine's rows
+        # kept row-major, so that one class gives the bytes of the unsplit
+        # fine[N:, :N] @ vecs
+        coupling[:, cols] = fine[N:].take(idx, axis=1) @ block
         start += len(idx)
     order = np.argsort(vals)[::-1]
-    vals, vecs, owner = vals[order], vecs[:, order], owner[order]
-    # the class's Ritz residuals; take keeps fine's rows row-major, so one
-    # class computes the unsplit product fine[N:, :N] @ vecs byte for byte
-    coupling = np.empty((K, N))
-    for r, idx in enumerate(classes):
-        cols = np.flatnonzero(owner == r)
-        coupling[:, cols] = fine[N:].take(idx, axis=1) @ vecs[idx][:, cols]
+    vals, vecs, coupling = vals[order], vecs[:, order], coupling[:, order]
 
     top = min(11, N)
     defect = float(np.linalg.norm(coupling[:, :top], 2)) if K else 0.0

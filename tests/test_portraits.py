@@ -232,6 +232,22 @@ class TestCanonicalReference:
         reference = [portraits.ChordDiagram.from_code(c) for c in sorted(codes)]
         assert portraits.enumerate_diagrams(d) == reference
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_forty_chords_pass_the_int64_width(self, seed):
+        # n = 80 slots: a code no longer fits one 64-bit integer
+        rng = np.random.default_rng(seed)
+        word, depth, opened = [], 0, 0
+        while len(word) < 80:
+            if opened < 40 and (depth == 0 or rng.random() < 0.5):
+                word.append("1")
+                depth, opened = depth + 1, opened + 1
+            else:
+                word.append("0")
+                depth -= 1
+        dg = portraits.ChordDiagram.from_code("".join(word)).rotate(int(rng.integers(80)))
+        assert dg.n_slots == 80
+        assert dg.canonical_code() == reference_canonical_code(dg)
+
 
 def test_tree_chord_bijection_at_degree_six():
     diagrams = portraits.enumerate_diagrams(6)
@@ -264,6 +280,27 @@ def test_census_formula_matches_printed_sequence(d):
 @pytest.mark.parametrize("d", range(2, 15))
 def test_enumeration_cardinality_matches_formula(d):
     assert len(portraits.enumerate_diagrams(d)) == portraits.count_portraits(d)
+
+
+# sha256 of the newline-joined codes: the census's exact output, pinned
+@pytest.mark.parametrize("d, want", [
+    (2, "4a44dc15364204a80fe80e9039455cc1608281820fe2b24f1e5233ade6af1dd5"),
+    (3, "7a5df5ffa0dec2228d90b8d0a0f1b0767b748b0a41314c123075b8289e4e053f"),
+    (4, "b51939b54f7e3fff222532fe4254723fe13a071cceefa58cb88e806be724ba03"),
+    (5, "ea17c7e78131f6ce8b05bf585dde7a06e7d1e01eadeaaed86ffffaabd727f05e"),
+    (6, "6a57c5e4ff413259c3cca3e0a2533a8695720716736c3c78739d34b34d3483eb"),
+    (7, "ec540ecdf59133607823231e0a775b65a33158fb4f313adbab616601af64bb9f"),
+    (8, "f8e75be158b67be90e532ac307be56f61bdc8aa002197be6e738a4e6b8b9197c"),
+    (9, "dfa32de21e7abc4b4e0a07bfebd7ba2df532e334c7f8e624bfd8b8d391429cf7"),
+    (10, "89d42c61474e9a8035d76bf0937346555a0c28b4c15024d374031f98f1ef53b8"),
+    (11, "7400d4d6369131806bee0ea7ed8d3188cbc794c780b5ae110607b317654aa20c"),
+    (12, "f167830036b1c03920ac598200268145d0a62314a6c1cbcfbd48efa562ca4e1d"),
+    (13, "f29973d9463c05800793ae3aa11de986a299affb2d25af80e423377cdd15852d"),
+    (14, "a8df1f84aed8079f8a1b31726de60b89e55b67d33fd4880f3598e0c9c521f5d7"),
+])
+def test_code_census_bytes(d, want):
+    codes = "\n".join(portraits.enumerate_codes(d))
+    assert hashlib.sha256(codes.encode()).hexdigest() == want
 
 
 def test_code_enumeration_matches_formula_up_to_the_cap():

@@ -1,5 +1,6 @@
 """Linearized spectra: Galerkin matrices, Morse indices, perturbation series."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -338,6 +339,31 @@ EXACT_WORKLOAD_SPECTRA = (
     [(n, s * h) for n in range(1, 24) for h in (3e-5, 6e-5) for s in (1, -1)]
     + [(n, h) for n in range(1, 7) for h in (0.02, 0.06)]
 )
+
+
+def spectrum_digest(pairs):
+    h = hashlib.sha256()
+    for n, x in pairs:
+        rep = spectrum.eigen(elliptic.branch_point(n, x).profile)
+        h.update(rep.eigenvalues.tobytes())
+        for v in rep.eigenvectors:
+            h.update(v.coeffs.tobytes())
+        h.update(float(rep.refinement_defect).hex().encode())
+        h.update(str(rep.morse_index).encode())
+    return h.hexdigest()
+
+
+# every eigenpair, residual bound and Morse index of the exact workload's
+# W_1 ... W_23 and of W_1 ... W_6 at h = 0.05, to the last bit
+@pytest.mark.parametrize("h, n_max, want", [
+    (3e-5, 23, "5ba2f6af32b60889b254ad3e510356331bbb96eea97d4409eb29d87f48b72417"),
+    (-3e-5, 23, "51c7e94b5b7bbad8b4a66bab34d5781a7a5e44c1c49dd0165e921a5c336c8a02"),
+    (6e-5, 23, "351a1ffa41184e921bfb9867ad93bda26c7f335c61a27998d26dbf9dd24f671e"),
+    (-6e-5, 23, "005bb0d9b847c583f240bb0c04ac66b4e4a27d4b98fa99aacef3cf05cc364daa"),
+    (0.05, 6, "605108185edda47886a0184450dc1977731f5329ab3a32ea5e1b11ca6858c380"),
+])
+def test_branch_spectra_bytes(h, n_max, want):
+    assert spectrum_digest([(n, h) for n in range(1, n_max + 1)]) == want
 
 
 def test_every_exact_workload_spectrum_certifies_below_1e_12():

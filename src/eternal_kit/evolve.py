@@ -720,7 +720,10 @@ def heteroclinic_shoot(
     minus = sign < 0
     capture = max_increase = None
     if minus:
-        cos_table = np.cos(_TWO_PI * np.outer(np.linspace(0.0, 0.5, 129), np.arange(N)))
+        # cast once: matmul with the complex coefficients would cast the
+        # table again on every accepted step
+        grid = np.outer(np.linspace(0.0, 0.5, 129), np.arange(N))
+        cos_table = np.cos(_TWO_PI * grid).astype(complex)
         max_increase = -math.inf
 
         def capture(prev: ComplexField, new: ComplexField) -> bool:

@@ -27,8 +27,9 @@ sectors then witness the edges of a planar tree on the equilibria, each edge
 exactly twice, and the pairing of sectors by shared edge is a noncrossing
 chord diagram.  Rotation classes of these diagrams classify the portraits;
 `count_portraits` evaluates the closed counting formula, `enumerate_codes`
-lists the canonical codes of the classes and `enumerate_diagrams` builds a
-representative diagram from each.
+lists the canonical codes of the classes, canonicalized as arrays in
+batches of diagrams, and `enumerate_diagrams` builds a representative
+diagram from each.
 """
 
 from __future__ import annotations
@@ -191,10 +192,10 @@ class ChordDiagram:
     def canonical_code(self) -> str:
         """Least code over all rotations of the diagram."""
         n = self.n_slots
-        offsets = [0] * n
+        offsets = np.zeros((1, n), dtype=np.int64)
         for a, b in self.pairs:
-            offsets[a], offsets[b] = b - a, n - (b - a)
-        return _canonical_code(offsets)
+            offsets[0, a], offsets[0, b] = b - a, n - (b - a)
+        return _canonical_codes(offsets)[0]
 
     def canonical(self) -> "ChordDiagram":
         return ChordDiagram.from_code(self.canonical_code())
@@ -315,33 +316,40 @@ ENUMERATE_MAX_D = 16
 #: Dyck words up to this many chords are kept in memory while enumerating
 _MEMO_CHORDS = 6
 
+#: diagrams canonicalized per batch while enumerating
+_BATCH = 1024
 
-def _canonical_code(offsets) -> str:
-    """Least opener/closer code over the rotations of a chord diagram.
 
-    `offsets` holds (partner(s) - s) mod n for each slot s.  Rotating the
-    diagram to start at slot c keeps the opener/closer bit of every chord
-    that does not straddle the cut before c and swaps the two bits of every
-    chord that does.  The straddling chords are tracked as one bit mask
-    while c advances, so each rotation costs a few integer operations, and
-    slot 0 is the most significant bit so integer order is string order.
+def _canonical_codes(offsets: np.ndarray) -> list[str]:
+    """Least opener/closer codes over the rotations of a batch of chord diagrams.
+
+    Row b of `offsets` holds (partner(s) - s) mod n for each slot s of one
+    diagram.  Rotating a diagram to start at slot c keeps the opener/closer
+    bit of every chord that does not straddle the cut before c and swaps the
+    two bits of every chord that does.  The straddling chords are tracked as
+    one bit mask per diagram while c advances, so each rotation costs a few
+    array operations over the whole batch, and slot 0 is the most
+    significant bit so integer order is string order.  Codes of up to 64
+    slots are uint64, whose shifts wrap modulo 2^64 and so keep every bit
+    under the mask; longer ones are Python integers.
     """
-    n = len(offsets)
-    code = 0
-    for s, off in enumerate(offsets):
-        if s + off < n:
-            code |= 1 << (n - 1 - s)
+    n = offsets.shape[1]
+    dtype = np.uint64 if n <= 64 else object
+    bit = np.array([1 << (n - 1 - s) for s in range(n)], dtype=dtype)
+    # one row per slot and one column per diagram: ends[s] = s + offset is
+    # the partner slot of an opener and the partner plus n of a closer
+    ends = np.ascontiguousarray(offsets.T) + np.arange(n, dtype=np.int16)[:, None]
+    code = bit @ (ends < n)
+    partner = np.tile(bit, 2)
     full = (1 << n) - 1
-    best = code
-    straddling = 0
+    best = code.copy()
+    straddling = np.zeros_like(code)
     for c in range(1, n):
-        s = c - 1
-        straddling ^= (1 << (n - 1 - s)) | (1 << (n - 1 - (s + offsets[s]) % n))
+        straddling ^= bit[c - 1] | partner[ends[c - 1]]
         rotated = code ^ straddling
-        rotated = ((rotated << c) | (rotated >> (n - c))) & full
-        if rotated < best:
-            best = rotated
-    return format(best, f"0{n}b")
+        np.minimum(best, ((rotated << c) | (rotated >> (n - c))) & full, out=best)
+    spec = f"0{n}b"
+    return [format(b, spec) for b in best.tolist()]
 
 
 def _dyck_offsets(m: int, n: int, memo: dict):
@@ -379,8 +387,9 @@ def enumerate_codes(d: int) -> list[str]:
     they determine it.  In each class exactly one diagram has the least
     rotation of its offsets as its own offsets.  That diagram has a chord
     from slot 0 to slot 1, since the least offset is 1, so only the
-    Catalan(d-2) words 1 0 W are streamed.  Each diagram that passes is
-    turned into its class's canonical code; no `ChordDiagram` is built.
+    Catalan(d-2) words 1 0 W are streamed.  The diagrams that pass are
+    turned into their classes' canonical codes _BATCH at a time, so memory
+    holds one batch besides the codes; no `ChordDiagram` is built.
     """
     check_enumerable(d)
     m = d - 1
@@ -389,17 +398,23 @@ def enumerate_codes(d: int) -> list[str]:
     for k in range(1, min(m - 1, _MEMO_CHORDS + 1)):
         memo[k] = list(_dyck_offsets(k, n, memo))
     lead = bytes((1, n - 1))
+
+    def least():
+        for tail in _dyck_offsets(m - 1, n, memo):
+            offsets = lead + tail
+            twice = offsets + offsets
+            # the least rotation starts at an offset 1; keep the word if no
+            # other such start reads smaller
+            c = offsets.find(1, 2)
+            while c != -1 and twice[c:c + n] >= offsets:
+                c = offsets.find(1, c + 1)
+            if c == -1:
+                yield offsets
+
+    kept = least()
     codes = []
-    for tail in _dyck_offsets(m - 1, n, memo):
-        offsets = lead + tail
-        twice = offsets + offsets
-        # the least rotation starts at an offset 1; keep the word if no
-        # other such start reads smaller
-        c = offsets.find(1, 2)
-        while c != -1 and twice[c:c + n] >= offsets:
-            c = offsets.find(1, c + 1)
-        if c == -1:
-            codes.append(_canonical_code(offsets))
+    while batch := b"".join(itertools.islice(kept, _BATCH)):
+        codes += _canonical_codes(np.frombuffer(batch, dtype=np.uint8).reshape(-1, n))
     codes.sort()
     return codes
 

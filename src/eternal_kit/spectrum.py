@@ -18,9 +18,10 @@ profiles the coefficients decay geometrically and eigenvalues converge
 superexponentially in N; `eigen` certifies the top eleven by their Ritz
 residuals.  Since w_l = 0 for l > K and N >= 2K, the N kept modes couple
 only to the K modes N .. N + K - 1 past them, so each `eigen` call
-assembles one matrix of N + K modes from Hankel and Toeplitz views of the
-coefficients.  Its leading N x N block is the N-mode matrix byte for byte,
-and its last K rows give every residual in every larger truncation.
+assembles the N + K rows and N columns of those modes from Hankel and
+Toeplitz views of the coefficients.  Its leading N x N block is the N-mode
+matrix byte for byte, and its last K rows give every residual in every
+larger truncation.
 
 If the nonzero w_l (l >= 1) all sit on multiples of g, as they do for the
 branch profiles W_n = n^2 W_1(n x) with g = n, then w_{k+l} and w_{|k-l|}
@@ -28,8 +29,8 @@ vanish unless l = +-k (mod g), and the matrix splits into floor(g/2) + 1
 blocks, one per class {k : k = +-r (mod g)}.  `eigen` solves each block
 alone: about g/2 blocks of 2N/g modes, or 4/g^2 of the flops of one
 N x N solve.  For g <= 1 the one block is the whole N x N matrix.  The
-reported eigenvectors, zero off their class, are built from the coarse
-solve's matrix one at a time, when read.
+reported eigenvectors, zero off their class, are built from their class's
+block one at a time, when read.
 
 At the homogeneous equilibria +-sqrt(lam/6) the matrix is diagonal with
 eigenvalues +-2 sqrt(6 lam) - (2 pi k)^2, reproduced exactly.
@@ -79,43 +80,59 @@ def assemble_operator(profile: CosineSeries, N: int) -> np.ndarray:
     W (mode sums k + l reach beyond K otherwise silently).  The leading
     n x n block of the N-mode matrix is the n-mode matrix, byte for byte.
     """
-    K = profile.K
-    _require_modes(K, N)
-    w = np.zeros(2 * N, dtype=profile.coeffs.dtype)
-    w[: K + 1] = profile.coeffs
+    _require_modes(profile.K, N)
+    return _assemble(profile, N, N)
+
+
+def _assemble(profile: CosineSeries, rows: int, N: int) -> np.ndarray:
+    """Rows 0 .. rows - 1 and columns 0 .. N - 1 (rows >= N) of the Galerkin
+    matrix on `rows` or more modes, byte for byte."""
+    w = np.zeros(rows + N, dtype=profile.coeffs.dtype)
+    w[: profile.K + 1] = profile.coeffs
     # read-only views: hankel[i, j] = w[i + j], toeplitz[i, j] = w[|i - j|]
-    hankel = sliding_window_view(w[: 2 * N - 1], N)
-    toeplitz = sliding_window_view(np.concatenate((w[N - 1 : 0 : -1], w[:N])), N)[::-1]
-    V = (hankel + toeplitz) / 2.0
+    hankel = sliding_window_view(w[: rows + N - 1], N)
+    toeplitz = sliding_window_view(np.concatenate((w[rows - 1 : 0 : -1], w[:N])), N)[::-1]
+    M = hankel + toeplitz
+    M /= 2.0
+    M[1:, 0] = w[1:rows] / math.sqrt(2.0)
+    M[0, 1:] = M[1:N, 0]
+    M[0, 0] = w[0]
+    d = np.arange(1, N)
+    M[d, d] = w[0] + w[2 * d] / 2.0
+    M *= 12.0
     idx = np.arange(N)
-    V[0, 1:] = w[1:N] / math.sqrt(2.0)
-    V[1:, 0] = V[0, 1:]
-    V[0, 0] = w[0]
-    d = idx[1:]
-    V[d, d] = w[0] + w[2 * d] / 2.0
-    M = 12.0 * V
     M[idx, idx] -= (_TWO_PI * idx) ** 2
     return M
 
 
 class Eigenvectors(Sequence):
-    """Read-only sequence of eigenvectors over an orthonormal-basis matrix.
+    """Read-only sequence of eigenvectors, held as one orthonormal-basis block
+    per class of cosine modes.
 
-    Item i is `_to_cosine` of column i, built each time it is read; a slice
-    gives a list.
+    Item i is `_to_cosine` of column order[i] of the blocks' columns taken
+    class after class, on its class's modes and zero off them.  It is built
+    each time it is read; a slice gives a list.
     """
 
-    def __init__(self, columns: np.ndarray):
-        columns.flags.writeable = False
-        self._columns = columns
+    def __init__(self, classes: list[np.ndarray], blocks: list[np.ndarray], order: np.ndarray):
+        for block in blocks:
+            block.flags.writeable = False
+        self._classes = classes
+        self._blocks = blocks
+        self._starts = np.cumsum([0] + [len(idx) for idx in classes])
+        self._order = order
 
     def __len__(self) -> int:
-        return self._columns.shape[1]
+        return len(self._order)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        return _to_cosine(self._columns[:, i])
+        k = self._order[i]
+        c = int(np.searchsorted(self._starts, k, side="right")) - 1
+        column = np.zeros(len(self))
+        column[self._classes[c]] = self._blocks[c][:, k - self._starts[c]]
+        return _to_cosine(column)
 
 
 @dataclass
@@ -134,12 +151,13 @@ def eigen(profile: CosineSeries, N: int | None = None) -> SpectrumReport:
     """Spectrum of the linearization at `profile`.
 
     N defaults to 4 K + 32.  Eigenvalues, Morse index and eigenvectors all
-    come from the N-mode matrix, the leading block of the one N + K
-    assembly.  With g the gcd of the indices l >= 1 of the nonzero profile
-    coefficients, each class of modes k = +-r (mod g), r = 0 .. floor(g/2),
-    gets its own eigh; the pairs are merged in descending order.  For g <= 1
-    (W_1, constants, generic profiles) that is one eigh of the whole N x N
-    block.  Each eigenvector is built when it is read.
+    come from the N-mode matrix, the leading block of the one assembly of
+    N + K rows and N columns.  With g the gcd of the indices l >= 1 of the
+    nonzero profile coefficients, each class of modes k = +-r (mod g),
+    r = 0 .. floor(g/2), gets its own eigh; the pairs are merged in
+    descending order.  For g <= 1 (W_1, constants, generic profiles) that is
+    one eigh of the whole N x N block.  Each eigenvector is built from its
+    class's block when it is read.
 
     The top eleven Ritz pairs (theta_i, v_i) are certified against every
     larger truncation and the operator itself: Cauchy interlacing gives
@@ -154,7 +172,8 @@ def eigen(profile: CosineSeries, N: int | None = None) -> SpectrumReport:
     ||fine[N:, :N] v_j|| of Ritz vector j > 11 it suffices that
     sum_j c_j^2 / (theta_11 - theta_j) <= theta_11 - d.
     ||R||_2 is reported as `refinement_defect` and must stay under
-    REFINEMENT_TOL plus the roundoff floor 16 eps max|diag|, else
+    REFINEMENT_TOL plus the roundoff floor 16 eps max|diag| over the N + K
+    modes, else
     ConvergenceError.  Eigenvalue gaps below DEGENERACY_TOL are flagged,
     not resolved.
     """
@@ -166,7 +185,7 @@ def eigen(profile: CosineSeries, N: int | None = None) -> SpectrumReport:
     if N is None:
         N = 4 * K + 32
     _require_modes(K, N)
-    fine = assemble_operator(profile, N + K)
+    fine = _assemble(profile, N + K, N)
     # W on multiples of g couples cosine mode k only to the modes l = +-k
     # (mod g): one eigh per class, each Ritz vector zero off its class
     w = profile.coeffs
@@ -174,27 +193,28 @@ def eigen(profile: CosineSeries, N: int | None = None) -> SpectrumReport:
     modes = np.arange(N)
     residue = np.minimum(modes % g, -modes % g)
     classes = [np.flatnonzero(residue == r) for r in range(g // 2 + 1)]
-    vals = np.empty(N)
-    vecs = np.zeros((N, N))
-    coupling = np.empty((K, N))
-    start = 0
+    vals, blocks, coupling = [], [], []
     for idx in classes:
-        cols = slice(start, start + len(idx))
-        block_vals, block = np.linalg.eigh(fine[np.ix_(idx, idx)])
+        block_vals, block = np.linalg.eigh(fine[:N] if g == 1 else fine[np.ix_(idx, idx)])
         down = np.argsort(block_vals)[::-1]
-        vals[cols], block = block_vals[down], block[:, down]
-        vecs[idx, cols] = block
-        # the class's Ritz residuals, in descending order and with fine's rows
-        # kept row-major, so that one class gives the bytes of the unsplit
-        # fine[N:, :N] @ vecs
-        coupling[:, cols] = fine[N:].take(idx, axis=1) @ block
-        start += len(idx)
+        vals.append(block_vals[down])
+        blocks.append(block[:, down])
+        # the class's Ritz residuals, with fine's rows kept row-major and the
+        # block's columns in descending order, so that one class gives the
+        # bytes of the unsplit fine[N:, :N] @ vecs
+        coupling.append(fine[N:].take(idx, axis=1) @ blocks[-1])
+    vals = np.concatenate(vals)
     order = np.argsort(vals)[::-1]
-    vals, vecs, coupling = vals[order], vecs[:, order], coupling[:, order]
+    vals = vals[order]
+    coupling = np.concatenate(coupling, axis=1)[:, order]
 
     top = min(11, N)
     defect = float(np.linalg.norm(coupling[:, :top], 2)) if K else 0.0
-    noise_floor = 16.0 * np.finfo(float).eps * float(np.abs(np.diag(fine)).max())
+    # past the N kept modes the diagonal of the N + K truncation is
+    # 12 w_0 - (2 pi k)^2, since w_2k = 0 there
+    past = 12.0 * w[0] - (_TWO_PI * np.arange(N, N + K)) ** 2
+    diagonal = np.concatenate((np.diag(fine), past))
+    noise_floor = 16.0 * np.finfo(float).eps * float(np.abs(diagonal).max())
     if defect >= REFINEMENT_TOL + noise_floor:
         raise ConvergenceError(
             f"top Ritz residual {defect:.3e} at N = {N} exceeds the "
@@ -219,7 +239,7 @@ def eigen(profile: CosineSeries, N: int | None = None) -> SpectrumReport:
 
     return SpectrumReport(
         eigenvalues=vals,
-        eigenvectors=Eigenvectors(vecs),
+        eigenvectors=Eigenvectors(classes, blocks, order),
         morse_index=int(np.count_nonzero(vals > 0.0)),
         N=N,
         degenerate_pairs=degenerate,

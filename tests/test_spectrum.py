@@ -95,6 +95,16 @@ def test_assembly_is_byte_equal_to_the_index_formula(n, h):
             reference_operator(profile, N).tobytes(), N
 
 
+@pytest.mark.parametrize("n,h", [(1, 0.05), (2, 0.1), (6, 0.05), (20, 3e-5), (23, -6e-5)])
+def test_eigen_assembly_is_the_leading_columns_of_the_index_formula(n, h):
+    # eigen reads only the N kept columns of the N + K truncation
+    profile = elliptic.branch_point(n, h).profile
+    K = profile.K
+    for N in (2 * K, 4 * K + 32):
+        want = np.ascontiguousarray(reference_operator(profile, N + K)[:, :N])
+        assert spectrum._assemble(profile, N + K, N).tobytes() == want.tobytes(), N
+
+
 @pytest.mark.parametrize("n,h", [(1, 0.05), (2, 0.05), (3, 0.08), (4, 0.02),
                                  (5, 0.02), (6, 0.02)])
 def test_morse_index_along_branches(n, h):

@@ -233,7 +233,7 @@ class TestCanonicalReference:
         assert portraits.enumerate_diagrams(d) == reference
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_forty_chords_pass_the_int64_width(self, seed):
+    def test_forty_chords_pass_the_64_bit_width(self, seed):
         # n = 80 slots: a code no longer fits one 64-bit integer
         rng = np.random.default_rng(seed)
         word, depth, opened = [], 0, 0

@@ -201,7 +201,7 @@ def eigen(profile: CosineSeries, N: int | None = None) -> SpectrumReport:
         blocks.append(block[:, down])
         # the class's Ritz residuals, with fine's rows kept row-major and the
         # block's columns in descending order, so that one class gives the
-        # bytes of the unsplit fine[N:, :N] @ vecs
+        # bytes of the unsplit fine[N:, :N] @ V
         coupling.append(fine[N:].take(idx, axis=1) @ blocks[-1])
     vals = np.concatenate(vals)
     order = np.argsort(vals)[::-1]

@@ -25,11 +25,13 @@ Tracing each saddle's radial separatrix (backward in time for even k,
 forward for odd) lands on an interior equilibrium; consecutive boundary
 sectors then witness the edges of a planar tree on the equilibria, each edge
 exactly twice, and the pairing of sectors by shared edge is a noncrossing
-chord diagram.  Rotation classes of these diagrams classify the portraits;
-`count_portraits` evaluates the closed counting formula, `enumerate_codes`
-lists the canonical codes of the classes, canonicalized as arrays in
-batches of diagrams, and `enumerate_diagrams` builds a representative
-diagram from each.
+chord diagram.  Rotation classes of these diagrams classify the portraits,
+and a class's canonical code is the least opener/closer code over its
+rotations.  A code determines its diagram, so exactly one diagram of each
+class has that least code as its own code; `enumerate_codes` keeps those
+diagrams, checked as arrays in batches, `count_portraits` evaluates the
+closed counting formula, and `enumerate_diagrams` builds the kept diagram
+of each class.
 """
 
 from __future__ import annotations
@@ -165,6 +167,8 @@ class ChordDiagram:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if not self.pairs:
+            raise DomainError("a chord diagram needs a chord")
         flat = sorted(s for p in self.pairs for s in p)
         if flat != list(range(2 * len(self.pairs))):
             raise DomainError(f"not a perfect matching of 0..{2 * len(self.pairs) - 1}")
@@ -195,7 +199,8 @@ class ChordDiagram:
         offsets = np.zeros((1, n), dtype=np.int64)
         for a, b in self.pairs:
             offsets[0, a], offsets[0, b] = b - a, n - (b - a)
-        return _canonical_codes(offsets)[0]
+        _own, least = _canonical_codes(offsets)
+        return format(least[0], f"0{n}b")
 
     def canonical(self) -> "ChordDiagram":
         return ChordDiagram.from_code(self.canonical_code())
@@ -207,6 +212,8 @@ class ChordDiagram:
         for s, ch in enumerate(code):
             if ch == "1":
                 stack.append(s)
+            elif ch != "0":
+                raise DomainError(f"code {code!r} has a character other than 0 and 1")
             else:
                 if not stack:
                     raise DomainError(f"unbalanced code {code!r}")
@@ -262,6 +269,8 @@ def tree_to_chord(tree: PlanarTree) -> ChordDiagram:
     starting dart rotates the diagram, so the canonical form is independent
     of the start.
     """
+    if len(tree.neighbors) < 2:
+        raise DomainError("a tree needs an edge to have a chord diagram")
     v0 = min(tree.neighbors)
     u, v = v0, tree.neighbors[v0][0]
     labels = []
@@ -320,8 +329,8 @@ _MEMO_CHORDS = 6
 _BATCH = 1024
 
 
-def _canonical_codes(offsets: np.ndarray) -> list[str]:
-    """Least opener/closer codes over the rotations of a batch of chord diagrams.
+def _canonical_codes(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Own and least-rotation opener/closer codes of a batch of chord diagrams.
 
     Row b of `offsets` holds (partner(s) - s) mod n for each slot s of one
     diagram.  Rotating a diagram to start at slot c keeps the opener/closer
@@ -331,7 +340,8 @@ def _canonical_codes(offsets: np.ndarray) -> list[str]:
     array operations over the whole batch, and slot 0 is the most
     significant bit so integer order is string order.  Codes of up to 64
     slots are uint64, whose shifts wrap modulo 2^64 and so keep every bit
-    under the mask; longer ones are Python integers.
+    under the mask; longer ones are Python integers.  The own code is the
+    rotation to slot 0, the diagram's code itself.
     """
     n = offsets.shape[1]
     dtype = np.uint64 if n <= 64 else object
@@ -348,8 +358,7 @@ def _canonical_codes(offsets: np.ndarray) -> list[str]:
         straddling ^= bit[c - 1] | partner[ends[c - 1]]
         rotated = code ^ straddling
         np.minimum(best, ((rotated << c) | (rotated >> (n - c))) & full, out=best)
-    spec = f"0{n}b"
-    return [format(b, spec) for b in best.tolist()]
+    return code, best
 
 
 def _dyck_offsets(m: int, n: int, memo: dict):
@@ -383,13 +392,13 @@ def check_enumerable(d: int) -> None:
 def enumerate_codes(d: int) -> list[str]:
     """Sorted canonical codes of all rotation classes with d - 1 chords.
 
-    A diagram's offsets (partner(s) - s) mod 2(d-1) rotate with it, and
-    they determine it.  In each class exactly one diagram has the least
-    rotation of its offsets as its own offsets.  That diagram has a chord
-    from slot 0 to slot 1, since the least offset is 1, so only the
-    Catalan(d-2) words 1 0 W are streamed.  The diagrams that pass are
-    turned into their classes' canonical codes _BATCH at a time, so memory
-    holds one batch besides the codes; no `ChordDiagram` is built.
+    A code determines its diagram, so in each class exactly one diagram has
+    the class's least code as its own code.  Every diagram has a chord
+    between neighbouring slots, and rotating it to slots 0 and 1 gives a
+    code that starts 10, so the least code starts 10 and only the
+    Catalan(d-2) words 1 0 W are streamed.  They are checked _BATCH at a
+    time, and a word is kept when its own code equals its least code, so
+    memory holds one batch besides the codes; no `ChordDiagram` is built.
     """
     check_enumerable(d)
     m = d - 1
@@ -398,23 +407,12 @@ def enumerate_codes(d: int) -> list[str]:
     for k in range(1, min(m - 1, _MEMO_CHORDS + 1)):
         memo[k] = list(_dyck_offsets(k, n, memo))
     lead = bytes((1, n - 1))
-
-    def least():
-        for tail in _dyck_offsets(m - 1, n, memo):
-            offsets = lead + tail
-            twice = offsets + offsets
-            # the least rotation starts at an offset 1; keep the word if no
-            # other such start reads smaller
-            c = offsets.find(1, 2)
-            while c != -1 and twice[c:c + n] >= offsets:
-                c = offsets.find(1, c + 1)
-            if c == -1:
-                yield offsets
-
-    kept = least()
+    words = (lead + tail for tail in _dyck_offsets(m - 1, n, memo))
+    spec = f"0{n}b"
     codes = []
-    while batch := b"".join(itertools.islice(kept, _BATCH)):
-        codes += _canonical_codes(np.frombuffer(batch, dtype=np.uint8).reshape(-1, n))
+    while batch := b"".join(itertools.islice(words, _BATCH)):
+        own, least = _canonical_codes(np.frombuffer(batch, dtype=np.uint8).reshape(-1, n))
+        codes += [format(b, spec) for b in least[own == least].tolist()]
     codes.sort()
     return codes
 

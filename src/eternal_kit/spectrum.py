@@ -195,7 +195,7 @@ def eigen(profile: CosineSeries, N: int | None = None) -> SpectrumReport:
     classes = [np.flatnonzero(residue == r) for r in range(g // 2 + 1)]
     vals, blocks, coupling = [], [], []
     for idx in classes:
-        block_vals, block = np.linalg.eigh(fine[:N] if g == 1 else fine[np.ix_(idx, idx)])
+        block_vals, block = np.linalg.eigh(fine[np.ix_(idx, idx)])
         down = np.argsort(block_vals)[::-1]
         vals.append(block_vals[down])
         blocks.append(block[:, down])

@@ -194,6 +194,13 @@ class TestChordDiagrams:
             portraits.ChordDiagram.from_code("0110")  # close before any open
         with pytest.raises(DomainError):
             portraits.ChordDiagram.from_code("1110")  # unbalanced
+        for code in ("12", "1x"):
+            with pytest.raises(DomainError):
+                portraits.ChordDiagram.from_code(code)  # not an opener or a closer
+
+    def test_chordless_diagram_is_refused(self):
+        with pytest.raises(DomainError, match="needs a chord"):
+            portraits.ChordDiagram.from_code("")
 
 
 def dyck_words(m):
@@ -247,6 +254,11 @@ class TestCanonicalReference:
         dg = portraits.ChordDiagram.from_code("".join(word)).rotate(int(rng.integers(80)))
         assert dg.n_slots == 80
         assert dg.canonical_code() == reference_canonical_code(dg)
+        offsets = np.zeros((1, 80), dtype=np.int64)
+        for a, b in dg.pairs:
+            offsets[0, a], offsets[0, b] = b - a, 80 - (b - a)
+        own, _least = portraits._canonical_codes(offsets)
+        assert own.dtype == object and format(own[0], "080b") == dg.code()
 
 
 def test_tree_chord_bijection_at_degree_six():
@@ -256,6 +268,11 @@ def test_tree_chord_bijection_at_degree_six():
         tree = portraits.chord_to_tree(dg)
         back = portraits.tree_to_chord(tree)
         assert back.canonical_code() == dg.canonical_code()
+
+
+def test_one_vertex_tree_has_no_chord_diagram():
+    with pytest.raises(DomainError, match="needs an edge"):
+        portraits.tree_to_chord(portraits.PlanarTree({0: []}))
 
 
 def test_chord_to_tree_path_example():

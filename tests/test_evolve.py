@@ -4,12 +4,13 @@ import hashlib
 import math
 import re
 import sys
+from functools import lru_cache
 
 import numpy as np
 import pytest
 import scipy
 
-from eternal_kit import elliptic, evolve
+from eternal_kit import elliptic, evolve, spectrum
 from eternal_kit.errors import BlowupSignal, DomainError
 
 OMEGA_1 = 4.0 * math.pi ** 2
@@ -874,3 +875,110 @@ class TestRefineCrossing:
         assert r_star <= rec.r_star_lower
         assert r_star <= exact
         assert exact - r_star < 1e-3
+
+
+@lru_cache(maxsize=None)
+def _gamma(r0):
+    """Real part of Gamma(r0): the heat ray of W_1(0.1) - eps phi_0 at N = 128 (the
+    benchmark's launch of the minus shot), and its lambda."""
+    bp = elliptic.branch_point(1, 0.1)
+    phi0 = spectrum.eigen(bp.profile).eigenvectors[0]
+    w = evolve.cosine_field(bp.profile, N=128)
+    w.coeffs -= 1e-5 * bp.profile.l2_norm() * evolve.cosine_field(phi0, N=128).coeffs
+    g = evolve.detect_blowup(w, bp.lam, r0).final_state
+    return evolve.ComplexField(g.coeffs.real.copy(), g.basis), bp.lam
+
+
+class TestEndgame:
+    # Blow-up times against exact answers and against themselves: a ray that
+    # nears a singularity must reach NORM_THRESHOLD where the singularity is,
+    # whatever the tolerance, and a ray that misses one must pass it.
+
+    @staticmethod
+    def _rstar(w0, lam):
+        """Closed-form blow-up time of constant data: ln((w0 + a)/(w0 - a)) / 12a, a^2 = lam / 6."""
+        a = math.sqrt(lam / 6.0)
+        return math.log((w0 + a) / (w0 - a)) / (12.0 * a) if a else 1.0 / (6.0 * w0)
+
+    @pytest.mark.parametrize("w0, lam", [(1.5, 6.0), (0.5, 0.0)], ids=["lambda6", "lambda0"])
+    def test_constant_data_meets_the_closed_form(self, w0, lam):
+        rec = evolve.detect_blowup(evolve.constant_field(w0, N=16), lam, 1.0)
+        assert rec.reason == evolve.REASON_NORM
+        assert 0.0 <= self._rstar(w0, lam) - rec.r_star_lower < 1e-8
+
+    def test_pole_row_leg_meets_the_closed_form(self):
+        # the same pole again at i pi / (6a): up the vertical ray, then along r
+        w0, lam = 1.5, 6.0
+        a = math.sqrt(lam / 6.0)
+        top, status = evolve._advance(evolve.constant_field(w0, N=16, theta=-math.pi / 2),
+                                      math.pi / (6.0 * a), lam, err_target=1e-10)
+        assert status == evolve.REASON_HORIZON
+        rec = evolve.detect_blowup(evolve.ComplexField(top.coeffs.copy(), top.basis), lam, 1.0)
+        assert rec.reason == evolve.REASON_NORM
+        assert 0.0 <= self._rstar(w0, lam) - rec.r_star_lower < 1e-8
+        scan = evolve.analyticity_boundary(evolve.constant_field(w0, N=16), [0.0, math.pi / (6.0 * a)],
+                                           lam, r_cap=1.0)
+        for b in scan.samples:
+            assert b.reason == evolve.REASON_NORM
+            assert 0.0 <= self._rstar(w0, lam) - b.r_star < 1e-8
+
+    def test_gamma_0129_blowup_does_not_move_with_the_tolerance(self):
+        psi, lam = _gamma(0.129)
+        runs = [evolve.schrodinger_evolve(psi, [0.1], lam, err_target=tol) for tol in (1e-9, 1e-10, 1e-11)]
+        assert [run.reason for run in runs] == [evolve.REASON_NORM] * 3
+        s_star = [run.s_reached for run in runs]
+        assert max(s_star) - min(s_star) < 1e-6
+        assert 0.0357 < s_star[0] < 0.0358
+
+    def test_w2_shot_blows_up_at_a_quarter_of_the_w1_shot(self):
+        # W_2(h) is 4 W_1(h)(2x) and lambda_2 = 16 lambda_1, so the W_2 "+" shot
+        # is w_2(r, x) = 4 w_1(4r, 2x) and blows up at a quarter of the time
+        w1 = evolve.heteroclinic_shoot(1, 0.1, "+", N=128, r_max=6.0)
+        w2 = evolve.heteroclinic_shoot(2, 0.1, "+", N=256, r_max=1.5)
+        assert w1.record.reason == w2.record.reason == evolve.REASON_NORM
+        assert abs(4.0 * w2.record.r_star_lower - w1.record.r_star_lower) < 1e-6
+
+    def test_gamma_0131_vertical_ray_reaches_its_horizon(self):
+        # the loop over [0.131, 0.140] x [0, 0.045] commutes: no singularity there
+        psi, lam = _gamma(0.131)
+        run = evolve.schrodinger_evolve(psi, [0.045], lam)
+        assert run.reason == evolve.REASON_HORIZON
+        assert run.s_reached == 0.045
+
+    @pytest.mark.parametrize("err_target", [1e-9, 1e-11])
+    def test_complex_start_passes_its_singularity(self, err_target):
+        # w0 with a nonzero imaginary part misses the real-time singularity
+        # (as w' = 6 w^2 does) and relaxes to the stable state
+        rec = evolve.detect_blowup(evolve.cosine_field([1.0, 0.4, 0.1j], N=16), 3.0, 1.0,
+                                   err_target=err_target)
+        assert rec.reason == evolve.REASON_HORIZON
+        assert rec.r_star_lower == 1.0
+
+    def test_smooth_vertical_ray_at_a_tight_tolerance(self):
+        run = evolve.schrodinger_evolve(evolve.cosine_field([0.3, 0.2 + 0.1j, 0.05j], N=64), [0.05], 3.0,
+                                        err_target=1e-12)
+        assert run.reason == evolve.REASON_HORIZON
+        assert run.s_reached == 0.05
+
+    @pytest.mark.parametrize("state", [
+        evolve.constant_field(1.5, N=16),
+        evolve.constant_field(3e4, N=16),
+        evolve.cosine_field([1.0, 0.4, 0.1j], N=32, theta=-math.pi / 2),
+        evolve.monochromatic_field(math.pi ** 2, N=64),
+        evolve.cosine_field(elliptic.branch_point(1, 0.1).profile, N=128),
+        evolve.cosine_field(elliptic.branch_point(1, 0.1).profile, N=128, theta=-math.pi / 2),
+    ], ids=["constant", "large-constant", "cosine-vertical", "circle", "W1", "W1-vertical"])
+    def test_roundoff_floor_sits_above_the_doubling_noise(self, state):
+        # at the smallest steps the step-doubling estimate is roundoff alone;
+        # the floor the controller puts under its tolerance must stay above it
+        u = state.coeffs[None]
+        floor = sys.float_info.epsilon * evolve._roundoff_weight(state.basis, state.N)
+        for k in range(6):
+            dr = evolve.DR_MIN * 2.0 ** k
+            with np.errstate(over="ignore", invalid="ignore"):
+                full = evolve.step(u, state.basis, state.theta, (dr,), 6.0)
+                half = evolve.step(evolve.step(u, state.basis, state.theta, (dr / 2.0,), 6.0),
+                                   state.basis, state.theta, (dr / 2.0,), 6.0)
+            (err,) = evolve._h1_diff(full, half, state.basis)
+            (l2,), _ = evolve._norms(half, state.basis)
+            assert err / 15.0 < floor * l2

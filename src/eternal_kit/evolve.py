@@ -41,12 +41,18 @@ DR_MIN = 1e-12, CAPTURED when the caller's on_accept hook stops it, or
 HORIZON when the requested arclength is reached.  Every ray driver returns
 a RayRun holding the final state, that reason and the history of accepted
 steps.  Its r_star_lower is the arclength actually reached with finite
-norm.  It bounds the existence time along that ray from below only as far
-as the accepted steps are accurate: their error is controlled to
-err_target, not certified, and at a loose err_target the last steps before
-a pole can step past it.  Constant data 1.5 at lambda = 6 (pole at
-ln 5 / 12) reports 2.6e-8 past the pole at err_target 1e-5 and 2.8e-7 short
-of it at 1e-7.
+norm.  The step tolerance never falls below the roundoff of its own
+estimate, and once a ray's H^1 norm has grown ENDGAME_GROWTH-fold its
+budget grows with it (the endgame, see _control): each e-fold of growth
+then costs a bounded number of steps, and a ray near a singularity ends by
+NORM_THRESHOLD where the singularity is, at any err_target.  r_star_lower
+bounds the existence time along that ray from below only as far as the
+accepted steps are accurate: their error is controlled to err_target, not
+certified, and in the endgame it is controlled in the blow-up time the
+state implies, not in the state.  At a loose err_target the last steps
+before a pole can step past it.  Constant data 1.5 at lambda = 6 (pole at
+ln 5 / 12, N = 16) ends 1.1e-9 short of the pole at the default err_target
+1e-9, but 7.6e-9 past it at 1e-7 and 1.4e-6 past it at 1e-5.
 Non-finite lambda or initial data is a DomainError, not a blow-up at r = 0.
 """
 
@@ -96,6 +102,10 @@ NORM_THRESHOLD = 1e8
 EMBED_TAIL_TOL = 1e-13
 #: a run's history computes the sup norms of up to this many accepted states in one transform
 SUP_BATCH = 64
+#: H^1 growth over a ray's start (at least 1) past which its step budget grows
+#: with it (see _control); above the largest excursion of a bounded run in the
+#: tests and the benchmark, 5.6 on the vertical rays from Gamma(0.115)
+ENDGAME_GROWTH = 8.0
 
 _TWO_PI = 2.0 * math.pi
 _LAST = (-1,)           # the axis every transform runs along
@@ -373,6 +383,13 @@ def step(u: np.ndarray, basis: str, theta: float, dr: tuple, lam: float) -> np.n
     return unew
 
 
+@lru_cache(maxsize=32)
+def _roundoff_weight(basis: str, N: int) -> float:
+    """H^1 norm of a perturbation of unit L^2 norm spread evenly over the N modes:
+    the root mean of 1 + (2 pi k)^2 over them."""
+    return math.sqrt(float(np.mean(1.0 + _omega2(basis, N))))
+
+
 def _h1_diff(u1: np.ndarray, u2: np.ndarray, basis: str) -> list:
     """H^1 distance of each row of two stacks."""
     l2, grads = _norms(u1 - u2, basis)
@@ -418,10 +435,41 @@ def _control(state, stops, err_target, norm_threshold, history, fields, on_accep
     floating-point range).  At each stop dr restarts on the
     ladder and a copy of the state goes to fields; history gets the start,
     every accepted step and the count of rejected ones.  Returns (state, status).
+
+    A step is accepted when its estimate e = err / 15 is at most
+
+        tol = max(err_target * dr * g^2 * max(1, h1),  eps * ||u||_L2 * W_N),
+
+    with h1 and ||u||_L2 the norms of the two-half-step result.
+
+    The second term is the roundoff floor.  The transforms leave a rounding
+    error of relative size eps = 2^-52 in the state's L^2 norm, spread evenly
+    over its N modes rather than in proportion to each coefficient.  Such a
+    perturbation puts eps^2 ||u||^2 / N of the squared L^2 norm in each mode,
+    and the H^1 norm weights mode k by 1 + (2 pi k)^2.  So its H^1 norm is
+    eps ||u|| W_N, where W_N^2 is the mean of 1 + (2 pi k)^2 over the N
+    modes (_roundoff_weight).  The doubling difference of two such states,
+    over 15, is at most 2/15 of that.  So no step is asked for an error that
+    roundoff alone could exceed, and a run near a singularity does not fail
+    every step until STEP_COLLAPSE.
+
+    The factor g = max(1, h1 / (ENDGAME_GROWTH * max(1, h1 at the start)))
+    is the blow-up endgame.  It is 1 until the ray's H^1 norm has grown past
+    ENDGAME_GROWTH times its start, which no bounded run does.  Past that,
+    err_target * dr * g is the budget per unit of the rescaled time
+    dtau = g dr, in which each e-fold of growth takes about the same time
+    (Berger & Kohn, CPAM 41, 1988).  The second g scales that budget with the
+    growth: the error that shifts a blow-up time r* is relative error times
+    r* - r, and r* - r falls as 1 / g.  So every unit of rescaled time may
+    move r* by about the same amount, and each e-fold of growth costs a
+    bounded number of steps.
     """
+    (l2,), (grad,) = _norms(state.coeffs[None], state.basis)
+    h1 = math.hypot(l2, grad)
     if history is not None:
-        (l2,), (grad,) = _norms(state.coeffs[None], state.basis)
-        history.push(state, math.hypot(l2, grad), grad)
+        history.push(state, h1, grad)
+    onset = ENDGAME_GROWTH * max(1.0, h1)
+    roundoff = sys.float_info.epsilon * _roundoff_weight(state.basis, state.N)
     dr_init = 1e-2 if state.sectorial else 2e-3
     for stop in stops:
         # keep dr on the binary ladder DR_MIN * 2^j: the phi-function tables for
@@ -433,7 +481,8 @@ def _control(state, stops, err_target, norm_threshold, history, fields, on_accep
             e = err / 15.0
             if math.isfinite(e):
                 h1 = math.hypot(l2, grad)
-                tol = err_target * dr_try * max(1.0, h1)
+                growth = max(1.0, h1 / onset)
+                tol = max(err_target * dr_try * growth * growth * max(1.0, h1), roundoff * l2)
                 if e <= tol:
                     r = state.r + dr_try / 2.0 + dr_try / 2.0     # the clock of two half steps
                     prev, state = state, _state(coeffs, state.basis, r, state.theta)
@@ -475,7 +524,8 @@ def _advance(
     or several); returns (state, status).
 
     err_target is the relative H^1 error budget per unit ray length,
-    estimated by step doubling.  The first step is 1e-2 on sectorial rays
+    estimated by step doubling, with a roundoff floor under it and a
+    blow-up endgame past ENDGAME_GROWTH (see _control).  The first step is 1e-2 on sectorial rays
     and 2e-3 on vertical ones.  on_accept(prev, new) may return False to
     stop the run early (status CAPTURED).  history and fields, when given,
     hold one _History and one list per ray; see _control.
@@ -845,12 +895,16 @@ def _refine_crossing(start, lam, rec, norm_threshold, err_target):
 
     Restarts from the last recorded state below norm_threshold / 4 (re-run
     cheaply to that checkpoint) and bisects on the crossing radius.  A leg
-    that ended below norm_threshold / 4 never crossed and is returned as is.
+    that ended below norm_threshold / 4 never crossed and is returned as is;
+    a bracket already narrower than _REFINE_WIDTH returns its lower end
+    without re-running the leg.
     """
     below = np.nonzero(rec.history["h1"] < norm_threshold / 4.0)[0]
     if len(below) == 0 or below[-1] == len(rec.history["r"]) - 1:
         return rec.r_star_lower
     lo, hi = float(rec.history["r"][below[-1]]), float(rec.r_star_lower)
+    if hi - lo < _REFINE_WIDTH * max(1.0, hi):
+        return lo
     ck, status = _advance(start.copy(), lo, lam, err_target=err_target)
     if status != REASON_HORIZON:
         return rec.r_star_lower

@@ -747,8 +747,11 @@ class TestSubcommandSmoke:
         rc, text, _ = run_cli(argv + ["--format", "json"])
         meta = json.loads(text)["meta"]
         assert meta["steps_accepted"] == len(rows) - 1
-        # a run that ends by STEP_COLLAPSE was refused its last steps
-        assert meta["reason"] == "STEP_COLLAPSE" and meta["steps_rejected"] > 0
+        # the run ends by NORM_THRESHOLD within 1e-8 below the pole at ln 5 / 12,
+        # and counts the steps it was refused on the way
+        assert meta["reason"] == "NORM_THRESHOLD"
+        assert 0.0 <= math.log(5.0) / 12.0 - meta["r_star_lower"] < 1e-8
+        assert meta["steps_rejected"] > 0
         assert f"steps_rejected={meta['steps_rejected']}" in err
 
     def test_evolve_monochromatic_vertical(self):

@@ -436,7 +436,7 @@ class TestStack:
 
     @staticmethod
     def _rays():
-        return [evolve.constant_field(1.5, N=16),                 # STEP_COLLAPSE near 0.134
+        return [evolve.constant_field(1.5, N=16),                 # NORM_THRESHOLD near 0.134
                 evolve.cosine_field([2.0, 0.5, 0.2j], N=16),      # NORM_THRESHOLD near 0.09
                 evolve.cosine_field([1.0, 0.4, 0.1j], N=16)]      # HORIZON at 0.3
 
@@ -455,9 +455,13 @@ class TestStack:
     def test_rows_end_as_they_would_alone(self):
         stacked = evolve._run(self._rays(), [0.3], 6.0, norm_threshold=1e4)
         assert [run.reason for run in stacked] == [
-            evolve.REASON_STEP, evolve.REASON_NORM, evolve.REASON_HORIZON]
+            evolve.REASON_NORM, evolve.REASON_NORM, evolve.REASON_HORIZON]
         assert len({run.r_star_lower for run in stacked}) == 3
         assert stacked[0].rejected > 0
+        # constant data at lambda = 6 is coth(6 (r* - r)) with r* = ln 5 / 12:
+        # the row stops where that closed form puts its final value
+        w = stacked[0].final_state.at_zero().real
+        assert abs(math.log(5.0) / 12.0 - stacked[0].r_star_lower - math.atanh(1.0 / w) / 6.0) < 1e-10
         for run, ray in zip(stacked, self._rays()):
             self._assert_same_run(run, evolve.detect_blowup(ray, 6.0, 0.3, norm_threshold=1e4))
 
@@ -668,12 +672,15 @@ class TestSchrodinger:
         assert evolve.ComplexField(diff, psi0.basis).h1_norm() < 1e-6
 
     def test_run_past_pole_truncates(self):
+        # from zero at lambda = 6 the vertical ray is i tan(6 s), with a pole at pi / 12
         run = evolve.schrodinger_evolve(evolve.constant_field(0.0, N=32),
                                         [0.2, 0.3], 6.0)
-        assert run.status == evolve.REASON_STEP
+        assert run.status == evolve.REASON_NORM
         assert len(run.fields) == 1
         assert run.fields[0].r == pytest.approx(0.2)
-        assert run.s_reached < 0.3
+        assert 0.0 <= math.pi / 12.0 - run.s_reached < 1e-8
+        w = abs(run.final_state.at_zero())
+        assert abs(math.pi / 12.0 - run.s_reached - math.atan(1.0 / w) / 6.0) < 1e-12
 
 
 class TestHeteroclinicShoot:
@@ -789,9 +796,9 @@ class TestBoundaryBytes:
 
     @pytest.mark.parametrize("w0, N, s_values, lam, kw, want", [
         (0.5, 32, [-0.1, 0.0, 0.1], 0.0, {},
-         "62813459589e70b5b17adde57817d4d0a04473745f476d00a2faa2cbdb3e5ec0"),
+         "57e5f66ca16a92b35525a04bd4ccf0b6b23dc78689e1a48498f751c59dc1ba9a"),
         (1.5, 16, [0.0, math.pi / 6.0], 6.0, {"r_cap": 1.0},
-         "f3c4011e65a269bbebd6774ecd99efdb2eb114df65ceec0dd3bf5a6bfc75d8b3"),
+         "8f97505a37ba9c3d40019d791f2d4a36ab4d2921a5e2e3117ebf26dc82b1010c"),
         (0.0, 32, [-0.3, -0.2, 0.2, 0.3], 6.0, {},
          "7fe248dddda81bb86a9e75946b43ed89d003a00a4af45c7efe409cde9150333b"),
     ], ids=["lambda0-grid", "pole-row", "vertical-horizon"])
@@ -801,34 +808,54 @@ class TestBoundaryBytes:
 
     def test_pole_row_samples_sit_just_below_the_pole(self):
         # constant data 1.5 at lambda = 6 poles at ln 5 / 12 on the real axis and
-        # again on the row s = pi / 6; both legs end by STEP_COLLAPSE just short
+        # again on the row s = pi / 6; both legs end by NORM_THRESHOLD just short
         exact = math.log(5.0) / 12.0
         scan = evolve.analyticity_boundary(evolve.constant_field(1.5, N=16), [0.0, math.pi / 6.0], 6.0,
                                            r_cap=1.0)
         for b in scan.samples:
             assert b.defined and not b.censored
-            assert 0.0 < exact - b.r_star < 5e-5
+            assert 0.0 < exact - b.r_star < 1e-8
         assert scan.corner == min((b.r_star, b.s) for b in scan.samples)
 
-    def test_cosine_start_agrees_across_resolutions(self):
-        # the s = 0 leg ends by STEP_COLLAPSE, whose place moves with roundoff
-        # at the 1e-5 level; the tilted legs reach r_cap at any N
-        def scan(N):
-            return evolve.analyticity_boundary(evolve.cosine_field([1.0, 0.4, 0.1j], N=N),
-                                               [-0.02, 0.0, 0.02, 0.05], 3.0, r_cap=1.0)
+    @staticmethod
+    def _cosine_scan(N):
+        return evolve.analyticity_boundary(evolve.cosine_field([1.0, 0.4, 0.1j], N=N),
+                                           [-0.02, 0.0, 0.02, 0.05], 3.0, r_cap=1.0)
 
-        coarse, fine = scan(16), scan(32)
+    @staticmethod
+    def _real_leg(N):
+        """The scan's s = 0 leg run alone: its peak sup norm, where the peak sits, and
+        its final H^1 distance to the stable state -sqrt(lambda / 6)."""
+        leg = evolve.detect_blowup(evolve.cosine_field([1.0, 0.4, 0.1j], N=N), 3.0, 1.0)
+        assert leg.reason == evolve.REASON_HORIZON and leg.r_star_lower == 1.0
+        sup, r = leg.history["sup"], leg.history["r"]
+        stable = evolve.constant_field(-math.sqrt(3.0 / 6.0), N=N).coeffs
+        return float(sup.max()), float(r[sup.argmax()]), evolve.ComplexField(leg.final_state.coeffs - stable).h1_norm()
+
+    def test_cosine_start_agrees_across_resolutions(self):
+        # every leg reaches r_cap at any N; the s = 0 leg passes its singularity,
+        # and its peak, the peak's place and its end agree across N
+        coarse, fine = self._cosine_scan(16), self._cosine_scan(32)
         for a, b in zip(coarse.samples, fine.samples):
-            assert (a.censored, a.reason) == (b.censored, b.reason)
-            assert abs(a.r_star - b.r_star) < 5e-5
-        assert coarse.corner == (coarse.samples[1].r_star, 0.0)
+            assert (a.r_star, a.censored, a.reason) == (b.r_star, b.censored, b.reason)
+        assert coarse.corner is None and fine.corner is None
+        (peak16, at16, end16), (peak32, at32, end32) = self._real_leg(16), self._real_leg(32)
+        assert abs(peak16 - peak32) < 1e-3 * peak32
+        assert abs(at16 - at32) < 1e-6
+        assert abs(end16 - end32) < 1e-9
 
     def test_cosine_start(self):
-        # s = 0 diverges, the tilted legs reach r_cap
-        scan = evolve.analyticity_boundary(evolve.cosine_field([1.0, 0.4, 0.1j], N=16),
-                                           [-0.02, 0.0, 0.02, 0.05], 3.0, r_cap=1.0)
-        assert [b.censored for b in scan.samples] == [True, False, True, True]
-        assert self._digest(scan) == "3c4a59475eedd2d6be09981fc818db20918cf0d13248eb3d6daa567f051da549"
+        # complex data misses the real-time singularity, as w' = 6 w^2 from
+        # a + ib with b != 0 does: the s = 0 leg peaks at |w| = 1.14e4, about
+        # 1 / (6 |w|) = 1.5e-5 from the singularity, and relaxes to -sqrt(lambda / 6)
+        scan = self._cosine_scan(16)
+        assert [b.censored for b in scan.samples] == [True, True, True, True]
+        assert scan.corner is None
+        assert self._digest(scan) == "802b81b8364441ffd90e4363c452da474fa8d1d35880c94251fa0b39f6728475"
+        peak, at, end = self._real_leg(16)
+        assert 1.13e4 < peak < 1.15e4
+        assert abs(at - 0.20543) < 1e-5
+        assert 1.1e-3 < end < 1.3e-3
 
 
 class TestRefineCrossing:
@@ -858,16 +885,34 @@ class TestRefineCrossing:
         monkeypatch.setattr(evolve, "_advance", counted)
         return evolve._refine_crossing(start, self.LAM, rec, norm_threshold, 1e-9), len(calls)
 
+    def _exact(self):
+        a = math.sqrt(self.LAM / 6.0)
+        return math.log((self.W0 + a) / (self.W0 - a)) / (12.0 * a)
+
     def test_leg_below_quarter_threshold_is_not_rerun(self, monkeypatch):
+        # the leg reaches 1e8 just short of the pole; read against a threshold
+        # four times past its end, it never crossed
         start, rec = self._pole_row_leg(1e8)
-        assert rec.final_h1 < 1e8 / 4.0
-        r_star, calls = self._refine(monkeypatch, start, rec, 1e8)
+        assert rec.reason == evolve.REASON_NORM
+        assert 0.0 <= self._exact() - rec.r_star_lower < 1e-8
+        r_star, calls = self._refine(monkeypatch, start, rec, 4.0 * rec.final_h1 * (1.0 + 1e-12))
         assert calls == 0
         assert r_star == rec.r_star_lower
 
+    def test_narrow_bracket_is_not_rerun(self, monkeypatch):
+        # the endgame's last steps are already shorter than the bisection's
+        # width: the bracket's lower end comes back without re-running the leg
+        start, rec = self._pole_row_leg(1e8)
+        h1, r = rec.history["h1"], rec.history["r"]
+        lo = float(r[np.nonzero(h1 < 1e8 / 4.0)[0][-1]])
+        assert rec.r_star_lower - lo < evolve._REFINE_WIDTH
+        r_star, calls = self._refine(monkeypatch, start, rec, 1e8)
+        assert calls == 0
+        assert r_star == lo
+        assert 0.0 <= self._exact() - r_star < 1e-8
+
     def test_crossing_leg_is_bisected_below_the_pole(self, monkeypatch):
-        a = math.sqrt(self.LAM / 6.0)
-        exact = math.log((self.W0 + a) / (self.W0 - a)) / (12.0 * a)
+        exact = self._exact()
         start, rec = self._pole_row_leg(1e3)
         assert rec.reason == evolve.REASON_NORM
         r_star, calls = self._refine(monkeypatch, start, rec, 1e3)

@@ -858,6 +858,13 @@ class TestBoundaryBytes:
         assert 1.1e-3 < end < 1.3e-3
 
 
+def _pole(w0, lam):
+    """Blow-up time of constant data w0: ln((w0 + a)/(w0 - a)) / (12 a) with a^2 = lam / 6,
+    and 1 / (6 w0) at lam = 0."""
+    a = math.sqrt(lam / 6.0)
+    return math.log((w0 + a) / (w0 - a)) / (12.0 * a) if a else 1.0 / (6.0 * w0)
+
+
 class TestRefineCrossing:
     # Constant data w0 at lambda = 6 a^2 poles at r* = ln((w0 + a)/(w0 - a)) / (12 a)
     # and again at r* + i pi / (6 a): a horizontal leg started at i pi / (6 a)
@@ -885,16 +892,12 @@ class TestRefineCrossing:
         monkeypatch.setattr(evolve, "_advance", counted)
         return evolve._refine_crossing(start, self.LAM, rec, norm_threshold, 1e-9), len(calls)
 
-    def _exact(self):
-        a = math.sqrt(self.LAM / 6.0)
-        return math.log((self.W0 + a) / (self.W0 - a)) / (12.0 * a)
-
     def test_leg_below_quarter_threshold_is_not_rerun(self, monkeypatch):
         # the leg reaches 1e8 just short of the pole; read against a threshold
         # four times past its end, it never crossed
         start, rec = self._pole_row_leg(1e8)
         assert rec.reason == evolve.REASON_NORM
-        assert 0.0 <= self._exact() - rec.r_star_lower < 1e-8
+        assert 0.0 <= _pole(self.W0, self.LAM) - rec.r_star_lower < 1e-8
         r_star, calls = self._refine(monkeypatch, start, rec, 4.0 * rec.final_h1 * (1.0 + 1e-12))
         assert calls == 0
         assert r_star == rec.r_star_lower
@@ -909,10 +912,10 @@ class TestRefineCrossing:
         r_star, calls = self._refine(monkeypatch, start, rec, 1e8)
         assert calls == 0
         assert r_star == lo
-        assert 0.0 <= self._exact() - r_star < 1e-8
+        assert 0.0 <= _pole(self.W0, self.LAM) - r_star < 1e-8
 
     def test_crossing_leg_is_bisected_below_the_pole(self, monkeypatch):
-        exact = self._exact()
+        exact = _pole(self.W0, self.LAM)
         start, rec = self._pole_row_leg(1e3)
         assert rec.reason == evolve.REASON_NORM
         r_star, calls = self._refine(monkeypatch, start, rec, 1e3)
@@ -939,17 +942,11 @@ class TestEndgame:
     # nears a singularity must reach NORM_THRESHOLD where the singularity is,
     # whatever the tolerance, and a ray that misses one must pass it.
 
-    @staticmethod
-    def _rstar(w0, lam):
-        """Closed-form blow-up time of constant data: ln((w0 + a)/(w0 - a)) / 12a, a^2 = lam / 6."""
-        a = math.sqrt(lam / 6.0)
-        return math.log((w0 + a) / (w0 - a)) / (12.0 * a) if a else 1.0 / (6.0 * w0)
-
     @pytest.mark.parametrize("w0, lam", [(1.5, 6.0), (0.5, 0.0)], ids=["lambda6", "lambda0"])
     def test_constant_data_meets_the_closed_form(self, w0, lam):
         rec = evolve.detect_blowup(evolve.constant_field(w0, N=16), lam, 1.0)
         assert rec.reason == evolve.REASON_NORM
-        assert 0.0 <= self._rstar(w0, lam) - rec.r_star_lower < 1e-8
+        assert 0.0 <= _pole(w0, lam) - rec.r_star_lower < 1e-8
 
     def test_pole_row_leg_meets_the_closed_form(self):
         # the same pole again at i pi / (6a): up the vertical ray, then along r
@@ -960,7 +957,7 @@ class TestEndgame:
         assert status == evolve.REASON_HORIZON
         rec = evolve.detect_blowup(evolve.ComplexField(top.coeffs.copy(), top.basis), lam, 1.0)
         assert rec.reason == evolve.REASON_NORM
-        assert 0.0 <= self._rstar(w0, lam) - rec.r_star_lower < 1e-8
+        assert 0.0 <= _pole(w0, lam) - rec.r_star_lower < 1e-8
 
     def test_gamma_0129_blowup_does_not_move_with_the_tolerance(self):
         psi, lam = _gamma(0.129)

@@ -26,13 +26,14 @@ averaging over 32 roots of unity for |z| < 1 (entire functions: the mean
 over a circle equals the center value) and by the closed forms otherwise.
 The averages stay complex because the linear symbol e^(i theta)(-(2 pi k)^2)
 is complex off the parabolic ray.  Each dr's tables are built once, scaled
-by dr, and stacked per tuple of drs; the f2 table holds 2 f2, the factor
-the scheme uses.  Step size is adapted by step doubling: one full step
-against two half steps, local error estimated as their H^1 distance over
-2^4 - 1.  That step control is written once, for one ray (_control); the
-scheduler _advance only batches steps: rays that share basis, N, theta and
-lambda go through each step as one stack, a single ray as a stack of one,
-and no ray waits for another at its stops.
+by dr, and stacked per tuple of drs (a stack of one is its dr's own
+tables); the f2 table holds 2 f2, the factor the scheme uses.  Step size
+is adapted by step doubling: one full step against two half steps, local
+error estimated as their H^1 distance over 2^4 - 1.  That step control is
+written once, for one ray (_control); the scheduler _advance only batches
+steps: rays that share basis, N, theta and lambda go through each step as
+one stack, a single ray as a stack of one, and no ray waits for another at
+its stops.
 
 Blow-up is reported, never guessed: a run ends with NORM_THRESHOLD when the
 H^1 norm passes the threshold (NORM_THRESHOLD = 1e8 unless the caller sets
@@ -62,6 +63,7 @@ import importlib.machinery
 import importlib.util
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
@@ -302,8 +304,10 @@ def _etdrk4_row(basis: str, N: int, theta: float, dr: float):
 @lru_cache(maxsize=64)
 def _etdrk4_tables(basis: str, N: int, theta: float, drs: tuple):
     """(e^(i theta), E, E2, dr Q, dr f1, 2 dr f2, dr f3) for a stack of rays whose row i
-    steps by drs[i]: read-only (rows, N) stacks of each dr's row, built once."""
-    out = tuple(map(np.concatenate, zip(*(_etdrk4_row(basis, N, theta, dr) for dr in drs))))
+    steps by drs[i]: read-only (rows, N) stacks of each dr's row, built once; a stack
+    of one is that row's own arrays."""
+    rows = [_etdrk4_row(basis, N, theta, dr) for dr in drs]
+    out = rows[0] if len(rows) == 1 else tuple(map(np.concatenate, zip(*rows)))
     for arr in out:
         arr.setflags(write=False)
     return (np.exp(1j * theta),) + out
@@ -397,33 +401,43 @@ def _h1_diff(u1: np.ndarray, u2: np.ndarray, basis: str) -> list:
 
 
 class _History:
-    """The start and every accepted step of one run, and its rejected attempts."""
+    """The start and every accepted step of one run, and its rejected attempts.
+
+    r, h1, grad and sup are flat float64 buffers and w0 interleaves its real
+    and imaginary parts, so the record costs 48 bytes per accepted step;
+    arrays() views them as float64 and complex128 without a copy.  w0 and sup
+    are computed SUP_BATCH states at a time.
+    """
 
     def __init__(self):
-        self.r, self.h1, self.sup, self.grad, self.w0 = [], [], [], [], []
-        self.queued = []            # accepted states whose sup norm is pending
+        self.r, self.h1, self.sup, self.grad, self.w0 = (array("d") for _ in range(5))
+        self.queued = []            # accepted states whose w0 and sup norm are pending
         self.rejected = 0
 
     def push(self, state: ComplexField, h1: float, grad: float):
         self.r.append(state.r)
         self.h1.append(h1)
         self.grad.append(grad)
-        self.w0.append(state.at_zero())
         self.queued.append(state)
         if len(self.queued) == SUP_BATCH:
             self._flush()
 
     def _flush(self):
-        """Each queued state's sup_norm, all from one stacked grid."""
+        """Each queued state's at_zero and sup_norm, all from one stack."""
         if self.queued:
             basis, N = self.queued[0].basis, self.queued[0].N
-            grid = _to_grid(np.array([s.coeffs for s in self.queued]), basis, 4 * N)
-            self.sup += (np.max(np.abs(grid), 1) * (0.5 if basis == NEUMANN_HALF else 1.0)).tolist()
+            coeffs = np.array([s.coeffs for s in self.queued])
+            self.w0.frombytes(np.add.reduce(coeffs, 1).tobytes())
+            grid = _to_grid(coeffs, basis, 4 * N)
+            sup = np.max(np.abs(grid), 1) * (0.5 if basis == NEUMANN_HALF else 1.0)
+            self.sup.frombytes(sup.tobytes())
             self.queued.clear()
 
     def arrays(self) -> dict:
         self._flush()
-        return {name: np.array(getattr(self, name)) for name in ("r", "h1", "sup", "grad", "w0")}
+        out = {name: np.frombuffer(getattr(self, name)) for name in ("r", "h1", "sup", "grad")}
+        out["w0"] = np.frombuffer(self.w0, dtype=complex)
+        return out
 
 
 def _control(state, stops, err_target, norm_threshold, history, fields, on_accept):
@@ -591,7 +605,9 @@ class RayRun:
     """One ray advanced through ascending stops: where it ended and why.
 
     history holds r, h1, sup, grad and w0 of the start and of every accepted
-    step; fields holds a copy of the state at each stop reached.
+    step, as float64 arrays and a complex128 one viewing _History's flat
+    buffers: 48 bytes per accepted step.  fields holds a copy of the state at
+    each stop reached.
     """
 
     final_state: ComplexField
@@ -754,9 +770,9 @@ def heteroclinic_shoot(
     finite time.  For the minus run the pointwise decrease is monitored on a
     129-point grid with 1e-8 absolute tolerance.
     """
-    sign = {"+": 1, "-": -1}.get(direction)
-    if sign is None:
+    if not (isinstance(direction, str) and direction in ("+", "-")):
         raise DomainError(f"direction must be '+' or '-' (got {direction!r})")
+    sign = 1 if direction == "+" else -1
 
     bp = elliptic.branch_point(n, h)
     rep = spectrum.eigen(bp.profile)

@@ -4,6 +4,7 @@ import hashlib
 import math
 import re
 import sys
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -178,6 +179,15 @@ class TestTables:
                 assert one.shape == (1, 64)
                 assert rows[i].tobytes() == one[0].tobytes()
 
+    @pytest.mark.parametrize("basis", [evolve.NEUMANN_HALF, evolve.PERIODIC_UNIT])
+    def test_one_row_stack_is_the_rows_own_arrays(self, basis):
+        alone = evolve._etdrk4_tables(basis, 64, 0.7, (3e-3,))
+        row = evolve._etdrk4_row(basis, 64, 0.7, 3e-3)
+        assert len(alone[1:]) == len(row)
+        for one, own in zip(alone[1:], row):
+            assert one is own
+            assert not one.flags.writeable
+
     def test_each_step_looks_its_tables_up_once(self, monkeypatch):
         calls, step = [0], evolve.step
 
@@ -350,8 +360,9 @@ class TestTransformInputs:
 
 
 class TestHistorySup:
-    # A run's history computes its sup norms SUP_BATCH states at a time (the
-    # start counts as one); every entry must still be its state's sup_norm.
+    # A run's history computes its w0 and sup norms SUP_BATCH states at a time
+    # (the start counts as one); every entry must still be its state's
+    # at_zero and sup_norm.
 
     @staticmethod
     def _rays():
@@ -370,11 +381,17 @@ class TestHistorySup:
         ray = self._rays()[0]
         accepted = len(evolve._run(ray, [0.05], 6.0).history["r"]) - 1
         monkeypatch.setattr(evolve, "SUP_BATCH", accepted + offset)
-        want = [ray.sup_norm()]
-        run = evolve._run(ray, [0.05], 6.0, on_accept=lambda prev, new: want.append(new.sup_norm()))
+        want, w0 = [ray.sup_norm()], [ray.at_zero()]
+
+        def record(prev, new):
+            want.append(new.sup_norm())
+            w0.append(new.at_zero())
+
+        run = evolve._run(ray, [0.05], 6.0, on_accept=record)
         self._check(run)
         assert len(want) == accepted + 1
         assert run.history["sup"].tobytes() == np.array(want).tobytes()
+        assert run.history["w0"].tobytes() == np.array(w0).tobytes()
 
     @pytest.mark.parametrize("batch", [1, 7, 64])
     def test_stacked_rows_read_as_they_would_alone(self, monkeypatch, batch):
@@ -386,6 +403,31 @@ class TestHistorySup:
             alone = evolve._run(ray, [0.05], 6.0)
             self._check(run)
             assert run.history["sup"].tobytes() == alone.history["sup"].tobytes()
+            assert run.history["w0"].tobytes() == alone.history["w0"].tobytes()
+
+
+class TestHistoryBytes:
+    # a run's record is flat float64 buffers: 48 bytes per accepted step, and
+    # its traced peak stays near that instead of a Python float per entry
+
+    def test_peak_per_accepted_step(self):
+        ray = evolve.monochromatic_field(1.0, N=8)
+        # fill the table caches and the interpreter's free lists, which would
+        # otherwise add up to about 20 bytes per step here
+        evolve.schrodinger_evolve(ray, [0.2], 0.0, err_target=1e-10)
+        tracemalloc.start()
+        try:
+            run = evolve.schrodinger_evolve(ray, [0.35], 0.0, err_target=1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        accepted = len(run.history["r"]) - 1
+        assert accepted >= 5000
+        assert peak < 100 * accepted
+        for name, dtype in (("r", np.float64), ("h1", np.float64), ("sup", np.float64),
+                            ("grad", np.float64), ("w0", np.complex128)):
+            assert run.history[name].dtype == dtype
+            assert run.history[name].shape == (accepted + 1,)
 
 
 class TestNonConstantBytes:
@@ -685,7 +727,7 @@ class TestSchrodinger:
 
 class TestHeteroclinicShoot:
     def test_direction_validation(self):
-        for direction in ("sideways", "plus", 1):
+        for direction in ("sideways", "plus", 1, None, ["+"], ("-",)):
             with pytest.raises(DomainError):
                 evolve.heteroclinic_shoot(1, 0.05, direction)
 

@@ -480,8 +480,7 @@ def _control(state, stops, err_target, norm_threshold, history, fields, on_accep
     """
     (l2,), (grad,) = _norms(state.coeffs[None], state.basis)
     h1 = math.hypot(l2, grad)
-    if history is not None:
-        history.push(state, h1, grad)
+    history.push(state, h1, grad)
     onset = ENDGAME_GROWTH * max(1.0, h1)
     roundoff = sys.float_info.epsilon * _roundoff_weight(state.basis, state.N)
     dr_init = 1e-2 if state.sectorial else 2e-3
@@ -500,11 +499,10 @@ def _control(state, stops, err_target, norm_threshold, history, fields, on_accep
                 if e <= tol:
                     r = state.r + dr_try / 2.0 + dr_try / 2.0     # the clock of two half steps
                     prev, state = state, _state(coeffs, state.basis, r, state.theta)
-                    if history is not None:
-                        history.push(state, h1, grad)
+                    history.push(state, h1, grad)
                     if on_accept is not None and on_accept(prev, state) is False:
                         return state, REASON_CAPTURED
-                    if norm_threshold is not None and h1 >= norm_threshold:
+                    if h1 >= norm_threshold:
                         return state, REASON_NORM
                     # doubling is taken only when the fifth-order estimate
                     # predicts the doubled step still passes with a 20% margin
@@ -513,13 +511,11 @@ def _control(state, stops, err_target, norm_threshold, history, fields, on_accep
                     continue
             # a rejected step: a non-finite estimate (a BlowupSignal
             # included) quarters dr, an estimate over tol halves it
-            if history is not None:
-                history.rejected += 1
+            history.rejected += 1
             dr /= 2.0 if math.isfinite(e) else 4.0
             if dr < DR_MIN:
                 return state, REASON_STEP
-        if fields is not None:
-            fields.append(state.copy())
+        fields.append(state.copy())
     return state, REASON_HORIZON
 
 
@@ -528,10 +524,10 @@ def _advance(
     stops,
     lam: float,
     *,
+    history,
+    fields,
     err_target: float = 1e-9,
-    norm_threshold: float | None = None,
-    history=None,
-    fields=None,
+    norm_threshold: float = NORM_THRESHOLD,
     on_accept=None,
 ):
     """Adaptive ETDRK4 through the ascending arclengths in stops (one float
@@ -541,8 +537,8 @@ def _advance(
     estimated by step doubling, with a roundoff floor under it and a
     blow-up endgame past ENDGAME_GROWTH (see _control).  The first step is 1e-2 on sectorial rays
     and 2e-3 on vertical ones.  on_accept(prev, new) may return False to
-    stop the run early (status CAPTURED).  history and fields, when given,
-    hold one _History and one list per ray; see _control.
+    stop the run early (status CAPTURED).  history and fields hold one
+    _History and one list per ray, which every run fills; see _control.
 
     state may also be a list of rays that share basis, N and theta; then
     the lists of final states and statuses come back.  Each ray keeps its
@@ -554,7 +550,7 @@ def _advance(
     one = isinstance(state, ComplexField)
     rays = [state] if one else list(state)
     stops = np.atleast_1d(np.asarray(stops, dtype=float)).tolist()
-    if not (err_target > 0.0 and (norm_threshold is None or norm_threshold > 0.0)):
+    if not (err_target > 0.0 and norm_threshold > 0.0):
         raise DomainError(f"need err_target > 0 and norm_threshold > 0, got {err_target}, {norm_threshold}")
     if not all(map(math.isfinite, stops)):
         raise DomainError(f"stops must be finite, got {stops}")
@@ -569,7 +565,7 @@ def _advance(
     ends = [None] * len(rays)
     # (index, controller, what to send it next) for each ray still running
     pending = [(i, _control(ray, stops, err_target, norm_threshold, hist, fs, on_accept), None)
-               for i, (ray, hist, fs) in enumerate(zip_longest(rays, history or (), fields or ()))]
+               for i, (ray, hist, fs) in enumerate(zip(rays, history, fields))]
     with np.errstate(over="ignore", invalid="ignore"):
         while pending:
             live, asks = [], []     # (index, controller) and its (state, dr to try)
@@ -732,7 +728,7 @@ def schrodinger_evolve(
 
     theta = -math.pi / 2 if pts[0] > 0 else math.pi / 2
     state = ComplexField(psi0.coeffs.copy(), psi0.basis, 0.0, theta)
-    return _run(state, mags, lam, err_target=err_target, norm_threshold=NORM_THRESHOLD)
+    return _run(state, mags, lam, err_target=err_target)
 
 
 # ---------------------------------------------------------------------------
@@ -799,8 +795,7 @@ def heteroclinic_shoot(
             dist = ComplexField(new.coeffs - target_coeffs, new.basis).h1_norm()
             return not dist < 1e-6
 
-    record = _run(w0, [r_max], bp.lam, err_target=err_target, norm_threshold=NORM_THRESHOLD,
-                  on_accept=capture)
+    record = _run(w0, [r_max], bp.lam, err_target=err_target, on_accept=capture)
     final = record.final_state
     captured = record.reason == REASON_CAPTURED
     if minus:
@@ -855,9 +850,9 @@ def analyticity_boundary(
     the s = 0 leg starts from gamma0 itself.  The horizontal legs advance
     together as one stack of rays.  When the vertical leg diverges
     before reaching s, that sample and the more distant ones on the same side
-    are recorded as undefined.  Every divergent horizontal leg, the s = 0
-    one included, that passed NORM_THRESHOLD / 4 is refined by bisection on
-    the crossing arclength (see _refine_crossing).
+    are recorded as undefined.  A divergent horizontal leg, the s = 0 one
+    included, reports the last arclength its own record reached with H^1
+    norm below NORM_THRESHOLD / 4 (see _refine_crossing); no leg is re-run.
 
     The reported corner (r0, s0) is the sample minimizing r_star; it is
     descriptive (a rectangle certificate corner), not asserted against any
@@ -876,22 +871,17 @@ def analyticity_boundary(
         tops[0.0] = gamma0
 
     # the horizontal legs share basis, N, theta = 0 and lam: one stack
-    starts = {s: ComplexField(top.coeffs.copy(), top.basis, 0.0, 0.0)
-              for s, top in tops.items() if top is not None}
-    legs = dict(zip(starts, _run(list(starts.values()), [float(r_cap)], lam, err_target=err_target,
-                                 norm_threshold=NORM_THRESHOLD))) if starts else {}
+    stack = [ComplexField(top.coeffs.copy(), top.basis) for top in tops.values() if top is not None]
+    legs = iter(_run(stack, [float(r_cap)], lam, err_target=err_target) if stack else ())
     samples: dict[float, BoundarySample] = {}
     for s, top in tops.items():
         if top is None:
             samples[s] = BoundarySample(s=s, r_star=None, censored=False,
                                         reason="vertical leg diverged before reaching s")
             continue
-        start, rec = starts[s], legs[s]
-        r_star = rec.r_star_lower
-        if rec.diverged:
-            r_star = _refine_crossing(start, lam, rec, NORM_THRESHOLD, err_target)
-        samples[s] = BoundarySample(s=s, r_star=float(r_star), censored=not rec.diverged,
-                                    reason=rec.reason)
+        rec = next(legs)
+        r_star = _refine_crossing(rec, NORM_THRESHOLD) if rec.diverged else rec.r_star_lower
+        samples[s] = BoundarySample(s=s, r_star=r_star, censored=not rec.diverged, reason=rec.reason)
 
     ordered = [samples[float(s)] for s in svals]
     divergent = [b for b in ordered if b.defined and not b.censored]
@@ -902,38 +892,16 @@ def analyticity_boundary(
     return BoundaryScan(samples=ordered, corner=corner)
 
 
-_REFINE_ITERS = 30
-_REFINE_WIDTH = 1e-6   # relative width at which the crossing bisection stops
+def _refine_crossing(rec: RayRun, norm_threshold: float) -> float:
+    """The crossing arclength of a divergent leg, read from its own record.
 
-
-def _refine_crossing(start, lam, rec, norm_threshold, err_target):
-    """Bisection sharpening of the threshold-crossing arclength.
-
-    Restarts from the last recorded state below norm_threshold / 4 (re-run
-    cheaply to that checkpoint) and bisects on the crossing radius.  A leg
-    that ended below norm_threshold / 4 never crossed and is returned as is;
-    a bracket already narrower than _REFINE_WIDTH returns its lower end
-    without re-running the leg.
+    It is the last accepted r with H^1 norm below norm_threshold / 4: a lower
+    bound that does not rest on the endgame's last steps, which at a loose
+    err_target can pass the pole.  A leg whose last entry is still below
+    norm_threshold / 4 never rose past it, and one that started above it has
+    no such r; both return r_star_lower.
     """
-    below = np.nonzero(rec.history["h1"] < norm_threshold / 4.0)[0]
-    if len(below) == 0 or below[-1] == len(rec.history["r"]) - 1:
+    below = rec.history["h1"] < norm_threshold / 4.0
+    if not below.any() or below[-1]:
         return rec.r_star_lower
-    lo, hi = float(rec.history["r"][below[-1]]), float(rec.r_star_lower)
-    if hi - lo < _REFINE_WIDTH * max(1.0, hi):
-        return lo
-    ck, status = _advance(start.copy(), lo, lam, err_target=err_target)
-    if status != REASON_HORIZON:
-        return rec.r_star_lower
-    for _ in range(_REFINE_ITERS):
-        if hi - lo < _REFINE_WIDTH * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        probe, status = _advance(
-            ck.copy(), mid, lam,
-            err_target=err_target, norm_threshold=norm_threshold,
-        )
-        if status == REASON_HORIZON and probe.h1_norm() < norm_threshold:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return float(rec.history["r"][np.flatnonzero(below)[-1]])

@@ -41,6 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .elliptic import _check_branch_index
 from .errors import DomainError
 from .spectrum import perturbation_mu_coefficients
 
@@ -108,9 +109,7 @@ def identical_resonance_check(
     enlarges the certified |m| bound, useful for soundness checks that the
     bound itself cuts nothing.
     """
-    if n != int(n) or n < 1:
-        raise DomainError(f"branch index must be a positive integer, got {n!r}")
-    n = int(n)
+    n = _check_branch_index(n)
     d = n if d is None else int(d)
     if not 1 <= d <= n:
         raise DomainError(f"need 1 <= d <= n, got d = {d}")

@@ -54,7 +54,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .elliptic import CosineSeries
+from .elliptic import CosineSeries, _check_branch_index
 from .errors import ConvergenceError, DomainError
 
 _TWO_PI = 2.0 * math.pi
@@ -279,10 +279,10 @@ def homogeneous_spectrum(lam: float, count: int = 8, equilibrium: str = "upper")
 
 
 def morse_index_homogeneous(lam: float) -> int:
-    """Unstable dimension of +sqrt(lam/6): #{k >= 0 : (2 pi k)^2 < 2 sqrt(6 lam)}."""
+    """Unstable dimension of +sqrt(lam/6): #{k >= 0 : (2 pi k)^2 < 2 sqrt(6 lam)}, 0 at lam = 0."""
     lam = float(lam)
-    if not 0.0 < lam < math.inf:
-        raise DomainError(f"need finite lambda > 0, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise DomainError(f"need finite lambda >= 0, got {lam}")
     bound = 2.0 * math.sqrt(6.0 * lam)
     count = 0
     while (_TWO_PI * count) ** 2 < bound:
@@ -296,11 +296,10 @@ def perturbation_mu_coefficients(n: int, k: int) -> tuple[int, int, Fraction]:
     The resonance arithmetic consumes these as integers / Fractions; the
     k = n/2 case (even n only) is the resonant denominator n^2 - 4k^2 = 0.
     """
-    if n != int(n) or n < 1:
-        raise DomainError(f"branch index must be a positive integer, got {n!r}")
+    n = _check_branch_index(n)
     if k != int(k) or k < 0:
         raise DomainError(f"mode index must be a nonnegative integer, got {k!r}")
-    n, k = int(n), int(k)
+    k = int(k)
     mu0 = n * n - k * k
     if 2 * k == n:
         return mu0, 12 * n * n, Fraction(48 * n * n)

@@ -722,6 +722,12 @@ class TestSubcommandSmoke:
         assert [r["k"] for r in rows] == ["0", "1", "2", "3"]
         assert all(r["morse_index"] == morse for r in rows)
 
+    def test_spectrum_at_lambda_zero(self):
+        rc, out, _ = run_cli(["spectrum", "--lambda", "0", "--count", "3"])
+        assert rc == 0
+        _, rows = parse_csv(out)
+        assert [r["morse_index"] for r in rows] == ["0", "0", "0"]
+
     def test_branch_sweep_without_h(self):
         rc, out, _ = run_cli(["branch", "--n", "1", "--points", "3"])
         assert rc == 0

@@ -133,8 +133,8 @@ class TestStep:
 
         moves = []
         monkeypatch.setattr(evolve, "step", counted)
-        evolve._advance(evolve.constant_field(0.1, N=8), 0.05, 2.0,
-                        on_accept=lambda prev, new: moves.append((prev.r, new.r, tried[-3])))
+        evolve._run(evolve.constant_field(0.1, N=8), 0.05, 2.0,
+                    on_accept=lambda prev, new: moves.append((prev.r, new.r, tried[-3])))
         assert moves and all(new == prev + dr / 2.0 + dr / 2.0 for prev, new, dr in moves)
 
     def test_non_positive_step_is_a_domain_error(self):
@@ -517,7 +517,7 @@ class TestStack:
     def test_stack_must_share_its_ray(self):
         rays = [evolve.constant_field(0.5, N=16), evolve.constant_field(0.5, N=16, theta=0.3)]
         with pytest.raises(DomainError):
-            evolve._advance(rays, 0.1, 0.0)
+            evolve._run(rays, 0.1, 0.0)
 
 
 class TestDetectBlowup:
@@ -808,8 +808,8 @@ class TestAnalyticityBoundary:
             assert 0.0 <= exact - b.r_star < 1e-4
 
     def test_real_axis_sample_is_refined_like_the_others(self):
-        # At err_target 1e-4 the s = 0 leg passes NORM_THRESHOLD / 4, so the
-        # crossing bisection moves its r* below the leg's last accepted r.
+        # At err_target 1e-4 the s = 0 leg passes NORM_THRESHOLD / 4, so its
+        # r* is read there, below the leg's last accepted r.
         scan = evolve.analyticity_boundary(
             evolve.constant_field(1.5, N=16), [0.0, math.pi / 6.0], 6.0,
             r_cap=1.0, err_target=1e-4)
@@ -847,6 +847,17 @@ class TestBoundaryBytes:
     def test_constant_start(self, w0, N, s_values, lam, kw, want):
         scan = evolve.analyticity_boundary(evolve.constant_field(w0, N=N), s_values, lam, **kw)
         assert self._digest(scan) == want
+
+    def test_w1_plus_launch(self):
+        # the "+" launch of heteroclinic_shoot from W_1(0.1): the s = 0 leg blows
+        # up near r = 0.1278 and the legs at s = +-0.02 pass the singularity
+        bp = elliptic.branch_point(1, 0.1)
+        phi0 = spectrum.eigen(bp.profile).eigenvectors[0]
+        w = evolve.cosine_field(bp.profile, N=32)
+        w.coeffs += 1e-5 * bp.profile.l2_norm() * evolve.cosine_field(phi0, N=32).coeffs
+        scan = evolve.analyticity_boundary(w, [-0.02, 0.0, 0.02], bp.lam, r_cap=1.0)
+        assert [b.censored for b in scan.samples] == [True, False, True]
+        assert self._digest(scan) == "f76447d61f76daede59a76b884d9f31cf5ae5b033b83cb64070af85ae37da92e"
 
     def test_pole_row_samples_sit_just_below_the_pole(self):
         # constant data 1.5 at lambda = 6 poles at ln 5 / 12 on the real axis and
@@ -916,14 +927,16 @@ class TestRefineCrossing:
     def _pole_row_leg(self, norm_threshold):
         a = math.sqrt(self.LAM / 6.0)
         up = evolve.constant_field(self.W0, N=16, theta=-math.pi / 2)
-        top, status = evolve._advance(up, math.pi / (6.0 * a), self.LAM, err_target=1e-10)
-        assert status == evolve.REASON_HORIZON
-        start = evolve.ComplexField(top.coeffs.copy(), top.basis)
-        rec = evolve.detect_blowup(start, self.LAM, 1.0, norm_threshold=norm_threshold)
+        run = evolve._run(up, math.pi / (6.0 * a), self.LAM, err_target=1e-10)
+        assert run.reason == evolve.REASON_HORIZON
+        top = run.final_state
+        rec = evolve.detect_blowup(evolve.ComplexField(top.coeffs.copy(), top.basis), self.LAM, 1.0,
+                                   norm_threshold=norm_threshold)
         assert rec.diverged
-        return start, rec
+        return rec
 
-    def _refine(self, monkeypatch, start, rec, norm_threshold):
+    @staticmethod
+    def _refine(monkeypatch, rec, norm_threshold):
         calls = []
         advance = evolve._advance
 
@@ -932,39 +945,62 @@ class TestRefineCrossing:
             return advance(*args, **kwargs)
 
         monkeypatch.setattr(evolve, "_advance", counted)
-        return evolve._refine_crossing(start, self.LAM, rec, norm_threshold, 1e-9), len(calls)
+        return evolve._refine_crossing(rec, norm_threshold), len(calls)
+
+    @staticmethod
+    def _lower_end(rec, norm_threshold):
+        """The last accepted r of a leg with H^1 norm below norm_threshold / 4."""
+        h1, r = rec.history["h1"], rec.history["r"]
+        return float(r[np.nonzero(h1 < norm_threshold / 4.0)[0][-1]])
 
     def test_leg_below_quarter_threshold_is_not_rerun(self, monkeypatch):
         # the leg reaches 1e8 just short of the pole; read against a threshold
         # four times past its end, it never crossed
-        start, rec = self._pole_row_leg(1e8)
+        rec = self._pole_row_leg(1e8)
         assert rec.reason == evolve.REASON_NORM
         assert 0.0 <= _pole(self.W0, self.LAM) - rec.r_star_lower < 1e-8
-        r_star, calls = self._refine(monkeypatch, start, rec, 4.0 * rec.final_h1 * (1.0 + 1e-12))
+        r_star, calls = self._refine(monkeypatch, rec, 4.0 * rec.final_h1 * (1.0 + 1e-12))
         assert calls == 0
         assert r_star == rec.r_star_lower
 
     def test_narrow_bracket_is_not_rerun(self, monkeypatch):
-        # the endgame's last steps are already shorter than the bisection's
-        # width: the bracket's lower end comes back without re-running the leg
-        start, rec = self._pole_row_leg(1e8)
-        h1, r = rec.history["h1"], rec.history["r"]
-        lo = float(r[np.nonzero(h1 < 1e8 / 4.0)[0][-1]])
-        assert rec.r_star_lower - lo < evolve._REFINE_WIDTH
-        r_star, calls = self._refine(monkeypatch, start, rec, 1e8)
+        # the endgame's last steps are shorter than 1e-6: the bracket's lower
+        # end is read from the record and sits below the pole
+        rec = self._pole_row_leg(1e8)
+        lo = self._lower_end(rec, 1e8)
+        assert rec.r_star_lower - lo < 1e-6
+        r_star, calls = self._refine(monkeypatch, rec, 1e8)
         assert calls == 0
         assert r_star == lo
         assert 0.0 <= _pole(self.W0, self.LAM) - r_star < 1e-8
 
-    def test_crossing_leg_is_bisected_below_the_pole(self, monkeypatch):
+    def test_crossing_leg_returns_its_lower_end(self, monkeypatch):
+        # at threshold 1e3 the leg stops long before its endgame, and its last
+        # steps span a bracket wider than 1e-6; its lower end comes back as
+        # read, without re-running the leg
         exact = _pole(self.W0, self.LAM)
-        start, rec = self._pole_row_leg(1e3)
+        rec = self._pole_row_leg(1e3)
         assert rec.reason == evolve.REASON_NORM
-        r_star, calls = self._refine(monkeypatch, start, rec, 1e3)
-        assert calls > 1
-        assert r_star <= rec.r_star_lower
-        assert r_star <= exact
+        lo = self._lower_end(rec, 1e3)
+        assert rec.r_star_lower - lo >= 1e-6
+        r_star, calls = self._refine(monkeypatch, rec, 1e3)
+        assert calls == 0
+        assert r_star == lo
+        assert r_star < rec.r_star_lower < exact
         assert exact - r_star < 1e-3
+
+    @pytest.mark.parametrize("w0, lam", [(0.5, 0.0), (1.5, 6.0)], ids=["lambda0", "lambda6"])
+    def test_lower_end_stays_below_a_passed_pole(self, w0, lam):
+        # at err_target 1e-7 the endgame's last steps pass the pole (by 6.4e-8
+        # at lambda = 0 and 7.6e-9 at lambda = 6); the scan's r*, read at
+        # NORM_THRESHOLD / 4, stays below it (by 1.4e-9 and 8.8e-9)
+        exact = _pole(w0, lam)
+        leg = evolve.detect_blowup(evolve.constant_field(w0, N=16), lam, 1.0, err_target=1e-7)
+        assert leg.reason == evolve.REASON_NORM
+        assert leg.r_star_lower > exact
+        scan = evolve.analyticity_boundary(evolve.constant_field(w0, N=16), [0.0], lam, r_cap=1.0,
+                                           err_target=1e-7)
+        assert 0.0 < exact - scan.samples[0].r_star < 1e-8
 
 
 @lru_cache(maxsize=None)
@@ -994,9 +1030,10 @@ class TestEndgame:
         # the same pole again at i pi / (6a): up the vertical ray, then along r
         w0, lam = 1.5, 6.0
         a = math.sqrt(lam / 6.0)
-        top, status = evolve._advance(evolve.constant_field(w0, N=16, theta=-math.pi / 2),
-                                      math.pi / (6.0 * a), lam, err_target=1e-10)
-        assert status == evolve.REASON_HORIZON
+        up = evolve._run(evolve.constant_field(w0, N=16, theta=-math.pi / 2),
+                         math.pi / (6.0 * a), lam, err_target=1e-10)
+        assert up.reason == evolve.REASON_HORIZON
+        top = up.final_state
         rec = evolve.detect_blowup(evolve.ComplexField(top.coeffs.copy(), top.basis), lam, 1.0)
         assert rec.reason == evolve.REASON_NORM
         assert 0.0 <= _pole(w0, lam) - rec.r_star_lower < 1e-8

@@ -35,6 +35,15 @@ def test_homogeneous_morse_index_counts_branch_index(n):
     assert spectrum.morse_index_homogeneous(lam) == n
 
 
+def test_homogeneous_morse_index_at_lambda_zero():
+    # at lambda = 0 the spectrum is -(2 pi k)^2: mu_0 = 0 is not unstable
+    assert spectrum.homogeneous_spectrum(0.0, count=3)[0] == 0.0
+    assert spectrum.morse_index_homogeneous(0.0) == 0
+    for lam in (-1e-300, -1.0):
+        with pytest.raises(DomainError):
+            spectrum.morse_index_homogeneous(lam)
+
+
 def test_assemble_operator_is_symmetric():
     prof = elliptic.equilibrium_profile(2, 0.06)
     M = spectrum.assemble_operator(prof, 64)

@@ -371,6 +371,14 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("usage error: ")
 
+    def test_threshold_above_the_default_is_domain_error(self):
+        # past 1e8 the endgame's self-scaled step budget can step over the pole
+        rc, out, err = run_cli(["evolve", "--norm-threshold", "1e9", "--constant", "1.5",
+                                "--lambda", "6", "--modes", "16"])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("domain error: ") and "norm_threshold" in err
+
     @pytest.mark.parametrize("argv", [
         ["trees", "--d-max", "17", "--enumerate"],
         ["trees", "--codes", "17"],
@@ -759,6 +767,15 @@ class TestSubcommandSmoke:
         assert 0.0 <= math.log(5.0) / 12.0 - meta["r_star_lower"] < 1e-8
         assert meta["steps_rejected"] > 0
         assert f"steps_rejected={meta['steps_rejected']}" in err
+
+    @pytest.mark.parametrize("lam, near", [((8.0 / 3.0) * math.pi ** 4, True), (6.0, False)],
+                             ids=["resonant", "lambda6"])
+    def test_evolve_meta_flags_a_near_resonant_lambda(self, lam, near):
+        # (8/3) pi^4 is a homogeneous resonance with n <= 3; 6 is none
+        rc, text, _ = run_cli(["evolve", "--constant", "0", "--lambda", repr(lam), "--modes", "16",
+                               "--r-max", "1e-3", "--format", "json"])
+        assert rc == 0
+        assert json.loads(text)["meta"]["near_resonant_lambda"] is near
 
     def test_evolve_monochromatic_vertical(self):
         rc, _, err = run_cli(["evolve", "--mono", "0.5", "--modes", "32",

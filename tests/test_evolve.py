@@ -12,7 +12,7 @@ import pytest
 import scipy
 
 from eternal_kit import elliptic, evolve, spectrum
-from eternal_kit.errors import BlowupSignal, DomainError
+from eternal_kit.errors import DomainError
 
 OMEGA_1 = 4.0 * math.pi ** 2
 OMEGA_2 = 16.0 * math.pi ** 2
@@ -530,7 +530,6 @@ class TestDetectBlowup:
         assert rec.reason == evolve.REASON_HORIZON
         assert abs(rec.final_state.at_zero() + math.tanh(6.0)) < 1e-9
         assert rec.h1_growth_ok and rec.sectorial
-        assert not rec.near_resonant_lambda
         last = rec.fields[-1]
         assert np.array_equal(last.coeffs, rec.final_state.coeffs)
         assert last.r == rec.final_state.r == rec.r_star_lower
@@ -568,10 +567,18 @@ class TestDetectBlowup:
         with pytest.raises(DomainError):
             evolve.detect_blowup(evolve.constant_field(0.5, N=8), 0.0, 0.05, **kw)
 
-    def test_near_resonant_lambda_flag(self):
-        lam = (8.0 / 3.0) * math.pi ** 4
-        rec = evolve.detect_blowup(evolve.constant_field(0.0, N=16), lam, 1e-3)
-        assert rec.near_resonant_lambda
+    def test_threshold_above_the_default_is_a_domain_error(self, monkeypatch):
+        # the endgame scales its step budget by the candidate state's own norm:
+        # past 1e8 one accepted step can cross the pole (here threshold 1e9 took
+        # one step from h1 9.6e8 to 3.6e21 and ended 1.4e-10 past ln 5 / 12)
+        w = evolve.constant_field(1.5, N=16)
+        with pytest.raises(DomainError, match="norm_threshold"):
+            evolve.detect_blowup(w, 6.0, 1.0, norm_threshold=1e9)
+        assert evolve.detect_blowup(w, 6.0, 1.0, norm_threshold=1e8).reason == evolve.REASON_NORM
+        # the cap is the module constant as it stands at call time
+        monkeypatch.setattr(evolve, "NORM_THRESHOLD", 1e4)
+        with pytest.raises(DomainError, match="norm_threshold"):
+            evolve.detect_blowup(w, 6.0, 1.0, norm_threshold=1e5)
 
     def test_history_arrays_are_consistent(self):
         rec = evolve.detect_blowup(evolve.constant_field(0.0, N=16), 6.0, 0.5)
@@ -607,16 +614,14 @@ class TestDetectBlowup:
 class TestRejectedSteps:
     # From the ladder step DR_MIN * 2^33 = 8.589934592e-3 a step that fails
     # for good is cut by 4 until it would fall below DR_MIN, which takes 17
-    # attempts; each attempt stops at its first failing step call.
+    # attempts of one full step and two half steps each.
 
-    def _count_steps(self, monkeypatch, fail):
+    def _count_steps(self, monkeypatch, step):
         drs = []
-        step = evolve.step
 
         def counted(u, basis, theta, dr, lam):
             (row_dr,) = dr          # the one ray is a stack of one, with one dr per row
             drs.append(row_dr)
-            fail(u)
             return step(u, basis, theta, dr, lam)
 
         monkeypatch.setattr(evolve, "step", counted)
@@ -625,25 +630,68 @@ class TestRejectedSteps:
         assert rec.r_star_lower == 0.0
         assert len(rec.history["r"]) == 1
         assert rec.rejected == 17           # every attempt, the last one included
+        assert len(drs) == 51
+        assert drs[::3] == [8.589934592e-3 / 4.0 ** k for k in range(17)]
         return drs
 
-    def test_blowup_signal_quarters_the_step_until_collapse(self, monkeypatch):
-        def fail(u):
-            raise BlowupSignal("forced")
-
-        drs = self._count_steps(monkeypatch, fail)
-        assert len(drs) == 17
-        assert drs[0] == 8.589934592e-3
-        assert drs[-1] == 2e-12
-        assert drs == [drs[0] / 4.0 ** k for k in range(17)]
+    def test_overflowed_stack_quarters_the_step_until_collapse(self, monkeypatch):
+        # a stack whose every row left the floating-point range is rejected
+        # through its non-finite error estimate, like a single such row
+        self._count_steps(monkeypatch, lambda u, *rest: np.full_like(u, math.inf))
 
     def test_non_finite_estimate_quarters_the_step_until_collapse(self, monkeypatch):
         monkeypatch.setattr(evolve, "_h1_diff", lambda u1, u2, basis: [math.nan])
-        drs = self._count_steps(monkeypatch, lambda u: None)
-        # one full step and two half steps per attempt
-        assert len(drs) == 51
-        assert drs[0] == 8.589934592e-3
+        drs = self._count_steps(monkeypatch, evolve.step)
         assert drs[-3:] == [2e-12, 1e-12, 1e-12]
+
+
+class TestOverflowRuns:
+    # Runs whose threshold lies past the floating-point range of their steps:
+    # the rays at a pole end by STEP_COLLAPSE once every step left that range
+    # and was rejected through its error estimate.  The cap on norm_threshold
+    # is raised so that such runs may be asked for; both thresholds give the
+    # same bytes, since no norm check ever stops them.
+    RUNS = {
+        "constant 1.5, lambda 6, N 8": lambda t: [
+            evolve.detect_blowup(evolve.constant_field(1.5, N=8), 6.0, 1.0, norm_threshold=t)],
+        "constant 0.5, lambda 0": lambda t: [
+            evolve.detect_blowup(evolve.constant_field(0.5, N=16), 0.0, 1.0, norm_threshold=t)],
+        "constant 2 + 0.3i, lambda 1": lambda t: [
+            evolve.detect_blowup(evolve.constant_field(2.0 + 0.3j, N=16), 1.0, 1.0, norm_threshold=t)],
+        "stack at lambda 3": lambda t: evolve._run(
+            [evolve.cosine_field([1.0, 0.4, 0.1j], N=16), evolve.constant_field(1.2, N=16)],
+            [1.0], 3.0, norm_threshold=t),
+    }
+    WANT = {
+        "constant 1.5, lambda 6, N 8": (
+            ["STEP_COLLAPSE"], "12c8330c3b33aad56316310e88b827b7bb23b2004c710336291020bf70261d2f"),
+        "constant 0.5, lambda 0": (
+            ["STEP_COLLAPSE"], "c195c35b5577ff7977934a1b4286dc52b549837a9e88797cc77b9fe219f7f530"),
+        "constant 2 + 0.3i, lambda 1": (
+            ["HORIZON"], "c5c7d00453dae351a6c900f6efd6f84b4b45a3916f5be5f3ce14565991e4cacc"),
+        "stack at lambda 3": (
+            ["HORIZON", "STEP_COLLAPSE"], "8614797c5536332101de2f21a5776d5339e4cf266e03d53263f61ecf017a0d05"),
+    }
+
+    @staticmethod
+    def _digest(runs):
+        h = hashlib.sha256()
+        for run in runs:
+            for name in sorted(run.history):
+                h.update(name.encode())
+                h.update(run.history[name].tobytes())
+            h.update(run.final_state.coeffs.tobytes())
+            h.update(repr((run.reason, run.rejected)).encode())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("norm_threshold", [1e100, 1e300])
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_bytes(self, monkeypatch, name, norm_threshold):
+        monkeypatch.setattr(evolve, "NORM_THRESHOLD", 1e300)
+        runs = self.RUNS[name](norm_threshold)
+        reasons, digest = self.WANT[name]
+        assert [run.reason for run in runs] == reasons
+        assert self._digest(runs) == digest
 
 
 class TestNonFiniteInput:
@@ -738,7 +786,7 @@ class TestHeteroclinicShoot:
         assert res.captured_r is not None and 0.0 < res.captured_r < 20.0
         assert res.final_distance < 1e-6
         assert res.monotone
-        assert res.target == pytest.approx(-math.sqrt(res.record.lam / 6.0), rel=1e-12)
+        assert res.target == pytest.approx(-math.sqrt(elliptic.branch_point(1, 0.05).lam / 6.0), rel=1e-12)
         assert res.record.reason == evolve.REASON_CAPTURED
         assert res.captured_r == res.record.r_star_lower
 

@@ -275,7 +275,10 @@ def _cmd_evolve(args):
         "diverged": rec.diverged, "reason": rec.reason,
         "r_star_lower": rec.r_star_lower, "final_h1": rec.final_h1,
         "h1_growth_ok": rec.h1_growth_ok, "sectorial": rec.sectorial,
-        "near_resonant_lambda": rec.near_resonant_lambda, "lambda": lam,
+        # within 1e-9 (relative) of a homogeneous resonance with n <= 3, m <= 40
+        "near_resonant_lambda": any(abs(lam - lp) <= 1e-9 * lp for n in (1, 2, 3)
+                                    for _m, lp in resonance.homogeneous_resonant_lambdas(n, 40)),
+        "lambda": lam,
         "steps_accepted": len(h["r"]) - 1, "steps_rejected": rec.rejected,
     }
     return ["r", "h1", "sup", "re_w0", "im_w0"], rows, meta

@@ -21,7 +21,12 @@ class ConvergenceError(RuntimeError):
 
 
 class BlowupSignal(RuntimeError):
-    """Controlled divergence report from a time stepper (overflow / NaN)."""
+    """Controlled divergence report from a time stepper (overflow / NaN).
+
+    Nothing in the package raises it: a step that leaves the floating-point
+    range is rejected through its error estimate.  The benchmark's tracer
+    (bench/tracing.py) still imports it.
+    """
 
 
 class PoleSignal(RuntimeError):

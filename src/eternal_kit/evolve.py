@@ -29,31 +29,32 @@ is complex off the parabolic ray.  Each dr's tables are built once, scaled
 by dr, and stacked per tuple of drs (a stack of one is its dr's own
 tables); the f2 table holds 2 f2, the factor the scheme uses.  Step size
 is adapted by step doubling: one full step against two half steps, local
-error estimated as their H^1 distance over 2^4 - 1.  That step control is
-written once, for one ray (_control); the scheduler _advance only batches
-steps: rays that share basis, N, theta and lambda go through each step as
-one stack, a single ray as a stack of one, and no ray waits for another at
-its stops.
+error estimated as their H^1 distance over 2^4 - 1; a step that left the
+floating-point range has a non-finite estimate and is rejected like any
+other.  That step control is written once, for one ray (_control); the
+scheduler _advance only batches steps: rays that share basis, N, theta and
+lambda go through each step as one stack, a single ray as a stack of one,
+and no ray waits for another at its stops.
 
 Blow-up is reported, never guessed: a run ends with NORM_THRESHOLD when the
-H^1 norm passes the threshold (NORM_THRESHOLD = 1e8 unless the caller sets
-one), STEP_COLLAPSE when the step would have to fall below the constant
-DR_MIN = 1e-12, CAPTURED when the caller's on_accept hook stops it, or
-HORIZON when the requested arclength is reached.  Every ray driver returns
-a RayRun holding the final state, that reason and the history of accepted
-steps.  Its r_star_lower is the arclength actually reached with finite
-norm.  The step tolerance never falls below the roundoff of its own
-estimate, and once a ray's H^1 norm has grown ENDGAME_GROWTH-fold its
-budget grows with it (the endgame, see _control): each e-fold of growth
-then costs a bounded number of steps, and a ray near a singularity ends by
-NORM_THRESHOLD where the singularity is, at any err_target.  r_star_lower
-bounds the existence time along that ray from below only as far as the
-accepted steps are accurate: their error is controlled to err_target, not
-certified, and in the endgame it is controlled in the blow-up time the
-state implies, not in the state.  At a loose err_target the last steps
-before a pole can step past it.  Constant data 1.5 at lambda = 6 (pole at
-ln 5 / 12, N = 16) ends 1.1e-9 short of the pole at the default err_target
-1e-9, but 7.6e-9 past it at 1e-7 and 1.4e-6 past it at 1e-5.
+H^1 norm passes the threshold (NORM_THRESHOLD = 1e8, the largest a caller
+may set: see _advance), STEP_COLLAPSE when the step would have to fall
+below DR_MIN = 1e-12, CAPTURED when the caller's on_accept hook stops it,
+or HORIZON when the requested arclength is reached.  Every ray driver
+returns a RayRun holding the final state, that reason and the history of
+accepted steps; its r_star_lower is the arclength reached with finite norm.
+The step tolerance never falls below the roundoff of its own estimate, and
+once a ray's H^1 norm has grown ENDGAME_GROWTH-fold its budget grows with
+it (the endgame, see _control): each e-fold of growth then costs a bounded
+number of steps, and a ray near a singularity ends by NORM_THRESHOLD where
+the singularity is, at any err_target.  r_star_lower bounds the existence
+time along that ray from below only as far as the accepted steps are
+accurate: their error is controlled to err_target, not certified, and in
+the endgame it is controlled in the blow-up time the state implies, not in
+the state.  At a loose err_target the last steps before a pole can step
+past it.  Constant data 1.5 at lambda = 6 (pole at ln 5 / 12, N = 16) ends
+1.1e-9 short of the pole at the default err_target 1e-9, but 7.6e-9 past
+it at 1e-7 and 1.4e-6 past it at 1e-5.
 Non-finite lambda or initial data is a DomainError, not a blow-up at r = 0.
 """
 
@@ -73,7 +74,7 @@ import scipy
 
 from . import elliptic, spectrum
 from .elliptic import CosineSeries
-from .errors import BlowupSignal, DomainError
+from .errors import DomainError
 
 
 def _pocketfft():
@@ -351,12 +352,9 @@ def _nonlinear(coeffs: np.ndarray, basis: str, fold: np.ndarray, rot_lam: comple
 
 
 def step(u: np.ndarray, basis: str, theta: float, dr: tuple, lam: float) -> np.ndarray:
-    """One fixed ETDRK4 step of a stack of rays (rows x modes), row i by dr[i].
-
-    Raises BlowupSignal when no row stays finite; callers turn that into a
-    divergence report.  A row that leaves the floating-point range alone
-    shows up in its error estimate instead.  The caller holds the errstate.
-    """
+    """One fixed ETDRK4 step of a stack of rays (rows x modes), row i by dr[i];
+    a row that leaves the floating-point range comes back non-finite, and so
+    does its error estimate.  The caller holds the errstate."""
     if min(dr) <= 0.0:
         raise DomainError("step length must be positive")
     rot, E, E2, Q, f1, f2x2, f3 = _etdrk4_tables(basis, u.shape[1], theta, dr)
@@ -382,8 +380,6 @@ def step(u: np.ndarray, basis: str, theta: float, dr: tuple, lam: float) -> np.n
     Na += Nb
     unew += np.multiply(f2x2, Na, Na)
     unew += np.multiply(f3, Nc, Nc)                 # E u + f1 Nu + 2 f2 (Na + Nb) + f3 Nc
-    if not np.isfinite(unew.view(float)).all(1).any():
-        raise BlowupSignal("update left floating-point range")
     return unew
 
 
@@ -445,8 +441,9 @@ def _control(state, stops, err_target, norm_threshold, history, fields, on_accep
 
     It yields (state, dr) for each step it wants tried and is sent back
     (err, coeffs, l2, grad): the step-doubling H^1 distance, then the
-    two-half-step result and its norms (all nan when the step left
-    floating-point range).  At each stop dr restarts on the
+    two-half-step result and its norms.  A step that left the floating-point
+    range has a non-finite err and is rejected with dr / 4, one whose
+    estimate is over tol with dr / 2.  At each stop dr restarts on the
     ladder and a copy of the state goes to fields; history gets the start,
     every accepted step and the count of rejected ones.  Returns (state, status).
 
@@ -509,8 +506,6 @@ def _control(state, stops, err_target, norm_threshold, history, fields, on_accep
                     if e == 0.0 or tol / e > 40.0:
                         dr *= 2.0
                     continue
-            # a rejected step: a non-finite estimate (a BlowupSignal
-            # included) quarters dr, an estimate over tol halves it
             history.rejected += 1
             dr /= 2.0 if math.isfinite(e) else 4.0
             if dr < DR_MIN:
@@ -535,7 +530,8 @@ def _advance(
 
     err_target is the relative H^1 error budget per unit ray length,
     estimated by step doubling, with a roundoff floor under it and a
-    blow-up endgame past ENDGAME_GROWTH (see _control).  The first step is 1e-2 on sectorial rays
+    blow-up endgame past ENDGAME_GROWTH (see _control), which is why
+    norm_threshold may not exceed NORM_THRESHOLD.  The first step is 1e-2 on sectorial rays
     and 2e-3 on vertical ones.  on_accept(prev, new) may return False to
     stop the run early (status CAPTURED).  history and fields hold one
     _History and one list per ray, which every run fills; see _control.
@@ -552,6 +548,9 @@ def _advance(
     stops = np.atleast_1d(np.asarray(stops, dtype=float)).tolist()
     if not (err_target > 0.0 and norm_threshold > 0.0):
         raise DomainError(f"need err_target > 0 and norm_threshold > 0, got {err_target}, {norm_threshold}")
+    if norm_threshold > NORM_THRESHOLD:
+        raise DomainError(f"norm_threshold {norm_threshold:g} > NORM_THRESHOLD {NORM_THRESHOLD:g}: past it the "
+                          "endgame's budget, scaled by the step's own norm, lets one step cross the pole")
     if not all(map(math.isfinite, stops)):
         raise DomainError(f"stops must be finite, got {stops}")
     if any(b < a for a, b in zip([max(ray.r for ray in rays)] + stops, stops)):
@@ -582,12 +581,9 @@ def _advance(
             # the tables get one row per ray, even when all drs agree: numpy
             # broadcasts one row over many slowly
             u = np.array([s.coeffs for s in states])
-            try:
-                u_full = step(u, basis, theta, full, lam)
-                u_half = step(step(u, basis, theta, half, lam), basis, theta, half, lam)
-                results = zip(_h1_diff(u_full, u_half, basis), u_half, *_norms(u_half, basis))
-            except BlowupSignal:        # no row stayed finite
-                results = [(math.nan,) * 4] * len(live)
+            u_full = step(u, basis, theta, full, lam)
+            u_half = step(step(u, basis, theta, half, lam), basis, theta, half, lam)
+            results = zip(_h1_diff(u_full, u_half, basis), u_half, *_norms(u_half, basis))
             pending = [(i, ctrl, res) for (i, ctrl), res in zip(live, results)]
     return ends[0] if one else tuple(map(list, zip(*ends)))
 
@@ -608,7 +604,6 @@ class RayRun:
 
     final_state: ComplexField
     reason: str               # NORM_THRESHOLD | STEP_COLLAPSE | CAPTURED | HORIZON
-    lam: float
     history: dict
     fields: list[ComplexField]
     rejected: int             # step attempts turned down: over tol or not finite
@@ -644,14 +639,6 @@ class RayRun:
         return bool(np.all(grad <= envelope))
 
     @property
-    def near_resonant_lambda(self) -> bool:
-        """True when lam is within 1e-9 (relative) of a homogeneous resonance, n <= 3, m <= 40."""
-        from .resonance import homogeneous_resonant_lambdas
-
-        return any(abs(self.lam - lp) <= 1e-9 * lp
-                   for n in (1, 2, 3) for _m, lp in homogeneous_resonant_lambdas(n, 40))
-
-    @property
     def status(self) -> str:
         """Same as reason."""
         return self.reason
@@ -676,7 +663,7 @@ def _run(state, stops, lam: float, **advance_kw):
     ends, whys = _advance(state, stops, lam, history=hists, fields=fields, **advance_kw)
     if one:
         ends, whys = [ends], [whys]
-    runs = [RayRun(end, why, float(lam), hist.arrays(), fs, hist.rejected)
+    runs = [RayRun(end, why, hist.arrays(), fs, hist.rejected)
             for end, why, hist, fs in zip(ends, whys, hists, fields)]
     return runs[0] if one else runs
 

@@ -36,7 +36,7 @@ paper's fast-manifold limit d < 1 + i(W_n) / sqrt(2), see `fast_d_max`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np

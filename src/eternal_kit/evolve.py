@@ -31,7 +31,13 @@ tables); the f2 table holds 2 f2, the factor the scheme uses.  Step size
 is adapted by step doubling: one full step against two half steps, local
 error estimated as their H^1 distance over 2^4 - 1; a step that left the
 floating-point range has a non-finite estimate and is rejected like any
-other.  That step control is written once, for one ray (_control); the
+other.  On sectorial rays the two half steps are the accepted state.  On the
+vertical rays, where the linear flow is unitary and every local error is
+carried to the end of the run, the accepted state is the fifth-order
+Richardson combination u_half + (u_half - u_full) / 15 (Hairer, Norsett &
+Wanner, Solving ODEs I, II.4): the same steps, and err_target still bounds
+the estimate of the un-extrapolated pair, so it is conservative for the
+state kept.  That step control is written once, for one ray (_control); the
 scheduler _advance only batches steps: rays that share basis, N, theta and
 lambda go through each step as one stack, a single ray as a stack of one,
 and no ray waits for another at its stops.
@@ -441,7 +447,12 @@ def _control(state, stops, err_target, norm_threshold, history, fields, on_accep
 
     It yields (state, dr) for each step it wants tried and is sent back
     (err, coeffs, l2, grad): the step-doubling H^1 distance, then the
-    two-half-step result and its norms.  A step that left the floating-point
+    candidate state and its norms.  The candidate is the two-half-step result
+    on sectorial rays and its Richardson extrapolation
+    u_half + (u_half - u_full) / 15 on vertical ones (see _advance); err is
+    the distance of the un-extrapolated pair either way, so on a vertical ray
+    err_target bounds the error of u_half and is conservative for the
+    fifth-order state accepted.  A step that left the floating-point
     range has a non-finite err and is rejected with dr / 4, one whose
     estimate is over tol with dr / 2.  At each stop dr restarts on the
     ladder and a copy of the state goes to fields; history gets the start,
@@ -451,7 +462,7 @@ def _control(state, stops, err_target, norm_threshold, history, fields, on_accep
 
         tol = max(err_target * dr * g^2 * max(1, h1),  eps * ||u||_L2 * W_N),
 
-    with h1 and ||u||_L2 the norms of the two-half-step result.
+    with h1 and ||u||_L2 the norms of the candidate state.
 
     The second term is the roundoff floor.  The transforms leave a rounding
     error of relative size eps = 2^-52 in the state's L^2 norm, spread evenly
@@ -555,7 +566,7 @@ def _advance(
         raise DomainError(f"stops must be finite, got {stops}")
     if any(b < a for a, b in zip([max(ray.r for ray in rays)] + stops, stops)):
         raise DomainError("stops must ascend from the current position")
-    basis, theta, N = rays[0].basis, rays[0].theta, rays[0].N
+    basis, theta, N, sectorial = rays[0].basis, rays[0].theta, rays[0].N, rays[0].sectorial
     if any((ray.basis, ray.theta, ray.N) != (basis, theta, N) for ray in rays):
         raise DomainError("a stack of rays must share basis, N and theta")
     if not (np.isfinite(lam) and all(np.isfinite(ray.coeffs).all() for ray in rays)):
@@ -583,7 +594,10 @@ def _advance(
             u = np.array([s.coeffs for s in states])
             u_full = step(u, basis, theta, full, lam)
             u_half = step(step(u, basis, theta, half, lam), basis, theta, half, lam)
-            results = zip(_h1_diff(u_full, u_half, basis), u_half, *_norms(u_half, basis))
+            err = _h1_diff(u_full, u_half, basis)
+            # a vertical ray keeps the fifth-order Richardson combination of the pair
+            kept = u_half if sectorial else u_half + (u_half - u_full) / 15.0
+            results = zip(err, kept, *_norms(kept, basis))
             pending = [(i, ctrl, res) for (i, ctrl), res in zip(live, results)]
     return ends[0] if one else tuple(map(list, zip(*ends)))
 

@@ -275,19 +275,34 @@ def homogeneous_spectrum(lam: float, count: int = 8, equilibrium: str = "upper")
     sign = {"upper": 1.0, "lower": -1.0}.get(equilibrium)
     if sign is None:
         raise DomainError(f"equilibrium must be 'upper' or 'lower', got {equilibrium!r}")
-    return sign * 2.0 * math.sqrt(6.0 * lam) - (_TWO_PI * k) ** 2
+    return sign * _top_mu(lam) - (_TWO_PI * k) ** 2
+
+
+def _top_mu(lam: float) -> float:
+    """2 sqrt(6 lam), finite for every finite lam: past the range of 6 lam it is
+    2 sqrt(6) sqrt(lam)."""
+    six = 6.0 * lam
+    return 2.0 * math.sqrt(six) if six < math.inf else 2.0 * math.sqrt(6.0) * math.sqrt(lam)
 
 
 def morse_index_homogeneous(lam: float) -> int:
-    """Unstable dimension of +sqrt(lam/6): #{k >= 0 : (2 pi k)^2 < 2 sqrt(6 lam)}, 0 at lam = 0."""
+    """Unstable dimension of +sqrt(lam/6): #{k >= 0 : (2 pi k)^2 < 2 sqrt(6 lam)}, 0 at lam = 0.
+
+    The predicate, evaluated in floating point, holds for k < count and fails
+    from count on, so count is bisected for in about log2(lam) / 4 evaluations
+    instead of counted rung by rung (lam^(1/4) of them)."""
     lam = float(lam)
     if not 0.0 <= lam < math.inf:
         raise DomainError(f"need finite lambda >= 0, got {lam}")
-    bound = 2.0 * math.sqrt(6.0 * lam)
-    count = 0
-    while (_TWO_PI * count) ** 2 < bound:
-        count += 1
-    return count
+    bound = _top_mu(lam)
+    lo, hi = 0, 2 * int(math.sqrt(bound) / _TWO_PI) + 2     # the predicate fails at hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (_TWO_PI * mid) ** 2 < bound:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def perturbation_mu_coefficients(n: int, k: int) -> tuple[int, int, Fraction]:

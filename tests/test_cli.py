@@ -11,6 +11,7 @@ import os
 import platform
 import subprocess
 import sys
+import time
 from datetime import timedelta
 from pathlib import Path
 
@@ -729,6 +730,15 @@ class TestSubcommandSmoke:
         assert [float(r["mu"]) for r in rows] == [float(mu) for mu in want]
         assert [r["k"] for r in rows] == ["0", "1", "2", "3"]
         assert all(r["morse_index"] == morse for r in rows)
+
+    @pytest.mark.parametrize("lam", ["1e40", "1e308"])
+    def test_spectrum_at_a_huge_lambda_ends_at_once(self, lam):
+        t0 = time.perf_counter()
+        rc, out, _ = run_cli(["spectrum", "--lambda", lam, "--count", "2"])
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 0
+        _, rows = parse_csv(out)
+        assert all(math.isfinite(float(r["mu"])) and int(r["morse_index"]) > 0 for r in rows)
 
     def test_spectrum_at_lambda_zero(self):
         rc, out, _ = run_cli(["spectrum", "--lambda", "0", "--count", "3"])

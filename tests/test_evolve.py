@@ -463,7 +463,7 @@ class TestNonConstantBytes:
     def test_vertical_ray(self):
         run = evolve.schrodinger_evolve(evolve.cosine_field(self.DATA, N=64), [0.05], 3.0)
         assert run.reason == evolve.REASON_HORIZON and len(run.history["r"]) == 374
-        assert self._digest(run) == "b5dd22bc3c83b75277e4776037d0e44f8172524abb98db2a4977faec5c4da692"
+        assert self._digest(run) == "415ee23172e9d9f9ade071d3552f7025efd705d8c5b4598f116bd9610ff1dcff"
 
     def test_oblique_ray(self):
         run = evolve.detect_blowup(evolve.cosine_field(self.DATA, N=64, theta=0.7), 3.0, 0.05)
@@ -512,6 +512,25 @@ class TestStack:
         stacked = evolve._run(self._rays(), stops, 6.0, norm_threshold=1e4)
         assert [len(run.fields) for run in stacked] == [2, 1, 3]
         for run, ray in zip(stacked, self._rays()):
+            self._assert_same_run(run, evolve._run(ray, stops, 6.0, norm_threshold=1e4))
+
+    def test_vertical_rows_pass_two_stops_as_they_would_alone(self):
+        # the accepted states of vertical rows are extrapolated: each row still
+        # ends with the bytes of its run alone
+        stops = [0.1, 0.3]
+        rays = [evolve.ComplexField(ray.coeffs, ray.basis, theta=-math.pi / 2) for ray in
+                (evolve.constant_field(0.0, N=16),                # i tan(6 s): NORM_THRESHOLD near pi / 12
+                 evolve.cosine_field([1.0, 0.4, 0.1j], N=16),     # HORIZON at 0.3
+                 evolve.constant_field(1.5, N=16))]               # HORIZON at 0.3, on its closed form
+        stacked = evolve._run(rays, stops, 6.0, norm_threshold=1e4)
+        assert [run.reason for run in stacked] == [
+            evolve.REASON_NORM, evolve.REASON_HORIZON, evolve.REASON_HORIZON]
+        assert [len(run.fields) for run in stacked] == [1, 2, 2]
+        assert len({len(run.history["r"]) for run in stacked}) == 3
+        for f in stacked[2].fields:
+            exact = _vertical_constant(1.5, 6.0, f.r)
+            assert abs(f.at_zero() - exact) < 1e-12 * abs(exact)
+        for run, ray in zip(stacked, rays):
             self._assert_same_run(run, evolve._run(ray, stops, 6.0, norm_threshold=1e4))
 
     def test_stack_must_share_its_ray(self):
@@ -771,6 +790,50 @@ class TestSchrodinger:
         assert 0.0 <= math.pi / 12.0 - run.s_reached < 1e-8
         w = abs(run.final_state.at_zero())
         assert abs(math.pi / 12.0 - run.s_reached - math.atan(1.0 / w) / 6.0) < 1e-12
+
+
+def _vertical_constant(w0, lam, s):
+    """Constant data w0 on the vertical ray theta = -pi/2 at arclength s: with
+    t = -i s and a^2 = lam / 6 it is a (1 + K e^(12 a t)) / (1 - K e^(12 a t)),
+    K = (w0 - a) / (w0 + a), and w0 / (1 - 6 w0 t) at lam = 0."""
+    a, t = math.sqrt(lam / 6.0), -1j * s
+    if not a:
+        return w0 / (1.0 - 6.0 * w0 * t)
+    e = (w0 - a) / (w0 + a) * np.exp(12.0 * a * t)
+    return a * (1.0 + e) / (1.0 - e)
+
+
+class TestVerticalRayOracles:
+    # On a vertical ray the linear flow is unitary and every step's local
+    # error reaches the end of the run; the accepted state there is the
+    # fifth-order Richardson combination of the step-doubling pair.
+
+    @pytest.mark.parametrize("w0, lam", [(1.5, 6.0), (0.5, 0.0), (2.0 + 0.3j, 1.0)],
+                             ids=["lambda6", "lambda0", "complex"])
+    def test_constant_data_meets_the_closed_form(self, w0, lam):
+        run = evolve._run(evolve.constant_field(w0, N=16, theta=-math.pi / 2), [0.1, 0.2, 0.3], lam,
+                          err_target=1e-10)
+        assert run.reason == evolve.REASON_HORIZON and len(run.fields) == 3
+        for f in run.fields:
+            exact = _vertical_constant(w0, lam, f.r)
+            assert abs(f.at_zero() - exact) < 1e-13 * abs(exact)
+
+    def test_monochromatic_period_return(self):
+        # the benchmark's monochromatic data, at a tenth of its err_target
+        mono = evolve.monochromatic_field(math.pi ** 2, N=64)
+        run = evolve.schrodinger_evolve(mono, [1.0 / (2.0 * math.pi)], 0.0, err_target=1e-7)
+        assert run.reason == evolve.REASON_HORIZON
+        assert evolve.ComplexField(run.fields[0].coeffs - mono.coeffs, mono.basis).h1_norm() < 1e-9
+
+    def test_gamma_0115_returns_after_one_period(self):
+        # Gamma(r0 - i s) lies on the W_1(0.1) unstable manifold, where the
+        # flow is z0 e^(mu t): below r*_+ it returns after s = 2 pi / mu
+        psi, lam = _gamma(0.115)
+        mu = spectrum.eigen(elliptic.branch_point(1, 0.1).profile).eigenvalues[0]
+        run = evolve.schrodinger_evolve(psi, [2.0 * math.pi / mu], lam, err_target=1e-8)
+        assert run.reason == evolve.REASON_HORIZON
+        gap = evolve.ComplexField(run.fields[0].coeffs - psi.coeffs, psi.basis).h1_norm()
+        assert gap < 2e-12 * psi.h1_norm()
 
 
 class TestHeteroclinicShoot:

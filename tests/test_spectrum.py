@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +43,46 @@ def test_homogeneous_morse_index_at_lambda_zero():
     for lam in (-1e-300, -1.0):
         with pytest.raises(DomainError):
             spectrum.morse_index_homogeneous(lam)
+
+
+def _rung_count(lam):
+    """The Morse index at +sqrt(lam/6) counted one rung at a time."""
+    bound, count = 2.0 * math.sqrt(6.0 * lam), 0
+    while (2.0 * math.pi * count) ** 2 < bound:
+        count += 1
+    return count
+
+
+def test_homogeneous_morse_index_matches_the_rung_count():
+    # a geometric grid, and the few floats around each rung lambda_k, where
+    # 2 sqrt(6 lam) equals (2 pi k)^2 exactly for some of them
+    lams = [0.0, 5e-324, 1e-300] + [10.0 ** (e / 4.0) for e in range(-24, 81)]
+    hits = 0
+    for k in range(200):
+        rung = (2.0 * math.pi * k) ** 2
+        lam = (rung / 2.0) ** 2 / 6.0
+        for _ in range(4):
+            lam = math.nextafter(lam, 0.0)
+        for _ in range(9):
+            lams.append(lam)
+            hits += 2.0 * math.sqrt(6.0 * lam) == rung
+            lam = math.nextafter(lam, math.inf)
+    assert hits > 100
+    for lam in lams:
+        assert spectrum.morse_index_homogeneous(lam) == _rung_count(lam), lam
+
+
+@pytest.mark.parametrize("lam", [1e40, 1e308])
+def test_homogeneous_state_at_a_huge_lambda(lam):
+    # about lam^(1/4) rungs, so no counting; 6 lam overflows past 3e307
+    t0 = time.perf_counter()
+    morse = spectrum.morse_index_homogeneous(lam)
+    mus = spectrum.homogeneous_spectrum(lam, count=8)
+    assert time.perf_counter() - t0 < 1.0
+    assert np.isfinite(mus).all() and mus[0] == pytest.approx(2.0 * math.sqrt(6.0) * math.sqrt(lam), rel=1e-15)
+    assert (2.0 * math.pi * (morse - 1)) ** 2 < mus[0] <= (2.0 * math.pi * morse) ** 2
+    if lam == 1e40:
+        assert morse == 3522677960
 
 
 def test_assemble_operator_is_symmetric():

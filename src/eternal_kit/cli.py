@@ -475,7 +475,7 @@ def build_parser() -> _Parser:
     p.add_argument("--theta", type=_finite_float, default=0.0)
     p.add_argument("--r-max", type=_finite_float, default=1.0)
     p.add_argument("--norm-threshold", type=_positive_float, default=evolve.NORM_THRESHOLD)
-    p.add_argument("--err-target", type=_positive_float, default=1e-9)
+    p.add_argument("--err-target", type=_positive_float, default=evolve.ERR_TARGET)
     p.set_defaults(func=_cmd_evolve)
 
     p = sub.add_parser("boundary", help="analyticity boundary scan")
@@ -484,7 +484,7 @@ def build_parser() -> _Parser:
     p.add_argument("--s-max", type=_finite_float, default=0.5)
     p.add_argument("--points", type=_positive_int, default=11)
     p.add_argument("--r-cap", type=_finite_float, default=2.0)
-    p.add_argument("--err-target", type=_positive_float, default=1e-9)
+    p.add_argument("--err-target", type=_positive_float, default=evolve.ERR_TARGET)
     p.set_defaults(func=_cmd_boundary)
 
     p = sub.add_parser("ode", help="scalar polynomial ODE in complex time")

@@ -16,7 +16,7 @@ def main():
     print("per-branch certificates (orders h^0, h^1, h^2):")
     for n in range(1, 13):
         cert = resonance.identical_resonance_check(n)
-        sizes = ", ".join(f"h^{o}: {len(cert.survivors[o])}" for o in cert.orders)
+        sizes = ", ".join(f"h^{o}: {len(cert.survivors[o])}" for o in resonance.ORDERS)
         vac = " (order-1 filter vacuous)" if cert.order1_vacuous else ""
         print(f"  n={n:2d}: {cert.verdict}  survivors {sizes}{vac}")
 

@@ -253,7 +253,7 @@ def _cmd_resonance(args):
         cert = resonance.identical_resonance_check(n)
         wit = ";".join(f"j={j} m={m}" for j, m in cert.witnesses)
         rows.append((cert.n, cert.verdict, resonance.fast_d_max(cert.n),
-                     cert.search_bound, "+".join(str(o) for o in cert.orders),
+                     cert.search_bound, "+".join(map(str, resonance.ORDERS)),
                      cert.order1_vacuous, wit))
     cols = ["n", "verdict", "fast_d_max", "search_bound", "orders", "order1_vacuous", "witnesses"]
     return cols, rows, {}
@@ -473,7 +473,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evolve", help="complex-time ray with blow-up detection")
     _add_field_args(p)
     p.add_argument("--theta", type=_finite_float, default=0.0)
-    p.add_argument("--r-max", type=_finite_float, default=1.0)
+    p.add_argument("--r-max", type=_positive_float, default=1.0)
     p.add_argument("--norm-threshold", type=_positive_float, default=evolve.NORM_THRESHOLD)
     p.add_argument("--err-target", type=_positive_float, default=evolve.ERR_TARGET)
     p.set_defaults(func=_cmd_evolve)
@@ -483,7 +483,7 @@ def build_parser() -> _Parser:
     p.add_argument("--s-min", type=_finite_float, default=0.0)
     p.add_argument("--s-max", type=_finite_float, default=0.5)
     p.add_argument("--points", type=_positive_int, default=11)
-    p.add_argument("--r-cap", type=_finite_float, default=2.0)
+    p.add_argument("--r-cap", type=_positive_float, default=2.0)
     p.add_argument("--err-target", type=_positive_float, default=evolve.ERR_TARGET)
     p.set_defaults(func=_cmd_boundary)
 

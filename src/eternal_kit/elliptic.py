@@ -172,18 +172,22 @@ def profile_tail_bound(h: float, K: int) -> float:
     return _geometric_tail(8.0 / (1.0 - h * h), 1, abs(h), K)
 
 
-def default_truncation(h: float, tail_tol: float = 1e-13, K_max: int = 4000) -> int:
-    """Smallest K certifying both series tails below tail_tol."""
+#: the largest truncation default_truncation tries before it gives up
+K_MAX = 4000
+
+
+def default_truncation(h: float, tail_tol: float = 1e-13) -> int:
+    """Smallest K <= K_MAX certifying both series tails below tail_tol."""
     if not (math.isfinite(tail_tol) and tail_tol > 0.0):
         raise DomainError(f"tail tolerance must be finite and positive, got {tail_tol}")
     h = _check_modulus(h)
     if h == 0.0:
         return 1
-    for K in range(1, K_max + 1):
+    for K in range(1, K_MAX + 1):
         if lambda_tail_bound(h, K) <= tail_tol and profile_tail_bound(h, K) <= tail_tol:
             return K
     raise TruncationError(
-        f"cannot certify tail {tail_tol:g} at |h| = {abs(h):g} within K <= {K_max}"
+        f"cannot certify tail {tail_tol:g} at |h| = {abs(h):g} within K <= {K_MAX}"
     )
 
 

@@ -338,8 +338,9 @@ def _fold(basis: str, N: int, factor: complex) -> np.ndarray:
     return scale
 
 
-def _square(coeffs: np.ndarray, basis: str, scale: np.ndarray | None = None) -> np.ndarray:
-    """scale (by default _fold(basis, N, 1)) times the coefficients of w^2 for each row.
+def _square(coeffs: np.ndarray, basis: str, scale: np.ndarray) -> np.ndarray:
+    """scale times the coefficients of w^2 for each row; scale = _fold(basis, N, 1)
+    gives w^2 itself.
 
     Exact on the smallest grid: cosine product modes reach 2N - 2 and so, on M = 3N
     points, alias only onto grid modes from M - 2N + 2 = N + 2 up, past the N kept
@@ -348,7 +349,6 @@ def _square(coeffs: np.ndarray, basis: str, scale: np.ndarray | None = None) -> 
     N = coeffs.shape[-1]
     u = _to_grid(coeffs, basis, 3 * N if basis == NEUMANN_HALF else 2 * N)
     spec = _c2c(np.multiply(u, u, u), _LAST, True, 0, u)
-    scale = _fold(basis, N, 1.0) if scale is None else scale
     if basis == NEUMANN_HALF:
         return spec[..., :N] * scale
     pos = (N + 1) // 2
@@ -860,12 +860,15 @@ def analyticity_boundary(
     along the horizontal ray; r*(s) is where the horizontal leg diverges
     (censored at r_cap when it does not).  Each side's vertical leg is one
     Schrodinger run through that side's |s| values, reused across the grid,
-    at the scan's own err_target; the s = 0 leg starts from gamma0 itself.  The horizontal legs advance
-    together as one stack of rays.  When the vertical leg diverges
-    before reaching s, that sample and the more distant ones on the same side
-    are recorded as undefined.  A divergent horizontal leg, the s = 0 one
-    included, reports the last arclength its own record reached with H^1
-    norm below NORM_THRESHOLD / 4 (see _refine_crossing); no leg is re-run.
+    at the scan's own err_target; the s = 0 leg starts from gamma0 itself.
+    The horizontal legs advance together as one stack of rays.  When the
+    vertical leg diverges before reaching s, that sample and the more distant
+    ones on the same side are recorded as undefined.  A divergent horizontal
+    leg, the s = 0 one included, reports the last arclength its own record
+    reached with H^1 norm below NORM_THRESHOLD / 4 (see _refine_crossing); no
+    leg is re-run.  That reading is a lower bound for r*(s) only as far as the
+    leg's steps meet err_target: constant 0.5 at lam = 0 reads 1.4e-9 below
+    its pole 1/3 at err_target 1e-7, but 5.9e-7 past it at 1e-5.
 
     The reported corner (r0, s0) is the sample minimizing r_star; it is
     descriptive (a rectangle certificate corner), not asserted against any
@@ -908,11 +911,13 @@ def analyticity_boundary(
 def _refine_crossing(rec: RayRun, norm_threshold: float) -> float:
     """The crossing arclength of a divergent leg, read from its own record.
 
-    It is the last accepted r with H^1 norm below norm_threshold / 4: a lower
-    bound that does not rest on the endgame's last steps, which at a loose
-    err_target can pass the pole.  A leg whose last entry is still below
-    norm_threshold / 4 never rose past it, and one that started above it has
-    no such r; both return r_star_lower.
+    It is the last accepted r with H^1 norm below norm_threshold / 4, so it
+    does not rest on the endgame's last steps.  It is a lower bound for the
+    pole only as far as the leg's steps meet err_target: at a loose one the
+    steps before that r can already have passed the pole (constant 0.5 at
+    lam = 0 and err_target 1e-5 reads 5.9e-7 past 1/3).  A leg whose last
+    entry is still below norm_threshold / 4 never rose past it, and one that
+    started above it has no such r; both return r_star_lower.
     """
     below = rec.history["h1"] < norm_threshold / 4.0
     if not below.any() or below[-1]:

@@ -499,29 +499,28 @@ class PortraitGraph:
 
 
 #: separatrix tracing: disk distance that counts as reaching an equilibrium,
-#: and the longest integration time
+#: the longest integration time, the launch distance inside the boundary
+#: circle and DOP853's relative and absolute tolerances
 _TRAP_RADIUS = 1e-4
 _T_MAX = 3000.0
+_LAUNCH_EPS = 1e-6
+_RTOL = 1e-10
+_ATOL = 1e-12
 
 
-def trace_and_extract(
-    fld: PolyField,
-    *,
-    eps: float = 1e-6,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> PortraitGraph:
+def trace_and_extract(fld: PolyField) -> PortraitGraph:
     """Trace all boundary separatrices and extract tree and chord code.
 
-    Separatrices launch from (1 - eps) e^(-i alpha_k) and are integrated
-    backward (even k) or forward (odd k), for a time of at most _T_MAX,
-    until trapped within _TRAP_RADIUS of an interior equilibrium.  For a
-    Morse portrait (no centers, strongly nondegenerate) the sector walk
-    between consecutive saddles yields the connection tree and its
-    canonical chord code; portraits containing
-    centers are still traced but flagged non_morse with tree extraction
-    refused (tree and chord stay None) and the degenerate residue subsets
-    reported.  A degenerate field without centers is refused outright
+    Separatrices launch from (1 - _LAUNCH_EPS) e^(-i alpha_k) and are
+    integrated by DOP853 at _RTOL and _ATOL, backward (even k) or forward
+    (odd k), for a time of at most _T_MAX, until trapped within _TRAP_RADIUS
+    of an interior equilibrium, or back within _LAUNCH_EPS / 2 of the
+    boundary.  For a Morse portrait (no centers, strongly nondegenerate)
+    the sector walk between consecutive saddles yields the connection tree
+    and its canonical chord code; portraits containing centers are still
+    traced but flagged non_morse with tree extraction refused (tree and
+    chord stay None) and the degenerate residue subsets reported.  A
+    degenerate field without centers is refused outright
     (DegenerateFieldError carrying the subsets): every root still looks
     hyperbolic, so nothing in the output would reveal that the sector walk
     sits on a structurally unstable configuration.  Separatrices that return
@@ -558,7 +557,7 @@ def trace_and_extract(
         events.append(ev)
 
     def ev_boundary(_t, y):
-        return (1.0 - float(np.hypot(y[0], y[1]))) - eps / 2.0
+        return (1.0 - float(np.hypot(y[0], y[1]))) - _LAUNCH_EPS / 2.0
     ev_boundary.terminal = True
     ev_boundary.direction = -1.0
     events.append(ev_boundary)
@@ -567,14 +566,14 @@ def trace_and_extract(
     connections = []
     for k in range(2 * d - 2):
         sign = -1.0 if k % 2 == 0 else 1.0
-        p0 = (1.0 - eps) * np.exp(-1j * alphas[k])
+        p0 = (1.0 - _LAUNCH_EPS) * np.exp(-1j * alphas[k])
         sol = solve_ivp(
             rhs_factory(sign),
             (0.0, _T_MAX),
             [p0.real, p0.imag],
             method="DOP853",
-            rtol=rtol,
-            atol=atol,
+            rtol=_RTOL,
+            atol=_ATOL,
             events=events,
         )
         pts = sol.y[0] + 1j * sol.y[1]

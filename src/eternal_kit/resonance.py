@@ -6,14 +6,15 @@ An identical resonance at branch n would be a relation
 
 with a nonnegative integer multi-index m over the unstable modes k < d and
 |m| = sum m_k >= 2.  Because each mu_k(h) is analytic in h, the relation
-splits into one exact condition per order of h.  We test orders h^0, h^1 and
-h^2 using the exact rational expansion coefficients from the spectrum module:
+splits into one exact condition per order of h.  Every certificate tests the
+orders h^0, h^1 and h^2 (ORDERS), each on the survivors of the one before,
+using the exact rational expansion coefficients from the spectrum module:
 
     order 0:  n^2 - j^2 = sum m_k (n^2 - k^2)      (integers)
     order 1:  m_{n/2} = [j = n/2]                  (even n; vacuous for odd n)
     order 2:  exact Fraction identity on the mu2 coefficients
 
-A multi-index surviving all tested orders is a *witness*; if none survives
+A multi-index surviving all three orders is a *witness*; if none survives
 the certificate verdict is NO_IDENTICAL_RESONANCE, which is what the
 connecting-orbit constructions downstream require.
 
@@ -47,28 +48,29 @@ from .spectrum import perturbation_mu_coefficients
 
 VERDICT_NO = "NO_IDENTICAL_RESONANCE"
 VERDICT_WITNESS = "WITNESS_FOUND"
+#: the orders of h every certificate tests, each filtering the last one's survivors
+ORDERS = (0, 1, 2)
 
 
 @dataclass
 class ResonanceCertificate:
     """Outcome of the order-by-order resonance search at one branch.
 
-    survivors maps each tested order to the multi-indices (j, m) still alive
-    after that order's filter (cumulatively).  The verdict refers to the
-    highest tested order.
+    survivors maps each order in ORDERS to the multi-indices (j, m) still
+    alive after that order's filter (cumulatively).  The verdict refers to
+    order 2.
     """
 
     n: int
     d: int
     search_bound: int
-    orders: tuple[int, ...]
     survivors: dict[int, list[tuple[int, tuple[int, ...]]]]
     verdict: str
     order1_vacuous: bool
 
     @property
     def witnesses(self) -> list[tuple[int, tuple[int, ...]]]:
-        return self.survivors[self.orders[-1]]
+        return self.survivors[ORDERS[-1]]
 
 
 def _order0_solutions(weights: list[int], target: int, bound: int):
@@ -100,61 +102,41 @@ def _order0_solutions(weights: list[int], target: int, bound: int):
     return out
 
 
-def identical_resonance_check(
-    n: int, d: int | None = None, orders: tuple[int, ...] = (0, 1, 2), extra_bound: int = 0
-) -> ResonanceCertificate:
-    """Search for identical resonances among modes k < d at branch n.
+def identical_resonance_check(n: int, d: int | None = None) -> ResonanceCertificate:
+    """Search for identical resonances among modes k < d at branch n, at orders 0, 1 and 2.
 
-    d defaults to n (the full unstable block near onset).  extra_bound
-    enlarges the certified |m| bound, useful for soundness checks that the
-    bound itself cuts nothing.
+    d defaults to n (the full unstable block near onset).
     """
     n = _check_branch_index(n)
     d = n if d is None else int(d)
     if not 1 <= d <= n:
         raise DomainError(f"need 1 <= d <= n, got d = {d}")
-    if tuple(orders) not in {(0,), (0, 1), (0, 1, 2)}:
-        raise DomainError(f"orders must be a prefix of (0, 1, 2), got {orders!r}")
 
-    bound = math.ceil(n * n / (2 * n - 1)) + extra_bound
+    bound = math.ceil(n * n / (2 * n - 1))
     weights = [n * n - k * k for k in range(d)]
-
-    surv0: list[tuple[int, tuple[int, ...]]] = []
-    for j in range(d):
-        for m in _order0_solutions(weights, n * n - j * j, bound):
-            surv0.append((j, m))
-    survivors = {0: surv0}
-    alive = surv0
+    surv0 = [(j, m) for j in range(d) for m in _order0_solutions(weights, n * n - j * j, bound)]
 
     vacuous = n % 2 == 1
-    if 1 in orders:
-        if vacuous:
-            survivors[1] = list(alive)
-        else:
-            half = n // 2
-            survivors[1] = [
-                (j, m)
-                for (j, m) in alive
-                if (m[half] if half < d else 0) == (1 if j == half else 0)
-            ]
-        alive = survivors[1]
+    half = n // 2
+    surv1 = [
+        (j, m)
+        for (j, m) in surv0
+        if vacuous or (m[half] if half < d else 0) == (1 if j == half else 0)
+    ]
 
-    if 2 in orders:
-        mu2 = [perturbation_mu_coefficients(n, k)[2] for k in range(d)]
-        survivors[2] = [
-            (j, m)
-            for (j, m) in alive
-            if sum((Fraction(c) * mu2[k] for k, c in enumerate(m)), Fraction(0)) == mu2[j]
-        ]
-        alive = survivors[2]
+    mu2 = [perturbation_mu_coefficients(n, k)[2] for k in range(d)]
+    surv2 = [
+        (j, m)
+        for (j, m) in surv1
+        if sum((Fraction(c) * mu2[k] for k, c in enumerate(m)), Fraction(0)) == mu2[j]
+    ]
 
     return ResonanceCertificate(
         n=n,
         d=d,
         search_bound=bound,
-        orders=tuple(orders),
-        survivors=survivors,
-        verdict=VERDICT_NO if not alive else VERDICT_WITNESS,
+        survivors={0: surv0, 1: surv1, 2: surv2},
+        verdict=VERDICT_NO if not surv2 else VERDICT_WITNESS,
         order1_vacuous=vacuous,
     )
 

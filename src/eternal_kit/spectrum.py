@@ -290,7 +290,11 @@ def morse_index_homogeneous(lam: float) -> int:
 
     The predicate, evaluated in floating point, holds for k < count and fails
     from count on, so count is bisected for in about log2(lam) / 4 evaluations
-    instead of counted rung by rung (lam^(1/4) of them)."""
+    instead of counted rung by rung (lam^(1/4) of them).  Past about
+    lam = 4e65 the count passes 2^53 rungs and is the floating-point
+    predicate's answer on float(k), accurate to about 1e-16 relative: at
+    lam = 1e308 a 77-digit count whose trailing digits are set by rounding.
+    The eigenvalues there are all equal, since (2 pi k)^2 falls below their ulp."""
     lam = float(lam)
     if not 0.0 <= lam < math.inf:
         raise DomainError(f"need finite lambda >= 0, got {lam}")

@@ -140,8 +140,8 @@ import numpy as np
 x = np.random.default_rng(7).standard_normal((3, 96)).view(complex)
 print(evolve._c2c is sys.modules["scipy.fft._pocketfft.pypocketfft"].c2c)
 print(scipy.fft.fft(x).tobytes() == np.fft.fft(x).tobytes())
-print(hashlib.sha256(evolve._square(x, evolve.NEUMANN_HALF).tobytes()
-                     + evolve._square(x, evolve.PERIODIC_UNIT).tobytes()).hexdigest())
+print(hashlib.sha256(b"".join(evolve._square(x, b, evolve._fold(b, 48, 1.0)).tobytes()
+                              for b in (evolve.NEUMANN_HALF, evolve.PERIODIC_UNIT))).hexdigest())
 """
     env = {**os.environ, "PYTHONPATH": str(src)}
     runs = {}
@@ -371,6 +371,20 @@ class TestExitCodes:
         assert rc == 64
         assert out == ""
         assert err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--r-max", "-1", "--constant", "0.5", "--modes", "8"],
+        ["evolve", "--r-max", "0", "--constant", "0.5", "--modes", "8"],
+        ["boundary", "--r-cap", "-1", "--constant", "0.5", "--modes", "8", "--points", "1"],
+        ["boundary", "--r-cap", "0", "--constant", "0.5", "--modes", "8", "--points", "1"],
+    ])
+    def test_horizons_must_be_positive(self, argv):
+        # a horizon at or behind the start runs no step: a negative one used to
+        # exit 1 as a domain error, and 0 printed a run of zero length
+        rc, out, err = run_cli(argv)
+        assert rc == 64
+        assert out == ""
+        assert err.startswith("usage error: ") and argv[1] in err
 
     def test_threshold_above_the_default_is_domain_error(self):
         # past 1e8 the endgame's self-scaled step budget can step over the pole

@@ -69,8 +69,8 @@ def test_branch_index_must_be_positive_integer():
 
 
 def test_truncation_cap_raises_when_tail_cannot_certify():
-    with pytest.raises(TruncationError):
-        elliptic.default_truncation(0.999, tail_tol=1e-13, K_max=50)
+    with pytest.raises(TruncationError, match=f"within K <= {elliptic.K_MAX}"):
+        elliptic.default_truncation(0.999, tail_tol=1e-13)
 
 
 @pytest.mark.parametrize("tail_tol", [0.0, -1e-13, float("nan"), float("inf")])

@@ -214,7 +214,7 @@ class TestSquare:
         c = rng.normal(size=N) + 1j * rng.normal(size=N)
         series = elliptic.CosineSeries(c)
         want = elliptic.cosine_product(series, series).coeffs[:N]
-        got = evolve._square(c, evolve.NEUMANN_HALF)
+        got = evolve._square(c, evolve.NEUMANN_HALF, evolve._fold(evolve.NEUMANN_HALF, N, 1.0))
         assert np.max(np.abs(got - want)) < 1e-14 * np.sum(np.abs(c)) ** 2
 
     @pytest.mark.parametrize("N", [2, 4, 5, 16, 37, 64, 100, 128, 256])
@@ -228,7 +228,7 @@ class TestSquare:
             for j in range(N):
                 if k[i] + k[j] in slot:
                     want[slot[k[i] + k[j]]] += c[i] * c[j]
-        got = evolve._square(c, evolve.PERIODIC_UNIT)
+        got = evolve._square(c, evolve.PERIODIC_UNIT, evolve._fold(evolve.PERIODIC_UNIT, N, 1.0))
         assert np.max(np.abs(got - want)) < 1e-14 * np.sum(np.abs(c)) ** 2
 
     @pytest.mark.parametrize("basis", [evolve.NEUMANN_HALF, evolve.PERIODIC_UNIT])
@@ -236,10 +236,11 @@ class TestSquare:
     def test_stack_rows_are_each_rows_square(self, basis, N):
         rng = np.random.default_rng(N + 2)
         c = rng.normal(size=(3, N)) + 1j * rng.normal(size=(3, N))
-        stacked = evolve._square(c, basis)
+        scale = evolve._fold(basis, N, 1.0)
+        stacked = evolve._square(c, basis, scale)
         assert stacked.shape == (3, N)
         for row, sq in zip(c, stacked):
-            assert sq.tobytes() == evolve._square(row, basis).tobytes()
+            assert sq.tobytes() == evolve._square(row, basis, scale).tobytes()
 
 
 class TestSquareCalls:
@@ -315,7 +316,8 @@ class TestTransforms:
         assert grid.tobytes() == self._np_to_grid(c, basis, M).tobytes()
         half = 0.5 if basis == evolve.NEUMANN_HALF else 1.0
         assert evolve.ComplexField(c, basis).values(M).tobytes() == (grid * half).tobytes()
-        assert evolve._square(c, basis).tobytes() == self._np_square(c, basis).tobytes()
+        square = evolve._square(c, basis, evolve._fold(basis, N, 1.0))
+        assert square.tobytes() == self._np_square(c, basis).tobytes()
 
     @pytest.mark.parametrize("basis", [evolve.NEUMANN_HALF, evolve.PERIODIC_UNIT])
     @pytest.mark.parametrize("M", [16, 64, 148, 256, 400, 512, 1024])
@@ -326,7 +328,7 @@ class TestTransforms:
         rng = np.random.default_rng(M + 1)
         c = rng.normal(size=(3, N)) + 1j * rng.normal(size=(3, N))
         grid = evolve._to_grid(c, basis, M)
-        square = evolve._square(c, basis)
+        square = evolve._square(c, basis, evolve._fold(basis, N, 1.0))
         assert grid.shape == (3, M) and square.shape == (3, N)
         for row, g, sq in zip(c, grid, square):
             assert g.tobytes() == self._np_to_grid(row, basis, M).tobytes()
@@ -351,7 +353,7 @@ class TestTransformInputs:
         before = c.tobytes()
         evolve._to_grid(c, basis, 64)
         assert c.tobytes() == before
-        evolve._square(c, basis)
+        evolve._square(c, basis, evolve._fold(basis, shape[-1], 1.0))
         assert c.tobytes() == before
         if c.ndim == 1:
             field = evolve.ComplexField(c, basis)

@@ -130,10 +130,13 @@ class TestTrace:
         graph = portraits.trace_and_extract(random_quartic(seed))
         assert graph.chord_code == code
 
-    def test_retrace_at_doubled_resolution_agrees(self):
+    def test_retrace_at_doubled_resolution_agrees(self, monkeypatch):
         fld = random_quartic(3)
         a = portraits.trace_and_extract(fld)
-        b = portraits.trace_and_extract(fld, rtol=1e-12, atol=1e-14, eps=5e-7)
+        monkeypatch.setattr(portraits, "_RTOL", 1e-12)
+        monkeypatch.setattr(portraits, "_ATOL", 1e-14)
+        monkeypatch.setattr(portraits, "_LAUNCH_EPS", 5e-7)
+        b = portraits.trace_and_extract(fld)
         assert a.chord_code == b.chord_code
 
 

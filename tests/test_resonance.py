@@ -12,7 +12,6 @@ from eternal_kit.errors import DomainError
 def test_no_identical_resonance_through_n_22(n):
     cert = resonance.identical_resonance_check(n)
     assert cert.verdict == resonance.VERDICT_NO
-    assert cert.orders == (0, 1, 2)
     assert cert.witnesses == []
 
 
@@ -47,21 +46,21 @@ def test_order0_survivors_satisfy_weight_equation():
 
 
 def test_enlarged_bound_finds_nothing_new():
-    """Soundness of the certified |m| bound: widening it changes no verdict."""
+    """Soundness of the certified |m| bound: a search 3 past it finds the same order-0 set."""
     for n in (2, 3, 5, 8):
-        base = resonance.identical_resonance_check(n)
-        wide = resonance.identical_resonance_check(n, extra_bound=3)
-        assert wide.verdict == base.verdict
-        assert set(base.survivors[0]) <= set(wide.survivors[0])
-        assert wide.survivors[2] == base.survivors[2]
+        cert = resonance.identical_resonance_check(n)
+        weights = [n * n - k * k for k in range(n)]
+        wide = [(j, m) for j in range(n)
+                for m in resonance._order0_solutions(weights, n * n - j * j, cert.search_bound + 3)]
+        assert wide == cert.survivors[0]
 
 
-def test_partial_order_prefixes_allowed():
-    cert = resonance.identical_resonance_check(4, orders=(0,))
-    assert cert.orders == (0,)
-    assert 1 not in cert.survivors
-    with pytest.raises(DomainError):
-        resonance.identical_resonance_check(4, orders=(0, 2))
+def test_every_certificate_holds_all_three_orders():
+    for n in (1, 4, 5, 8):
+        for d in (1, n):
+            cert = resonance.identical_resonance_check(n, d)
+            assert sorted(cert.survivors) == list(resonance.ORDERS) == [0, 1, 2]
+            assert cert.witnesses is cert.survivors[2]
 
 
 def test_block_size_validation():

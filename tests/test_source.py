@@ -47,3 +47,50 @@ def test_every_err_target_defaults_to_one_constant():
 
     for path in SRC.glob("*.py"):
         assert not re.search(r"err_target\s*/\s*10", path.read_text()), path.name
+
+
+#: function.parameter of every parameter with a default, per module, when the
+#: pin was set; a new one needs a caller outside the tests that sets it
+SETTABLE = {
+    "__init__.py": (),
+    "cli.py": ("_positive_int.low", "main.argv"),
+    "elliptic.py": ("default_truncation.tail_tol", "lambda_of_h.tail_tol",
+                    "equilibrium_profile.tail_tol", "branch_point.tail_tol"),
+    "errors.py": ("__init__.subsets",),
+    "evolve.py": ("constant_field.basis", "constant_field.N", "constant_field.theta",
+                  "cosine_field.N", "cosine_field.theta", "monochromatic_field.N",
+                  "_advance.err_target", "_advance.norm_threshold", "_advance.on_accept",
+                  "detect_blowup.norm_threshold", "detect_blowup.err_target",
+                  "schrodinger_evolve.err_target", "heteroclinic_shoot.N", "heteroclinic_shoot.r_max",
+                  "heteroclinic_shoot.err_target", "analyticity_boundary.r_cap",
+                  "analyticity_boundary.err_target", "values.M"),
+    "portraits.py": ("ev.j",),
+    "resonance.py": ("identical_resonance_check.d", "pythagorean_worst_cases.count"),
+    "scalar_ode.py": ("integrate.t_eval_per_unit", "reversible_example_check.t_end",
+                      "reversible_example_check.n_samples"),
+    "spectrum.py": ("eigen.N", "homogeneous_spectrum.count", "homogeneous_spectrum.equilibrium"),
+    "waves.py": ("soliton_poles.count",),
+}
+
+
+def _defaulted(tree):
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args.posonlyargs + node.args.args
+            named = args[len(args) - len(node.args.defaults):]
+            named += [a for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults) if d is not None]
+            out += [f"{getattr(node, 'name', '<lambda>')}.{a.arg}" for a in named]
+    return out
+
+
+def test_settable_values_do_not_grow():
+    # an option that only tests set doubles the configurations to cover and
+    # computes nothing the program uses: the per-module count may only fall
+    assert sorted(p.name for p in SRC.glob("*.py")) == sorted(SETTABLE)
+    for name, pinned in SETTABLE.items():
+        found = _defaulted(ast.parse((SRC / name).read_text()))
+        new = sorted(set(found) - set(pinned))
+        assert len(found) <= len(pinned), (
+            f"{name}: {len(found)} parameters with a default, pinned at {len(pinned)}; new: {new}. "
+            "Name the caller outside tests that sets each to another value, or make it a constant")

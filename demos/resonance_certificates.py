@@ -33,10 +33,9 @@ def main():
     root = 2.0 * math.sqrt(6.0 * lam2)
     mu = [v for v in (root - (2.0 * math.pi * k) ** 2 for k in range(3))
           if v > 0]
-    hits = resonance.numeric_resonance_scan(mu)
-    print("\nthe numeric scanner sees the same structure in a spectrum:")
+    print("\nthe same structure in the spectrum of the upper state:")
     print(f"  at lambda'_2 = {lam2:.6f} the unstable block {mu}")
-    print(f"  triggers {hits} (mu_0 = 2 mu_1: an exact 2:1 ladder)")
+    print(f"  has mu_0 - 2 mu_1 = {mu[0] - 2.0 * mu[1]:.1e} (an exact 2:1 ladder)")
 
 
 if __name__ == "__main__":

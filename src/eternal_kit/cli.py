@@ -214,13 +214,9 @@ def _poly_field(args, default):
 
 
 def _cmd_branch(args):
-    ns = args.n or ([1, 2, 3] if args.fig1 else [1])
-    if args.h is not None and not args.fig1:
-        hs = np.array([args.h])
-    else:
-        hs = np.linspace(-args.h_max, args.h_max, args.points)
+    hs = [args.h] if args.h is not None else np.linspace(-args.h_max, args.h_max, args.points)
     rows = []
-    for n in ns:
+    for n in args.n or [1]:
         for h in hs:
             bp = elliptic.branch_point(n, float(h), tail_tol=args.tail_tol)
             rows.append((n, float(h), bp.theta, bp.lam, bp.W_at_0, n))
@@ -451,7 +447,6 @@ def build_parser() -> _Parser:
     p.add_argument("--h-max", type=_finite_float, default=0.12)
     p.add_argument("--points", type=_positive_int, default=41)
     p.add_argument("--tail-tol", type=_positive_float, default=1e-13)
-    p.add_argument("--fig1", action="store_true", help="branch diagram sweep (n = 1, 2, 3)")
     p.set_defaults(func=_cmd_branch)
 
     p = sub.add_parser("spectrum", help="linearization eigenvalues")

@@ -273,36 +273,6 @@ def residual(profile: CosineSeries, lam: float) -> float:
     return CosineSeries(res).l2_norm()
 
 
-def h_of_lambda(n: int, lam: float) -> float:
-    """Inverse of lambda_of_h on h >= 0 by bracketed root finding.
-
-    lambda_n is even in h and strictly increasing in |h|, so the nonnegative
-    solution is unique.  Values of lambda requiring |h| > 0.95 (where the
-    series truncation becomes impractical) raise DomainError.
-    """
-    h_max = 0.95
-    from scipy.optimize import brentq
-
-    n = _check_branch_index(n)
-    lam = float(lam)
-    if not math.isfinite(lam):
-        raise DomainError(f"need a finite lambda, got {lam}")
-    lam0 = lambda_of_h(n, 0.0)
-    if lam < lam0:
-        raise DomainError(f"branch {n} only exists for lambda >= {lam0:.6g}")
-    if lam == lam0:
-        return 0.0
-    if lambda_of_h(n, h_max) < lam:
-        raise DomainError(f"lambda = {lam:g} needs a modulus beyond h_max = {h_max}")
-    return brentq(
-        lambda hh: lambda_of_h(n, hh) - lam,
-        0.0,
-        h_max,
-        xtol=1e-15,
-        rtol=8.9e-16,
-    )
-
-
 def theta_of_h(h: float) -> float:
     """Lattice parameter theta with |h| = exp(-pi theta); inf at h = 0."""
     h = _check_modulus(h)

@@ -66,7 +66,8 @@ the state.  At a loose err_target the last steps before a pole can step
 past it.  Constant data 1.5 at lambda = 6 (pole at ln 5 / 12, N = 16) ends
 1.1e-9 short of the pole at the default err_target 1e-9, but 7.6e-9 past
 it at 1e-7 and 1.4e-6 past it at 1e-5.
-Non-finite lambda or initial data is a DomainError, not a blow-up at r = 0.
+Non-finite lambda or initial data is a DomainError, not a blow-up at r = 0, and
+so is a horizon (r_max, r_cap) that is not finite and > 0, before any step.
 """
 
 from __future__ import annotations
@@ -519,8 +520,9 @@ def _control(state, stops, err_target, norm_threshold, history, fields, on_accep
                         return state, REASON_CAPTURED
                     if h1 >= norm_threshold:
                         return state, REASON_NORM
-                    # doubling is taken only when the fifth-order estimate
-                    # predicts the doubled step still passes with a 20% margin
+                    # doubling is taken only when the fifth-order estimate at 2 dr,
+                    # 32 e, stays below 0.8 tol: a 20% margin where the roundoff floor
+                    # sets tol, but 2.5x where err_target * dr does, as tol doubles too
                     if e == 0.0 or tol / e > 40.0:
                         dr *= 2.0
                     continue
@@ -689,6 +691,14 @@ def _run(state, stops, lam: float, **advance_kw):
     return runs[0] if one else runs
 
 
+def _horizon(name: str, value) -> float:
+    """A ray's horizon as a float, refused unless it is finite and ahead of the start."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError(f"{name} must be finite and > 0, got {value}")
+    return value
+
+
 def detect_blowup(
     w0: ComplexField,
     lam: float,
@@ -704,7 +714,7 @@ def detect_blowup(
     and below threshold at every accepted step before the final one.
     """
     return _run(
-        w0.copy(), [w0.r + float(r_max)], lam,
+        w0.copy(), [w0.r + _horizon("r_max", r_max)], lam,
         err_target=err_target, norm_threshold=norm_threshold,
     )
 
@@ -785,6 +795,7 @@ def heteroclinic_shoot(
     """
     if not (isinstance(direction, str) and direction in ("+", "-")):
         raise DomainError(f"direction must be '+' or '-' (got {direction!r})")
+    r_max = _horizon("r_max", r_max)
     sign = 1 if direction == "+" else -1
 
     bp = elliptic.branch_point(n, h)
@@ -874,6 +885,7 @@ def analyticity_boundary(
     descriptive (a rectangle certificate corner), not asserted against any
     theory.
     """
+    r_cap = _horizon("r_cap", r_cap)
     svals = np.atleast_1d(np.asarray(s_values, dtype=float))
     # where each horizontal leg starts: the vertical-leg state at s (None when
     # that leg diverged first), and gamma0 itself at s = 0
@@ -888,7 +900,7 @@ def analyticity_boundary(
 
     # the horizontal legs share basis, N, theta = 0 and lam: one stack
     stack = [ComplexField(top.coeffs.copy(), top.basis) for top in tops.values() if top is not None]
-    legs = iter(_run(stack, [float(r_cap)], lam, err_target=err_target) if stack else ())
+    legs = iter(_run(stack, [r_cap], lam, err_target=err_target) if stack else ())
     samples: dict[float, BoundarySample] = {}
     for s, top in tops.items():
         if top is None:

@@ -123,10 +123,6 @@ class DiskField:
         G = u ** (d - 1) * P
         return u * (1.0 - delta) ** d * (delta * G.real + 1j * G.imag)
 
-    def boundary_angular_speed(self, beta: float) -> float:
-        """d(beta)/dt on the boundary itself: sin((d-1) beta)."""
-        return math.sin((self.degree - 1) * beta)
-
 
 def classify_interior(fld: PolyField) -> list[str]:
     """SOURCE / SINK / CENTER for each root by the sign of Re f'(e_j).
@@ -252,10 +248,6 @@ class PlanarTree:
             stack.extend(self.neighbors[v])
         if len(seen) != n:
             raise DomainError("tree is not connected")
-
-    @property
-    def vertices(self) -> list:
-        return sorted(self.neighbors)
 
     def degree(self, v) -> int:
         return len(self.neighbors[v])

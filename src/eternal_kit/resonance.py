@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
 
 from .elliptic import _check_branch_index
 from .errors import DomainError
@@ -200,40 +199,3 @@ def homogeneous_resonant_lambdas(n: int, m_max: int) -> list[tuple[int, float]]:
         for m in range(2, m_max + 1)
     ]
 
-
-def numeric_resonance_scan(mu) -> list[tuple[int, tuple[int, ...]]]:
-    """Near-resonances mu_j ~ m . mu in a finite positive spectrum.
-
-    mu must be strictly decreasing and positive (an unstable block).  The
-    search covers 2 <= |m| <= min(6, ceil(mu_0 / mu_last) + 1); a hit is
-    |mu_j - m . mu| < tol with tol = 1e-8 * mu_0.
-    """
-    mu = np.asarray(mu, dtype=float)
-    if mu.ndim != 1 or len(mu) == 0:
-        raise DomainError("mu must be a nonempty 1-d array")
-    if not np.isfinite(mu).all() or np.any(mu <= 0.0) or np.any(np.diff(mu) >= 0.0):
-        raise DomainError("mu must be finite, strictly decreasing and positive")
-    tol = 1e-8 * mu[0]
-    bound = min(6, math.ceil(mu[0] / mu[-1]) + 1)
-
-    hits: list[tuple[int, tuple[int, ...]]] = []
-    d = len(mu)
-    m = [0] * d
-
-    def descend(i: int, used: int, total: float):
-        if i == d:
-            if used >= 2:
-                for j in range(d):
-                    if abs(mu[j] - total) < tol:
-                        hits.append((j, tuple(m)))
-            return
-        # remaining slots can only increase the sum; prune once past range
-        if total - tol > mu[0]:
-            return
-        for c in range(0, bound - used + 1):
-            m[i] = c
-            descend(i + 1, used + c, total + c * mu[i])
-        m[i] = 0
-
-    descend(0, 0, 0.0)
-    return sorted(hits)

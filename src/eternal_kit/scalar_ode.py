@@ -497,96 +497,3 @@ def _dense_directions(gens: list[complex], scale: float) -> str:
             return "R2"
     return "RxZ" if big else "R"
 
-
-# ---------------------------------------------------------------------------
-# reversible second-order example
-
-
-@dataclass
-class ReversibleReport:
-    """Integration record for the reversible oscillator w'' + w'^2 + w^2 - 3w = 0."""
-
-    t: np.ndarray
-    w: np.ndarray
-    wdot: np.ndarray
-    energy: np.ndarray
-    energy_drift: float
-    return_error_2pi: float | None
-    equilibria: tuple[float, float] = (0.0, 3.0)
-
-
-def periodic_data() -> tuple[float, float]:
-    """Initial data of the exact solution w(t) = 2 + sqrt(2) cos t."""
-    return (2.0 + math.sqrt(2.0), 0.0)
-
-
-def homoclinic_data() -> tuple[float, float]:
-    """Initial data on the E = 0 level whose orbit is homoclinic to w = 0."""
-    return (1.0, math.sqrt(2.0 * (math.exp(-2.0) + 0.5)))
-
-
-def exact_periodic(t):
-    """The closed-form periodic solution 2 + sqrt(2) cos t."""
-    return 2.0 + math.sqrt(2.0) * np.cos(np.asarray(t, dtype=float))
-
-
-def reversible_energy(w, wdot):
-    """E = wdot^2/2 - (exp(-2w) - 1 + 2w - w^2/2).
-
-    E is an exact invariant precisely on its zero level (which contains the
-    homoclinic orbit); elsewhere dE/dt = -2 wdot E, so it still serves as a
-    sensitive integration check along E = 0.
-    """
-    w = np.asarray(w, dtype=float)
-    wdot = np.asarray(wdot, dtype=float)
-    return wdot ** 2 / 2.0 - (np.exp(-2.0 * w) - 1.0 + 2.0 * w - w ** 2 / 2.0)
-
-
-def reversible_example_check(
-    w0: float,
-    dw0: float,
-    t_end: float = 2.0 * math.pi,
-    n_samples: int = 2001,
-) -> ReversibleReport:
-    """Integrate the reversible oscillator and report invariants.
-
-    The reversal symmetry is t -> -t, (w, wdot) -> (w, -wdot); orbits
-    crossing wdot = 0 are symmetric arcs.  return_error_2pi holds the phase
-    space distance between the states at t = 0 and t = 2 pi whenever the span
-    covers a full 2 pi, which vanishes for the exact cosine solution.
-    """
-    from scipy.integrate import solve_ivp
-
-    t_eval = np.linspace(0.0, t_end, n_samples)
-
-    def rhs(_t, y):
-        w, v = y
-        return [v, -v * v - w * w + 3.0 * w]
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_end),
-        [w0, dw0],
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-14,
-        t_eval=t_eval,
-        dense_output=t_end >= 2.0 * math.pi,
-    )
-    if not sol.success:
-        raise ConvergenceError(f"integrator failed: {sol.message}")
-
-    w, wdot = sol.y
-    energy = reversible_energy(w, wdot)
-    ret = None
-    if t_end >= 2.0 * math.pi:
-        y2pi = sol.sol(2.0 * math.pi)
-        ret = float(np.hypot(y2pi[0] - w0, y2pi[1] - dw0))
-    return ReversibleReport(
-        t=sol.t,
-        w=w,
-        wdot=wdot,
-        energy=energy,
-        energy_drift=float(np.max(np.abs(energy - energy[0]))),
-        return_error_2pi=ret,
-    )

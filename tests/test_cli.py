@@ -689,7 +689,7 @@ class TestDocumentedBehavior:
 
 class TestFigureData:
     def test_fig1_branch_sweep(self):
-        rc, out, _ = run_cli(["branch", "--fig1", "--points", "5"])
+        rc, out, _ = run_cli(["branch", "--n", "1", "--n", "2", "--n", "3", "--points", "5"])
         assert rc == 0
         header, rows = parse_csv(out)
         assert header == ["n", "h", "theta", "lambda", "w_at_0", "morse_index"]

@@ -138,13 +138,6 @@ def test_homogeneous_equilibria_signs():
         elliptic.homogeneous_equilibria(-1.0)
 
 
-def test_h_of_lambda_inverts_lambda_of_h():
-    lam = elliptic.lambda_of_h(2, 0.07)
-    assert elliptic.h_of_lambda(2, lam) == pytest.approx(0.07, abs=1e-12)
-    with pytest.raises(DomainError):
-        elliptic.h_of_lambda(2, elliptic.lambda_of_h(2, 0.0) * 0.9)
-
-
 def test_theta_of_h_inverts_modulus():
     theta = elliptic.theta_of_h(0.1)
     assert math.exp(-math.pi * theta) == pytest.approx(0.1, rel=1e-15)

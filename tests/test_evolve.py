@@ -734,6 +734,30 @@ class TestNonFiniteInput:
             self.RUNS[run](evolve.cosine_field(data, N=8), lam)
 
 
+class TestHorizons:
+    # a horizon at or behind the start, or at infinity, is refused before any
+    # work, with the argument named: unchecked, 0 ends by HORIZON after no step
+    # (every boundary sample censored at r_star 0) and -1 fails on "stops must
+    # ascend", which names no argument, after the scan's vertical legs have run
+    RUNS = {
+        "detect_blowup": ("r_max", lambda r: evolve.detect_blowup(evolve.constant_field(0.5, N=8), 0.0, r)),
+        "heteroclinic_shoot": ("r_max", lambda r: evolve.heteroclinic_shoot(1, 0.1, "-", r_max=r)),
+        "analyticity_boundary": ("r_cap", lambda r: evolve.analyticity_boundary(
+            evolve.constant_field(0.5, N=8), [-0.1, 0.0, 0.1], 0.0, r_cap=r)),
+    }
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf], ids=["zero", "negative", "inf"])
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_is_refused_before_any_step(self, monkeypatch, run, horizon):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a ray ran before the horizon was checked")
+
+        monkeypatch.setattr(evolve, "_run", no_run)
+        name, call = self.RUNS[run]
+        with pytest.raises(DomainError, match=f"{name} must be finite and > 0"):
+            call(horizon)
+
+
 class TestSchrodinger:
     def test_request_validation(self):
         psi = evolve.constant_field(0.1, N=16)
@@ -1144,13 +1168,13 @@ class TestRefineCrossing:
 
 
 @lru_cache(maxsize=None)
-def _gamma(r0):
-    """Real part of Gamma(r0): the heat ray of W_1(0.1) - eps phi_0 at N = 128 (the
-    benchmark's launch of the minus shot), and its lambda."""
+def _gamma(r0, N=128):
+    """Real part of Gamma(r0): the heat ray of W_1(0.1) - eps phi_0 at N modes (the
+    benchmark's launch of the minus shot, at its N = 128 by default), and its lambda."""
     bp = elliptic.branch_point(1, 0.1)
     phi0 = spectrum.eigen(bp.profile).eigenvectors[0]
-    w = evolve.cosine_field(bp.profile, N=128)
-    w.coeffs -= 1e-5 * bp.profile.l2_norm() * evolve.cosine_field(phi0, N=128).coeffs
+    w = evolve.cosine_field(bp.profile, N=N)
+    w.coeffs -= 1e-5 * bp.profile.l2_norm() * evolve.cosine_field(phi0, N=N).coeffs
     g = evolve.detect_blowup(w, bp.lam, r0).final_state
     return evolve.ComplexField(g.coeffs.real.copy(), g.basis), bp.lam
 
@@ -1238,3 +1262,35 @@ class TestEndgame:
             (err,) = evolve._h1_diff(full, half, state.basis)
             (l2,), _ = evolve._norms(half, state.basis)
             assert err / 15.0 < floor * l2
+
+
+class TestPrincipalSheet:
+    # What vertical-then-horizontal paths from Gamma(0.05) reach, at N = 64. The
+    # singularity t_+ of Gamma sits at Re t = r*_+ (the "+" shot's blow-up) and
+    # Im t = pi / mu, mu = 92.7314 the unstable eigenvalue of W_1(0.1): legs
+    # that pass it relax to W_0 = -sqrt(lambda / 6), and the leg through it diverges.
+
+    @staticmethod
+    def _mu():
+        return float(spectrum.eigen(elliptic.branch_point(1, 0.1).profile).eigenvalues[0])
+
+    @pytest.mark.parametrize("fraction", [0.25, 0.45, 0.55])
+    def test_legs_off_the_singularity_relax_to_w0(self, fraction):
+        psi, lam = _gamma(0.05, N=64)
+        up = evolve.schrodinger_evolve(psi, [fraction * 2.0 * math.pi / self._mu()], lam)
+        assert up.reason == evolve.REASON_HORIZON
+        top = up.fields[0]
+        leg = evolve.detect_blowup(evolve.ComplexField(top.coeffs.copy(), top.basis), lam, 0.3)
+        assert leg.reason == evolve.REASON_HORIZON
+        w0 = evolve.constant_field(-math.sqrt(lam / 6.0), N=64).coeffs
+        assert evolve.ComplexField(leg.final_state.coeffs - w0).h1_norm() < 1e-6
+
+    def test_leg_through_the_singularity_diverges_at_the_plus_shot_blowup(self):
+        # the gap, 2e-7, is the launch's first-order error in eps
+        psi, lam = _gamma(0.05, N=64)
+        scan = evolve.analyticity_boundary(psi, [math.pi / self._mu()], lam, r_cap=0.3)
+        sample = scan.samples[0]
+        assert sample.defined and not sample.censored
+        shot = evolve.heteroclinic_shoot(1, 0.1, "+", N=64)
+        assert shot.outcome == "blowup"
+        assert abs(0.05 + sample.r_star - shot.record.r_star_lower) < 1e-6

@@ -5,13 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from eternal_kit import elliptic, resonance, scalar_ode, spectrum, waves
+from eternal_kit import elliptic, scalar_ode, spectrum, waves
 from eternal_kit.errors import DomainError
 
 #: each entry point with its one real input set to the drawn value
 CALLS = {
-    "elliptic.h_of_lambda": lambda x: elliptic.h_of_lambda(1, x),
-    "resonance.numeric_resonance_scan": lambda x: resonance.numeric_resonance_scan([x]),
     "scalar_ode.PolyField": lambda x: scalar_ode.PolyField([x, 1.0]),
     "spectrum.eigen": lambda x: spectrum.eigen(elliptic.CosineSeries([x])),
     "spectrum.homogeneous_spectrum": spectrum.homogeneous_spectrum,

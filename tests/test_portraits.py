@@ -59,9 +59,15 @@ class TestDiskField:
             assert abs(disk.velocity(p)) < 1e-12
 
     def test_boundary_flow_alternates_between_saddles(self):
+        # d(beta)/dt on |p| = 1 is Im(conj(p) F(p)) = sin((d - 1) beta)
         disk = portraits.DiskField(scalar_ode.PolyField.cyclotomic(3))
-        assert disk.boundary_angular_speed(math.pi / 4) > 0
-        assert disk.boundary_angular_speed(3 * math.pi / 4) < 0
+
+        def angular_speed(beta):
+            p = complex(math.cos(beta), math.sin(beta))
+            return (p.conjugate() * disk.velocity(p)).imag
+
+        assert angular_speed(math.pi / 4) > 0
+        assert angular_speed(3 * math.pi / 4) < 0
 
     def test_velocity_points_inward_outside_disk(self):
         disk = portraits.DiskField(scalar_ode.PolyField.cyclotomic(3))
@@ -280,7 +286,7 @@ def test_one_vertex_tree_has_no_chord_diagram():
 
 def test_chord_to_tree_path_example():
     tree = portraits.chord_to_tree(portraits.ChordDiagram.from_code("1010"))
-    assert sorted(tree.degree(v) for v in tree.vertices) == [1, 1, 2]
+    assert sorted(tree.degree(v) for v in tree.neighbors) == [1, 1, 2]
 
 
 def test_planar_tree_validation():

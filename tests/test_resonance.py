@@ -110,24 +110,3 @@ def test_resonant_lambda_scales_with_n_fourth():
     l1 = dict(resonance.homogeneous_resonant_lambdas(1, 4))
     l3 = dict(resonance.homogeneous_resonant_lambdas(3, 4))
     assert l3[2] == pytest.approx(81.0 * l1[2], rel=1e-15)
-
-
-def test_numeric_scan_flags_exact_homogeneous_resonance():
-    lam2 = dict(resonance.homogeneous_resonant_lambdas(1, 2))[2]
-    root = 2.0 * math.sqrt(6.0 * lam2)
-    mu = [root - (2 * math.pi * k) ** 2 for k in (0, 1, 2)]
-    mu = [v for v in mu if v > 0]
-    hits = resonance.numeric_resonance_scan(mu)
-    assert (0, (0, 2)) in hits
-
-
-def test_numeric_scan_quiet_off_resonance():
-    mu = [100.0, 37.0]
-    assert resonance.numeric_resonance_scan(mu) == []
-
-
-def test_numeric_scan_input_validation():
-    with pytest.raises(DomainError):
-        resonance.numeric_resonance_scan([1.0, 2.0])   # increasing
-    with pytest.raises(DomainError):
-        resonance.numeric_resonance_scan([3.0, -1.0])  # not positive

@@ -286,27 +286,3 @@ class TestClosureClassifier:
         # golden ratio convergents approach like 1/q^2; the classifier must
         # not mistake that for rationality at any height
         assert so.classify_subgroup_closure([2.0, 2.0 * GOLDEN]) == "R"
-
-
-def test_reversible_periodic_orbit():
-    w0, dw0 = so.periodic_data()
-    assert w0 == pytest.approx(2.0 + math.sqrt(2.0), rel=1e-15)
-    rep = so.reversible_example_check(w0, dw0)
-    assert rep.return_error_2pi is not None and rep.return_error_2pi < 1e-8
-    assert np.abs(rep.w - so.exact_periodic(rep.t)).max() < 1e-8
-
-
-def test_reversible_homoclinic_energy_level():
-    w0, dw0 = so.homoclinic_data()
-    assert so.reversible_energy(w0, dw0) == pytest.approx(0.0, abs=1e-15)
-    rep = so.reversible_example_check(w0, dw0, t_end=12.0)
-    assert rep.energy_drift < 1e-8
-    # the orbit strays far from the start and still hugs E = 0
-    assert np.max(rep.w) - np.min(rep.w) > 0.5
-
-
-def test_reversible_reflection_symmetry():
-    # orbits launched from wdot = 0 satisfy w(t) = w(-t)
-    w0, _ = so.periodic_data()
-    fwd = so.reversible_example_check(w0, 0.0, t_end=2.0, n_samples=101)
-    assert np.abs(fwd.w - so.exact_periodic(fwd.t)).max() < 1e-9

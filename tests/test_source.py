@@ -66,8 +66,7 @@ SETTABLE = {
                   "analyticity_boundary.err_target", "values.M"),
     "portraits.py": ("ev.j",),
     "resonance.py": ("identical_resonance_check.d", "pythagorean_worst_cases.count"),
-    "scalar_ode.py": ("integrate.t_eval_per_unit", "reversible_example_check.t_end",
-                      "reversible_example_check.n_samples"),
+    "scalar_ode.py": ("integrate.t_eval_per_unit",),
     "spectrum.py": ("eigen.N", "homogeneous_spectrum.count", "homogeneous_spectrum.equilibrium"),
     "waves.py": ("soliton_poles.count",),
 }
@@ -94,3 +93,56 @@ def test_settable_values_do_not_grow():
         assert len(found) <= len(pinned), (
             f"{name}: {len(found)} parameters with a default, pinned at {len(pinned)}; new: {new}. "
             "Name the caller outside tests that sets each to another value, or make it a constant")
+
+
+#: public names no program code calls, each kept as the independent reference
+#: a test compares other code against
+REFERENCES = {
+    "elliptic.rescale": "the exact scaling w -> m^2 w(m x) that branch m is checked against",
+    "portraits.chord_to_tree": "half of the tree-chord bijection that cross-checks the census",
+    "portraits.tree_to_chord": "the other half of that bijection",
+    "scalar_ode.quadratic_orbit": "the closed form -tanh t that integrate is checked against",
+    "spectrum.assemble_operator": "the dense Galerkin matrix the eigen tests check for symmetry",
+    "waves.soliton_poles": "the closed-form poles the soliton's pole guard is checked at",
+}
+
+
+def _mentions(tree):
+    # every identifier the code reads or imports, and every string that is one
+    # (bench/tracing.py names the functions it wraps by string)
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            out.add(node.value)
+    return out
+
+
+def test_every_public_name_has_a_caller():
+    # a public function or class that only tests reach is dead code with a
+    # test around it; it needs a caller in src/, demos/ or bench/, a README
+    # entry, or a place among the REFERENCES
+    root = SRC.parents[1]
+    outside = set()
+    for path in sorted((root / "demos").glob("*.py")) + sorted((root / "bench").glob("*.py")):
+        outside |= _mentions(ast.parse(path.read_text()))
+    readme = set(re.findall(r"\w+", (root / "README.md").read_text()))
+    modules = {path.stem: ast.parse(path.read_text()).body for path in SRC.glob("*.py")}
+    # what each top-level statement of src/ names, so a definition's own body is left out
+    named = [(node, _mentions(node)) for body in modules.values() for node in body]
+    uncalled = []
+    for stem, body in sorted(modules.items()):
+        for node in body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            in_src = any(node.name in names for other, names in named if other is not node)
+            if not (in_src or node.name in outside or node.name in readme):
+                uncalled.append(f"{stem}.{node.name}")
+    assert sorted(uncalled) == sorted(REFERENCES), (
+        f"no caller outside tests: {sorted(set(uncalled) - set(REFERENCES))}; "
+        f"references that have one now: {sorted(set(REFERENCES) - set(uncalled))}")

@@ -24,7 +24,7 @@ def main():
 
     print("\nMorse index along the branches (h = 0.02):")
     for n in range(1, 7):
-        rep = spectrum.eigen(elliptic.equilibrium_profile(n, 0.02))
+        rep = spectrum.eigen(elliptic.branch_point(n, 0.02).profile)
         print(f"  n={n}: positive eigenvalues = {rep.morse_index}")
 
     print("\ndefect against the quadratic model, mode k of branch n:")
@@ -32,7 +32,7 @@ def main():
     for n, k in ((1, 0), (2, 1), (3, 0)):
         defects = []
         for h in hs:
-            rep = spectrum.eigen(elliptic.equilibrium_profile(n, h))
+            rep = spectrum.eigen(elliptic.branch_point(n, h).profile)
             defects.append(abs(rep.eigenvalues[k] - spectrum.perturbation_mu(n, k, h)))
         slope = np.polyfit(np.log(hs), np.log(defects), 1)[0]
         txt = "  ".join(f"{d:.3e}" for d in defects)

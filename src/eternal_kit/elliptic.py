@@ -66,21 +66,10 @@ class CosineSeries:
         vals = np.cos(_TWO_PI * xv[..., None] * k) @ self.coeffs
         return vals[0] if scalar else vals
 
-    def pad(self, K: int) -> "CosineSeries":
-        """Copy with zero coefficients appended up to mode K."""
-        if K < self.K:
-            raise DomainError(f"cannot pad down from K={self.K} to {K}")
-        out = np.zeros(K + 1, dtype=self.coeffs.dtype)
-        out[: len(self.coeffs)] = self.coeffs
-        return CosineSeries(out)
-
     def l2_norm(self) -> float:
         """L2 norm on (0, 1/2): ||w||^2 = a0^2/2 + sum_{k>=1} a_k^2/4."""
         a = self.coeffs
         return math.sqrt(abs(a[0]) ** 2 / 2.0 + np.sum(np.abs(a[1:]) ** 2) / 4.0)
-
-    def copy(self) -> "CosineSeries":
-        return CosineSeries(self.coeffs.copy())
 
 
 def cosine_product(a: CosineSeries, b: CosineSeries) -> CosineSeries:
@@ -197,44 +186,6 @@ def _check_branch_index(n: int) -> int:
     return int(n)
 
 
-def lambda_of_h(n: int, h: float, tail_tol: float = 1e-13) -> float:
-    """Parameter value lambda_n(h) on branch n at modulus h.
-
-    The series is cut at the smallest truncation K whose certified tail is
-    below tail_tol.
-    """
-    n = _check_branch_index(n)
-    h = _check_modulus(h)
-    scale = (2.0 / 3.0) * (n * math.pi) ** 4
-    if h == 0.0:
-        return scale
-    K = default_truncation(h, tail_tol)
-    q = h * h
-    bracket = 1.0 + 240.0 * math.fsum(sigma3(k) * q ** k for k in range(1, K + 1))
-    return scale * bracket
-
-
-def equilibrium_profile(n: int, h: float, tail_tol: float = 1e-13) -> CosineSeries:
-    """Profile W_n(h) as a cosine series supported on multiples of n.
-
-    The first omitted coefficient is below tail_tol relative to (n pi)^2.
-    """
-    n = _check_branch_index(n)
-    h = _check_modulus(h)
-    npi2 = (n * math.pi) ** 2
-    if h == 0.0:
-        return CosineSeries(np.array([npi2 / 3.0]))
-    K = default_truncation(h, tail_tol)
-    eta = 1.0 / 3.0 - 8.0 * math.fsum(
-        k * h ** (2 * k) / (1.0 - h ** (2 * k)) for k in range(1, K + 1)
-    )
-    coeffs = np.zeros(n * K + 1)
-    coeffs[0] = npi2 * eta
-    for k in range(1, K + 1):
-        coeffs[n * k] = npi2 * 8.0 * k * h ** k / (1.0 - h ** (2 * k))
-    return CosineSeries(coeffs)
-
-
 def homogeneous_equilibria(lam: float) -> tuple[float, float]:
     """The spatially constant equilibria (-sqrt(lam/6), +sqrt(lam/6))."""
     lam = float(lam)
@@ -273,14 +224,6 @@ def residual(profile: CosineSeries, lam: float) -> float:
     return CosineSeries(res).l2_norm()
 
 
-def theta_of_h(h: float) -> float:
-    """Lattice parameter theta with |h| = exp(-pi theta); inf at h = 0."""
-    h = _check_modulus(h)
-    if h == 0.0:
-        return math.inf
-    return -math.log(abs(h)) / math.pi
-
-
 @dataclass
 class BranchPoint:
     """One point on a nonconstant equilibrium branch."""
@@ -297,11 +240,30 @@ class BranchPoint:
 
 
 def branch_point(n: int, h: float, tail_tol: float = 1e-13) -> BranchPoint:
-    """Assemble (lambda, profile, theta) for branch n at modulus h."""
-    return BranchPoint(
-        n=int(n),
-        h=float(h),
-        lam=lambda_of_h(n, h, tail_tol=tail_tol),
-        theta=theta_of_h(h),
-        profile=equilibrium_profile(n, h, tail_tol=tail_tol),
+    """lambda_n(h), theta and the profile W_n(h) for branch n at modulus h.
+
+    Both series are cut at one truncation K, the smallest whose certified
+    tails are below tail_tol: the lambda bracket's relative to the
+    bifurcation value (2/3) (n pi)^4, and the first omitted profile
+    coefficient's relative to (n pi)^2.  The profile is supported on
+    multiples of n, and |h| = exp(-pi theta).
+    """
+    n = _check_branch_index(n)
+    h = _check_modulus(h)
+    scale = (2.0 / 3.0) * (n * math.pi) ** 4
+    npi2 = (n * math.pi) ** 2
+    if h == 0.0:
+        return BranchPoint(n=n, h=h, lam=scale, theta=math.inf,
+                           profile=CosineSeries(np.array([npi2 / 3.0])))
+    K = default_truncation(h, tail_tol)
+    q = h * h
+    bracket = 1.0 + 240.0 * math.fsum(sigma3(k) * q ** k for k in range(1, K + 1))
+    eta = 1.0 / 3.0 - 8.0 * math.fsum(
+        k * h ** (2 * k) / (1.0 - h ** (2 * k)) for k in range(1, K + 1)
     )
+    coeffs = np.zeros(n * K + 1)
+    coeffs[0] = npi2 * eta
+    for k in range(1, K + 1):
+        coeffs[n * k] = npi2 * 8.0 * k * h ** k / (1.0 - h ** (2 * k))
+    return BranchPoint(n=n, h=h, lam=scale * bracket, theta=-math.log(abs(h)) / math.pi,
+                       profile=CosineSeries(coeffs))

@@ -58,14 +58,17 @@ The step tolerance never falls below the roundoff of its own estimate, and
 once a ray's H^1 norm has grown ENDGAME_GROWTH-fold its budget grows with
 it (the endgame, see _control): each e-fold of growth then costs a bounded
 number of steps, and a ray near a singularity ends by NORM_THRESHOLD where
-the singularity is, at any err_target.  r_star_lower bounds the existence
-time along that ray from below only as far as the accepted steps are
-accurate: their error is controlled to err_target, not certified, and in
-the endgame it is controlled in the blow-up time the state implies, not in
-the state.  At a loose err_target the last steps before a pole can step
-past it.  Constant data 1.5 at lambda = 6 (pole at ln 5 / 12, N = 16) ends
-1.1e-9 short of the pole at the default err_target 1e-9, but 7.6e-9 past
-it at 1e-7 and 1.4e-6 past it at 1e-5.
+the singularity is, at any err_target.  No step grows the H^1 norm more
+than ENDGAME_GROWTH-fold over max(1, the norm it starts from), so a ray
+started within one step of its pole does not cross it in one step
+(constant 50 at lambda = 0 ends 1.2e-9 short of 1/300).  r_star_lower
+bounds the existence time along that ray from below only as far as the
+accepted steps are accurate: their error is controlled to err_target, not
+certified, and in the endgame it is controlled in the blow-up time the
+state implies, not in the state.  At a loose err_target the last steps
+before a pole can step past it.  Constant data 1.5 at lambda = 6 (pole at
+ln 5 / 12, N = 16) ends 1.1e-9 short of the pole at the default err_target
+1e-9, but 4.0e-10 past it at 1e-7 and 5.4e-8 past it at 1e-5.
 Non-finite lambda or initial data is a DomainError, not a blow-up at r = 0, and
 so is a horizon (r_max, r_cap) that is not finite and > 0, before any step.
 """
@@ -189,14 +192,9 @@ class ComplexField:
         """True away from the vertical rays, where the linear part still damps."""
         return abs(math.cos(self.theta)) > 1e-8
 
-    def values(self, M: int | None = None) -> np.ndarray:
-        """Complex point values on the uniform grid x_j = j / M."""
-        if M is None:
-            M = 4 * self.N
-        top = self.N - 1 if self.basis == NEUMANN_HALF else self.N // 2     # largest |wavenumber|
-        if M < 2 * top + 2:
-            raise DomainError(f"grid of {M} points too coarse for {self.N} modes of {self.basis}")
-        return _to_grid(self.coeffs, self.basis, M) * (0.5 if self.basis == NEUMANN_HALF else 1.0)
+    def values(self) -> np.ndarray:
+        """Complex point values on the uniform grid x_j = j / 4N."""
+        return _to_grid(self.coeffs, self.basis, 4 * self.N) * (0.5 if self.basis == NEUMANN_HALF else 1.0)
 
     def at_zero(self) -> complex:
         return complex(np.add.reduce(self.coeffs))
@@ -247,15 +245,15 @@ def _check_modes(N: int) -> None:
         raise DomainError(f"need N >= 2 modes, got N = {N}")
 
 
-def constant_field(value, basis: str = NEUMANN_HALF, N: int = 256, theta: float = 0.0) -> ComplexField:
-    """Spatially constant state w(x) = value."""
+def constant_field(value, N: int = 256, theta: float = 0.0) -> ComplexField:
+    """Spatially constant state w(x) = value, in cosine modes."""
     _check_modes(N)
     c = np.zeros(N, dtype=complex)
     c[0] = value
-    return ComplexField(c, basis, 0.0, theta)
+    return ComplexField(c, NEUMANN_HALF, 0.0, theta)
 
 
-def cosine_field(series, N: int = 256, theta: float = 0.0) -> ComplexField:
+def cosine_field(series, N: int = 256) -> ComplexField:
     """Embed a CosineSeries (or raw cosine coefficients) in an N-mode state,
     dropping a negligible tail past N (see EMBED_TAIL_TOL)."""
     _check_modes(N)
@@ -270,7 +268,7 @@ def cosine_field(series, N: int = 256, theta: float = 0.0) -> ComplexField:
         coeffs = coeffs[:N]
     c = np.zeros(N, dtype=complex)
     c[: len(coeffs)] = coeffs
-    return ComplexField(c, NEUMANN_HALF, 0.0, theta)
+    return ComplexField(c)
 
 
 def monochromatic_field(amplitude: complex, N: int = 256) -> ComplexField:
@@ -462,7 +460,10 @@ def _control(state, stops, err_target, norm_threshold, history, fields, on_accep
     err_target bounds the error of u_half and is conservative for the
     fifth-order state accepted.  A step that left the floating-point
     range has a non-finite err and is rejected with dr / 4, one whose
-    estimate is over tol with dr / 2.  At each stop dr restarts on the
+    estimate is over tol with dr / 2, and so is one whose H^1 norm is more
+    than ENDGAME_GROWTH times max(1, that of the state it starts from): a
+    step that lands past a pole is judged by the norm it started at, not by
+    the budget of where it landed.  At each stop dr restarts on the
     ladder and a copy of the state goes to fields; history gets the start,
     every accepted step and the count of rejected ones.  Returns (state, status).
 
@@ -495,7 +496,7 @@ def _control(state, stops, err_target, norm_threshold, history, fields, on_accep
     bounded number of steps.
     """
     (l2,), (grad,) = _norms(state.coeffs[None], state.basis)
-    h1 = math.hypot(l2, grad)
+    h1 = h1_state = math.hypot(l2, grad)
     history.push(state, h1, grad)
     onset = ENDGAME_GROWTH * max(1.0, h1)
     roundoff = sys.float_info.epsilon * _roundoff_weight(state.basis, state.N)
@@ -512,9 +513,9 @@ def _control(state, stops, err_target, norm_threshold, history, fields, on_accep
                 h1 = math.hypot(l2, grad)
                 growth = max(1.0, h1 / onset)
                 tol = max(err_target * dr_try * growth * growth * max(1.0, h1), roundoff * l2)
-                if e <= tol:
+                if e <= tol and h1 <= ENDGAME_GROWTH * max(1.0, h1_state):
                     r = state.r + dr_try / 2.0 + dr_try / 2.0     # the clock of two half steps
-                    prev, state = state, _state(coeffs, state.basis, r, state.theta)
+                    prev, state, h1_state = state, _state(coeffs, state.basis, r, state.theta), h1
                     history.push(state, h1, grad)
                     if on_accept is not None and on_accept(prev, state) is False:
                         return state, REASON_CAPTURED
@@ -878,8 +879,9 @@ def analyticity_boundary(
     leg, the s = 0 one included, reports the last arclength its own record
     reached with H^1 norm below NORM_THRESHOLD / 4 (see _refine_crossing); no
     leg is re-run.  That reading is a lower bound for r*(s) only as far as the
-    leg's steps meet err_target: constant 0.5 at lam = 0 reads 1.4e-9 below
-    its pole 1/3 at err_target 1e-7, but 5.9e-7 past it at 1e-5.
+    leg's steps meet err_target, each of which grows the H^1 norm at most
+    ENDGAME_GROWTH-fold (see _control): constant 0.5 at lam = 0 reads 1.4e-9
+    below its pole 1/3 at err_target 1e-7, but 1.7e-7 past it at 1e-5.
 
     The reported corner (r0, s0) is the sample minimizing r_star; it is
     descriptive (a rectangle certificate corner), not asserted against any
@@ -925,9 +927,10 @@ def _refine_crossing(rec: RayRun, norm_threshold: float) -> float:
 
     It is the last accepted r with H^1 norm below norm_threshold / 4, so it
     does not rest on the endgame's last steps.  It is a lower bound for the
-    pole only as far as the leg's steps meet err_target: at a loose one the
-    steps before that r can already have passed the pole (constant 0.5 at
-    lam = 0 and err_target 1e-5 reads 5.9e-7 past 1/3).  A leg whose last
+    pole only as far as the leg's steps meet err_target: none grows the H^1
+    norm more than ENDGAME_GROWTH-fold, but at a loose err_target the steps
+    before that r can already have passed the pole (constant 0.5 at lam = 0
+    and err_target 1e-5 reads 1.7e-7 past 1/3).  A leg whose last
     entry is still below norm_threshold / 4 never rose past it, and one that
     started above it has no such r; both return r_star_lower.
     """

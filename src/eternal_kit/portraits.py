@@ -82,12 +82,6 @@ class DiskField:
     def p_of_w(self, w: complex) -> complex:
         return w / (1.0 + abs(w))
 
-    def w_of_p(self, p: complex) -> complex:
-        ap = abs(p)
-        if ap >= 1.0:
-            raise DomainError("w_of_p needs |p| < 1")
-        return p / (1.0 - ap)
-
     def velocity(self, p: complex) -> complex:
         """F(p); continuous up to the boundary, zero exactly at equilibria
         and boundary saddles.

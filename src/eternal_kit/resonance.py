@@ -4,8 +4,8 @@ An identical resonance at branch n would be a relation
 
     mu_j(h) = sum_k m_k mu_k(h)   for all small h,
 
-with a nonnegative integer multi-index m over the unstable modes k < d and
-|m| = sum m_k >= 2.  Because each mu_k(h) is analytic in h, the relation
+with a nonnegative integer multi-index m over the n unstable modes k < n
+and |m| = sum m_k >= 2.  Because each mu_k(h) is analytic in h, the relation
 splits into one exact condition per order of h.  Every certificate tests the
 orders h^0, h^1 and h^2 (ORDERS), each on the survivors of the one before,
 using the exact rational expansion coefficients from the spectrum module:
@@ -61,7 +61,6 @@ class ResonanceCertificate:
     """
 
     n: int
-    d: int
     search_bound: int
     survivors: dict[int, list[tuple[int, tuple[int, ...]]]]
     verdict: str
@@ -101,29 +100,27 @@ def _order0_solutions(weights: list[int], target: int, bound: int):
     return out
 
 
-def identical_resonance_check(n: int, d: int | None = None) -> ResonanceCertificate:
-    """Search for identical resonances among modes k < d at branch n, at orders 0, 1 and 2.
+def identical_resonance_check(n: int) -> ResonanceCertificate:
+    """Search for identical resonances among the n unstable modes of branch n,
+    at orders 0, 1 and 2.
 
-    d defaults to n (the full unstable block near onset).
+    The whole block is searched: a resonance among modes k < d < n is one
+    among all n, so a NO here is a NO for every smaller block.
     """
     n = _check_branch_index(n)
-    d = n if d is None else int(d)
-    if not 1 <= d <= n:
-        raise DomainError(f"need 1 <= d <= n, got d = {d}")
-
     bound = math.ceil(n * n / (2 * n - 1))
-    weights = [n * n - k * k for k in range(d)]
-    surv0 = [(j, m) for j in range(d) for m in _order0_solutions(weights, n * n - j * j, bound)]
+    weights = [n * n - k * k for k in range(n)]
+    surv0 = [(j, m) for j in range(n) for m in _order0_solutions(weights, n * n - j * j, bound)]
 
     vacuous = n % 2 == 1
     half = n // 2
     surv1 = [
         (j, m)
         for (j, m) in surv0
-        if vacuous or (m[half] if half < d else 0) == (1 if j == half else 0)
+        if vacuous or m[half] == (1 if j == half else 0)
     ]
 
-    mu2 = [perturbation_mu_coefficients(n, k)[2] for k in range(d)]
+    mu2 = [perturbation_mu_coefficients(n, k)[2] for k in range(n)]
     surv2 = [
         (j, m)
         for (j, m) in surv1
@@ -132,7 +129,6 @@ def identical_resonance_check(n: int, d: int | None = None) -> ResonanceCertific
 
     return ResonanceCertificate(
         n=n,
-        d=d,
         search_bound=bound,
         survivors={0: surv0, 1: surv1, 2: surv2},
         verdict=VERDICT_NO if not surv2 else VERDICT_WITNESS,

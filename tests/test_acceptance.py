@@ -103,14 +103,14 @@ def test_c05_spectral_agreement():
     for n, k in ((1, 0), (2, 0), (2, 1), (3, 0)):
         defects = []
         for h in hs:
-            rep = spectrum.eigen(elliptic.equilibrium_profile(n, h))
+            rep = spectrum.eigen(elliptic.branch_point(n, h).profile)
             defects.append(abs(rep.eigenvalues[k] - spectrum.perturbation_mu(n, k, h)))
         slope = np.polyfit(np.log(hs), np.log(defects), 1)[0]
         assert slope >= 2.7
 
     # Morse index of W_n is n.
     for n in range(1, 7):
-        rep = spectrum.eigen(elliptic.equilibrium_profile(n, 0.02))
+        rep = spectrum.eigen(elliptic.branch_point(n, 0.02).profile)
         assert rep.morse_index == n
 
 

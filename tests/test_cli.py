@@ -792,6 +792,14 @@ class TestSubcommandSmoke:
         assert meta["steps_rejected"] > 0
         assert f"steps_rejected={meta['steps_rejected']}" in err
 
+    def test_evolve_start_near_its_pole_stops_short_of_it(self):
+        # w' = 6 w^2 from 50 poles at 1/300, closer than the first step
+        rc, text, _ = run_cli(["evolve", "--constant", "50", "--modes", "16", "--format", "json"])
+        assert rc == 0
+        meta = json.loads(text)["meta"]
+        assert meta["reason"] == "NORM_THRESHOLD"
+        assert meta["r_star_lower"] < 1.0 / 300.0
+
     @pytest.mark.parametrize("lam, near", [((8.0 / 3.0) * math.pi ** 4, True), (6.0, False)],
                              ids=["resonant", "lambda6"])
     def test_evolve_meta_flags_a_near_resonant_lambda(self, lam, near):

@@ -23,49 +23,49 @@ def test_sigma3_rejects_nonpositive():
 
 def test_lambda_at_h_zero_is_homogeneous_value():
     for n in (1, 2, 3, 5):
-        assert elliptic.lambda_of_h(n, 0.0) == pytest.approx(
+        assert elliptic.branch_point(n, 0.0).lam == pytest.approx(
             (2.0 / 3.0) * (n * math.pi) ** 4, rel=1e-15
         )
 
 
 def test_lambda_frozen_value():
     # independently summed series, frozen
-    assert elliptic.lambda_of_h(1, 0.1, tail_tol=1e-16) == pytest.approx(
+    assert elliptic.branch_point(1, 0.1, tail_tol=1e-16).lam == pytest.approx(
         235.2688192544334, rel=1e-12
     )
 
 
 def test_lambda_even_in_h():
     for n in (1, 2):
-        assert elliptic.lambda_of_h(n, 0.08) == elliptic.lambda_of_h(n, -0.08)
+        assert elliptic.branch_point(n, 0.08).lam == elliptic.branch_point(n, -0.08).lam
 
 
 def test_lambda_strictly_increasing_in_modulus():
-    lams = [elliptic.lambda_of_h(1, h) for h in (0.0, 0.02, 0.05, 0.1, 0.2)]
+    lams = [elliptic.branch_point(1, h).lam for h in (0.0, 0.02, 0.05, 0.1, 0.2)]
     assert all(a < b for a, b in zip(lams, lams[1:]))
 
 
 def test_lambda_scales_as_fourth_power_of_branch_index():
     # lambda_n(h) = n^4 lambda_1(h) follows from the series term by term
-    l1 = elliptic.lambda_of_h(1, 0.07)
-    l3 = elliptic.lambda_of_h(3, 0.07)
+    l1 = elliptic.branch_point(1, 0.07).lam
+    l3 = elliptic.branch_point(3, 0.07).lam
     assert l3 == pytest.approx(81.0 * l1, rel=1e-13)
 
 
 def test_modulus_domain_is_open_unit_interval():
     with pytest.raises(DomainError):
-        elliptic.lambda_of_h(1, 1.0)
+        elliptic.branch_point(1, 1.0)
     with pytest.raises(DomainError):
-        elliptic.lambda_of_h(1, -1.2)
+        elliptic.branch_point(1, -1.2)
     with pytest.raises(DomainError):
         elliptic.branch_point(1, float("nan"))
 
 
 def test_branch_index_must_be_positive_integer():
     with pytest.raises(DomainError):
-        elliptic.lambda_of_h(0, 0.1)
+        elliptic.branch_point(0, 0.1)
     with pytest.raises(DomainError):
-        elliptic.equilibrium_profile(-2, 0.1)
+        elliptic.branch_point(-2, 0.1)
 
 
 def test_truncation_cap_raises_when_tail_cannot_certify():
@@ -82,25 +82,25 @@ def test_truncation_needs_a_finite_positive_tolerance(tail_tol):
 
 
 def test_profile_frozen_coefficients():
-    prof = elliptic.equilibrium_profile(1, 0.1, tail_tol=1e-16)
+    prof = elliptic.branch_point(1, 0.1, tail_tol=1e-16).profile
     assert prof.coeffs[1] == pytest.approx(7.9754378998701885, rel=1e-12)
     assert prof(0.0) == pytest.approx(12.303961307223076, rel=1e-12)
 
 
 def test_profile_mean_coefficient_matches_eta():
-    prof = elliptic.equilibrium_profile(1, 0.1, tail_tol=1e-16)
+    prof = elliptic.branch_point(1, 0.1, tail_tol=1e-16).profile
     eta = 0.2509007684366812  # 1/3 - 8 sum k h^(2k) / (1 - h^(2k)) at h = 0.1
     assert prof.coeffs[0] == pytest.approx(math.pi ** 2 * eta, rel=1e-12)
 
 
 def test_profile_h_zero_is_constant():
-    prof = elliptic.equilibrium_profile(2, 0.0)
+    prof = elliptic.branch_point(2, 0.0).profile
     assert prof.K == 0
     assert prof.coeffs[0] == pytest.approx((2 * math.pi) ** 2 / 3.0, rel=1e-15)
 
 
 def test_profile_modes_live_on_multiples_of_n():
-    prof = elliptic.equilibrium_profile(3, 0.1)
+    prof = elliptic.branch_point(3, 0.1).profile
     nz = np.nonzero(np.abs(prof.coeffs) > 0)[0]
     assert len(nz) > 3
     assert all(j % 3 == 0 for j in nz[1:])
@@ -126,8 +126,8 @@ def test_rescale_maps_branch_to_branch():
     scaled, lam_scaled = elliptic.rescale(bp1.profile, 3, bp1.lam)
     bp3 = elliptic.branch_point(3, 0.08, tail_tol=1e-15)
     assert lam_scaled == pytest.approx(bp3.lam, rel=1e-13)
-    assert np.allclose(scaled.pad(bp3.profile.K).coeffs, bp3.profile.coeffs,
-                       rtol=1e-12, atol=1e-10)
+    assert scaled.K == bp3.profile.K
+    assert np.allclose(scaled.coeffs, bp3.profile.coeffs, rtol=1e-12, atol=1e-10)
 
 
 def test_homogeneous_equilibria_signs():
@@ -139,9 +139,9 @@ def test_homogeneous_equilibria_signs():
 
 
 def test_theta_of_h_inverts_modulus():
-    theta = elliptic.theta_of_h(0.1)
+    theta = elliptic.branch_point(1, 0.1).theta
     assert math.exp(-math.pi * theta) == pytest.approx(0.1, rel=1e-15)
-    assert elliptic.theta_of_h(0.0) == math.inf
+    assert elliptic.branch_point(1, 0.0).theta == math.inf
 
 
 def test_branch_point_theta_sign_blind():
@@ -182,7 +182,11 @@ class TestCosineSeries:
         assert d2.coeffs[0] == 0.0
         assert d2.coeffs[1] == pytest.approx(-((2 * math.pi) ** 2), rel=1e-15)
 
-    def test_pad_rejects_shrinking(self):
-        s = elliptic.CosineSeries(np.array([1.0, 2.0, 3.0]))
-        with pytest.raises(DomainError):
-            s.pad(1)
+
+def test_branch_point_certifies_one_truncation(monkeypatch):
+    # lambda and the profile are cut at the same K, searched once per point
+    calls, search = [], elliptic.default_truncation
+    monkeypatch.setattr(elliptic, "default_truncation", lambda h, tol: calls.append(h) or search(h, tol))
+    bp = elliptic.branch_point(2, 0.1)
+    assert calls == [0.1]
+    assert bp.profile.K == 2 * search(0.1)

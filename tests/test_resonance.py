@@ -57,15 +57,13 @@ def test_enlarged_bound_finds_nothing_new():
 
 def test_every_certificate_holds_all_three_orders():
     for n in (1, 4, 5, 8):
-        for d in (1, n):
-            cert = resonance.identical_resonance_check(n, d)
-            assert sorted(cert.survivors) == list(resonance.ORDERS) == [0, 1, 2]
-            assert cert.witnesses is cert.survivors[2]
+        cert = resonance.identical_resonance_check(n)
+        assert sorted(cert.survivors) == list(resonance.ORDERS) == [0, 1, 2]
+        assert cert.witnesses is cert.survivors[2]
 
 
 def test_block_size_validation():
-    with pytest.raises(DomainError):
-        resonance.identical_resonance_check(3, d=4)
+    # the block is the whole unstable block of branch n, so n alone is checked
     with pytest.raises(DomainError):
         resonance.identical_resonance_check(0)
 

@@ -54,18 +54,16 @@ def test_every_err_target_defaults_to_one_constant():
 SETTABLE = {
     "__init__.py": (),
     "cli.py": ("_positive_int.low", "main.argv"),
-    "elliptic.py": ("default_truncation.tail_tol", "lambda_of_h.tail_tol",
-                    "equilibrium_profile.tail_tol", "branch_point.tail_tol"),
+    "elliptic.py": ("default_truncation.tail_tol", "branch_point.tail_tol"),
     "errors.py": ("__init__.subsets",),
-    "evolve.py": ("constant_field.basis", "constant_field.N", "constant_field.theta",
-                  "cosine_field.N", "cosine_field.theta", "monochromatic_field.N",
+    "evolve.py": ("constant_field.N", "constant_field.theta", "cosine_field.N", "monochromatic_field.N",
                   "_advance.err_target", "_advance.norm_threshold", "_advance.on_accept",
                   "detect_blowup.norm_threshold", "detect_blowup.err_target",
                   "schrodinger_evolve.err_target", "heteroclinic_shoot.N", "heteroclinic_shoot.r_max",
                   "heteroclinic_shoot.err_target", "analyticity_boundary.r_cap",
-                  "analyticity_boundary.err_target", "values.M"),
+                  "analyticity_boundary.err_target"),
     "portraits.py": ("ev.j",),
-    "resonance.py": ("identical_resonance_check.d", "pythagorean_worst_cases.count"),
+    "resonance.py": ("pythagorean_worst_cases.count",),
     "scalar_ode.py": ("integrate.t_eval_per_unit",),
     "spectrum.py": ("eigen.N", "homogeneous_spectrum.count", "homogeneous_spectrum.equilibrium"),
     "waves.py": ("soliton_poles.count",),
@@ -99,6 +97,8 @@ def test_settable_values_do_not_grow():
 #: a test compares other code against
 REFERENCES = {
     "elliptic.rescale": "the exact scaling w -> m^2 w(m x) that branch m is checked against",
+    "evolve.ComplexField.sup_norm": "the bit-exact sup norm that the batched history's sup is checked against",
+    "portraits.ChordDiagram.rotate": "the rotation whose least code canonical_code is checked against",
     "portraits.chord_to_tree": "half of the tree-chord bijection that cross-checks the census",
     "portraits.tree_to_chord": "the other half of that bijection",
     "scalar_ode.quadratic_orbit": "the closed form -tanh t that integrate is checked against",
@@ -124,25 +124,36 @@ def _mentions(tree):
 
 
 def test_every_public_name_has_a_caller():
-    # a public function or class that only tests reach is dead code with a
-    # test around it; it needs a caller in src/, demos/ or bench/, a README
-    # entry, or a place among the REFERENCES
+    # a public function, class, method or property that only tests reach is
+    # dead code with a test around it; it needs a caller in src/, demos/ or
+    # bench/, a README entry, or a place among the REFERENCES.  Names are
+    # matched as words, so a member that shares its name with another is
+    # taken as called
     root = SRC.parents[1]
     outside = set()
     for path in sorted((root / "demos").glob("*.py")) + sorted((root / "bench").glob("*.py")):
         outside |= _mentions(ast.parse(path.read_text()))
     readme = set(re.findall(r"\w+", (root / "README.md").read_text()))
     modules = {path.stem: ast.parse(path.read_text()).body for path in SRC.glob("*.py")}
-    # what each top-level statement of src/ names, so a definition's own body is left out
-    named = [(node, _mentions(node)) for body in modules.values() for node in body]
-    uncalled = []
+    # what each top-level statement of src/ names, so a definition's own body
+    # is left out; for members, each statement of a class body on its own
+    tops = [node for body in modules.values() for node in body]
+    named = [(node, _mentions(node)) for node in tops]
+    named_in_class = [(m, _mentions(m)) for node in tops if isinstance(node, ast.ClassDef) for m in node.body]
+    named_in_class += [(node, names) for node, names in named if not isinstance(node, ast.ClassDef)]
+    public = []
     for stem, body in sorted(modules.items()):
         for node in body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            in_src = any(node.name in names for other, names in named if other is not node)
-            if not (in_src or node.name in outside or node.name in readme):
-                uncalled.append(f"{stem}.{node.name}")
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                public.append((f"{stem}.{node.name}", node, named))
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                public += [(f"{stem}.{node.name}.{m.name}", m, named_in_class) for m in node.body
+                           if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+    uncalled = []
+    for qualname, node, units in public:
+        in_src = any(node.name in names for other, names in units if other is not node)
+        if not (in_src or node.name in outside or node.name in readme):
+            uncalled.append(qualname)
     assert sorted(uncalled) == sorted(REFERENCES), (
         f"no caller outside tests: {sorted(set(uncalled) - set(REFERENCES))}; "
         f"references that have one now: {sorted(set(REFERENCES) - set(uncalled))}")

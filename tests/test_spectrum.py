@@ -86,7 +86,7 @@ def test_homogeneous_state_at_a_huge_lambda(lam):
 
 
 def test_assemble_operator_is_symmetric():
-    prof = elliptic.equilibrium_profile(2, 0.06)
+    prof = elliptic.branch_point(2, 0.06).profile
     M = spectrum.assemble_operator(prof, 64)
     assert np.allclose(M, M.T, atol=0.0)
 
@@ -101,14 +101,14 @@ def test_assemble_operator_constant_profile_is_diagonal():
 
 
 def test_assemble_operator_needs_room_for_products():
-    prof = elliptic.equilibrium_profile(1, 0.1)
+    prof = elliptic.branch_point(1, 0.1).profile
     with pytest.raises(DomainError):
         spectrum.assemble_operator(prof, prof.K + 1)
 
 
 def test_eigen_needs_room_for_products():
     # eigen assembles only the 2N matrix, which would have room at N = 2K - 1
-    prof = elliptic.equilibrium_profile(1, 0.1)
+    prof = elliptic.branch_point(1, 0.1).profile
     with pytest.raises(DomainError, match="need N >= 2K"):
         spectrum.eigen(prof, N=2 * prof.K - 1)
 
@@ -158,12 +158,12 @@ def test_eigen_assembly_is_the_leading_columns_of_the_index_formula(n, h):
 @pytest.mark.parametrize("n,h", [(1, 0.05), (2, 0.05), (3, 0.08), (4, 0.02),
                                  (5, 0.02), (6, 0.02)])
 def test_morse_index_along_branches(n, h):
-    rep = spectrum.eigen(elliptic.equilibrium_profile(n, h))
+    rep = spectrum.eigen(elliptic.branch_point(n, h).profile)
     assert rep.morse_index == n
 
 
 def test_eigen_report_shapes_and_refinement():
-    prof = elliptic.equilibrium_profile(2, 0.05)
+    prof = elliptic.branch_point(2, 0.05).profile
     rep = spectrum.eigen(prof)
     assert rep.eigenvalues.shape == (rep.N,)
     assert len(rep.eigenvectors) == rep.N
@@ -172,7 +172,7 @@ def test_eigen_report_shapes_and_refinement():
 
 
 def test_eigenvectors_satisfy_rayleigh_quotient():
-    prof = elliptic.equilibrium_profile(1, 0.08)
+    prof = elliptic.branch_point(1, 0.08).profile
     rep = spectrum.eigen(prof)
     M = spectrum.assemble_operator(prof, rep.N)
     for j in (0, 1, 5):
@@ -186,7 +186,7 @@ def test_eigenvectors_satisfy_rayleigh_quotient():
 
 
 def test_eigenvector_sign_convention_is_deterministic():
-    prof = elliptic.equilibrium_profile(1, 0.05)
+    prof = elliptic.branch_point(1, 0.05).profile
     a = spectrum.eigen(prof).eigenvectors[0].coeffs
     b = spectrum.eigen(prof, N=64).eigenvectors[0].coeffs
     k = int(np.argmax(np.abs(a)))
@@ -242,7 +242,7 @@ def test_mu2_fractions_match_extrapolated_galerkin_spectra():
 def _defect_slope(n, k, hs):
     defects = []
     for h in hs:
-        rep = spectrum.eigen(elliptic.equilibrium_profile(n, h))
+        rep = spectrum.eigen(elliptic.branch_point(n, h).profile)
         predicted = spectrum.perturbation_mu(n, k, h)
         defects.append(abs(rep.eigenvalues[k] - predicted))
     return np.polyfit(np.log(hs), np.log(defects), 1)[0]
@@ -271,7 +271,7 @@ def test_perturbation_mu_at_h_zero_is_homogeneous():
 
 def test_spectrum_interlaces_branch_index():
     # exactly n positive eigenvalues, and the (n+1)st is strictly negative
-    rep = spectrum.eigen(elliptic.equilibrium_profile(3, 0.05))
+    rep = spectrum.eigen(elliptic.branch_point(3, 0.05).profile)
     assert rep.eigenvalues[2] > 0 > rep.eigenvalues[3]
 
 
@@ -285,7 +285,7 @@ def test_refinement_failure_surfaces_as_convergence_error():
 
 
 def test_default_truncation_converges_for_moderate_moduli():
-    rep = spectrum.eigen(elliptic.equilibrium_profile(4, 0.08))
+    rep = spectrum.eigen(elliptic.branch_point(4, 0.08).profile)
     assert rep.morse_index == 4
 
 
@@ -435,7 +435,7 @@ def test_every_exact_workload_spectrum_certifies_below_1e_12():
 
 
 def test_eigenvectors_read_like_a_sequence():
-    rep = spectrum.eigen(elliptic.equilibrium_profile(1, 0.05))
+    rep = spectrum.eigen(elliptic.branch_point(1, 0.05).profile)
     vecs = rep.eigenvectors
     n = len(vecs)
     assert n == rep.N

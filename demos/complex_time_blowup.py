@@ -36,17 +36,16 @@ def main():
           f"w(0) -> {rec.final_state.at_zero().real:+.9f} "
           f"(-tanh(6) = {-math.tanh(6.0):+.9f})")
 
-    vert = evolve.detect_blowup(
-        evolve.constant_field(0.0, N=32, theta=-math.pi / 2), 6.0, 1.0)
+    zero = evolve.constant_field(0.0, N=32).coeffs
+    vert = evolve.detect_blowup(evolve.ComplexField(zero, theta=-math.pi / 2), 6.0, 1.0)
     print(f"vertical ray from 0: diverged={vert.diverged}, "
           f"r* >= {vert.r_star_lower:.6f} (pole at pi/12 = {math.pi / 12:.6f})")
     check("vertical ray", vert.r_star_lower, math.pi / 12)
 
-    down = evolve.heteroclinic_shoot(1, 0.1, "-", N=128, err_target=1e-8)
+    down = evolve.heteroclinic_shoot(1, 0.1, "-", N=128)
     print(f"shoot W_1(0.1) minus: {down.outcome} to {down.target:+.4f} "
           f"at r = {down.captured_r:.3f}, monotone={down.monotone}")
-    up = evolve.heteroclinic_shoot(1, 0.1, "+", N=128, r_max=6.0,
-                                   err_target=1e-8)
+    up = evolve.heteroclinic_shoot(1, 0.1, "+", N=128, r_max=6.0)
     print(f"shoot W_1(0.1) plus:  {up.outcome} with "
           f"r* >= {up.record.r_star_lower:.3f}")
 

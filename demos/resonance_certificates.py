@@ -21,7 +21,7 @@ def main():
         print(f"  n={n:2d}: {cert.verdict}  survivors {sizes}{vac}")
 
     print("\nPell-generated worst cases (a, b, n, d) with a^2 + b^2 = n:")
-    for a, b, n, d in resonance.pythagorean_worst_cases(5):
+    for a, b, n, d in resonance.pythagorean_worst_cases():
         print(f"  a={a:5d} b={b:5d} n={n:8d} d={d:8d}   "
               f"check: {(d - 2) ** 2} + {(d - 1) ** 2} = {n * n}")
 

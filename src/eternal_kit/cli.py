@@ -382,6 +382,8 @@ def _cmd_trees(args):
     if args.codes is not None:
         codes = portraits.enumerate_codes(args.codes)
         return ["d", "code"], [(args.codes, c) for c in codes], {"count": len(codes)}
+    if args.d_min > args.d_max:
+        raise _UsageError(f"argument --d-min: {args.d_min} is past --d-max {args.d_max}")
     degrees = range(args.d_min, args.d_max + 1)
     if not args.enumerate:
         return ["d", "count"], [(d, portraits.count_portraits(d)) for d in degrees], {}

@@ -245,19 +245,19 @@ def _check_modes(N: int) -> None:
         raise DomainError(f"need N >= 2 modes, got N = {N}")
 
 
-def constant_field(value, N: int = 256, theta: float = 0.0) -> ComplexField:
-    """Spatially constant state w(x) = value, in cosine modes."""
+def constant_field(value, N: int = 256) -> ComplexField:
+    """Spatially constant state w(x) = value, in cosine modes, on the real ray."""
     _check_modes(N)
     c = np.zeros(N, dtype=complex)
     c[0] = value
-    return ComplexField(c, NEUMANN_HALF, 0.0, theta)
+    return ComplexField(c)
 
 
-def cosine_field(series, N: int = 256) -> ComplexField:
-    """Embed a CosineSeries (or raw cosine coefficients) in an N-mode state,
-    dropping a negligible tail past N (see EMBED_TAIL_TOL)."""
+def cosine_field(series: CosineSeries, N: int = 256) -> ComplexField:
+    """Embed a CosineSeries in an N-mode state on the real ray, dropping a
+    negligible tail past N (see EMBED_TAIL_TOL)."""
     _check_modes(N)
-    coeffs = series.coeffs if isinstance(series, CosineSeries) else np.asarray(series)
+    coeffs = series.coeffs
     if len(coeffs) > N:
         # past mode 0 each cosine mode weighs 1/4 in the L^2 norm on (0, 1/2)
         tail = math.sqrt(np.sum(np.abs(coeffs[N:]) ** 2) / 4.0)
@@ -782,7 +782,6 @@ def heteroclinic_shoot(
     *,
     N: int = 256,
     r_max: float = 20.0,
-    err_target: float = ERR_TARGET,
 ) -> ShootResult:
     """Shoot from W_n(h) along its fastest unstable direction "+" or "-".
 
@@ -792,7 +791,8 @@ def heteroclinic_shoot(
     comparison principle preserves the initial pointwise ordering) and is
     captured once within H^1 distance 1e-6 of it; the plus sign blows up in
     finite time.  For the minus run the pointwise decrease is monitored on a
-    129-point grid with 1e-8 absolute tolerance (_monotone_samples).
+    129-point grid with 1e-8 absolute tolerance (_monotone_samples).  Both
+    shots run at every ray's ERR_TARGET.
     """
     if not (isinstance(direction, str) and direction in ("+", "-")):
         raise DomainError(f"direction must be '+' or '-' (got {direction!r})")
@@ -820,7 +820,7 @@ def heteroclinic_shoot(
             dist = ComplexField(new.coeffs - target_coeffs, new.basis).h1_norm()
             return not dist < 1e-6
 
-    record = _run(w0, [r_max], bp.lam, err_target=err_target, on_accept=capture)
+    record = _run(w0, [r_max], bp.lam, on_accept=capture)
     final = record.final_state
     captured = record.reason == REASON_CAPTURED
     if minus:

@@ -243,9 +243,6 @@ class PlanarTree:
         if len(seen) != n:
             raise DomainError("tree is not connected")
 
-    def degree(self, v) -> int:
-        return len(self.neighbors[v])
-
 
 def tree_to_chord(tree: PlanarTree) -> ChordDiagram:
     """Contour walk of a planar tree -> canonical noncrossing chord diagram.

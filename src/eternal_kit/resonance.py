@@ -153,19 +153,17 @@ def fast_d_max(n: int) -> int:
     return math.isqrt((n * n - 1) // 2) + 1
 
 
-def pythagorean_worst_cases(count: int = 3) -> list[tuple[int, int, int, int]]:
-    """Extremal (a, b, n, d) where the fast bound fails as tightly as possible.
+def pythagorean_worst_cases() -> list[tuple[int, int, int, int]]:
+    """The first five extremal (a, b, n, d), where the fast bound fails most tightly.
 
     Consecutive Pell pairs (a, b) (5,2), (12,5), (29,12), ... give
     near-isoceles Pythagorean triples n^2 = (a^2-b^2)^2 + (2ab)^2 with legs
     differing by 1; taking d - 1 to be the larger leg lands just outside the
     gap bound: 2 (d-1)^2 = n^2 + (2t+1) for legs t, t+1.
     """
-    if count < 1:
-        raise DomainError("count must be positive")
     out = []
     a, b = 5, 2
-    for _ in range(count):
+    for _ in range(5):
         legs = (a * a - b * b, 2 * a * b)
         n = a * a + b * b
         d = max(legs) + 1

@@ -15,12 +15,12 @@ W = sum w_l cos(2 pi l x) has the exact matrix elements
 (k, l >= 1, k != l), which follow from the product-to-sum identity, so the
 only discretization error is basis truncation.  For the analytic branch
 profiles the coefficients decay geometrically and eigenvalues converge
-superexponentially in N; `eigen` certifies the top eleven by their Ritz
-residuals.  Since w_l = 0 for l > K and N >= 2K, the N kept modes couple
-only to the K modes N .. N + K - 1 past them, so each `eigen` call
-assembles the N + K rows and N columns of those modes from Hankel and
-Toeplitz views of the coefficients.  Its leading N x N block is the N-mode
-matrix byte for byte, and its last K rows give every residual in every
+superexponentially in N; `eigen` certifies the top eleven, and a cluster
+across the eleventh, by their Ritz residuals.  Since w_l = 0 for l > K
+and N >= 2K, the N kept modes couple only to the K modes N .. N + K - 1
+past them, so each `eigen` call assembles the N + K rows and N columns of
+those modes from Hankel and Toeplitz views of the coefficients.  Its
+leading N x N block is the N-mode matrix byte for byte, and its last K rows give every residual in every
 larger truncation.
 
 If the nonzero w_l (l >= 1) all sit on multiples of g, as they do for the
@@ -159,18 +159,20 @@ def eigen(profile: CosineSeries, N: int | None = None) -> SpectrumReport:
     one eigh of the whole N x N block.  Each eigenvector is built from its
     class's block when it is read.
 
-    The top eleven Ritz pairs (theta_i, v_i) are certified against every
-    larger truncation and the operator itself: Cauchy interlacing gives
+    The top t Ritz pairs (theta_i, v_i) are certified against every larger
+    truncation and the operator itself, with t = 11 carried on through every
+    gap below DEGENERACY_TOL (W_n's n spikes at large h split its top n
+    eigenvalues by less than 1e-9): Cauchy interlacing gives
     lambda_i >= theta_i, and Kahan's theorem for a Rayleigh-Ritz block
     (Parlett, The Symmetric Eigenvalue Problem, 11.5) gives
-    lambda_i - theta_i <= ||R||_2 with R = fine[N:, :N] @ V[:, :11]
+    lambda_i - theta_i <= ||R||_2 with R = fine[N:, :N] @ V[:, :t]
     (formed class by class, as fine[N:, class] @ V[class, :]), once
-    the operator restricted to the complement of those eleven Ritz vectors
-    has no eigenvalue above theta_11.  That separation
+    the operator restricted to the complement of those t Ritz vectors
+    has no eigenvalue above theta_t.  That separation
     is checked without a solve: the modes past N lie below
     d = 12 (w_0 + sum_{l>=1} |w_l|) - (2 pi N)^2, and with c_j the coupling
-    ||fine[N:, :N] v_j|| of Ritz vector j > 11 it suffices that
-    sum_j c_j^2 / (theta_11 - theta_j) <= theta_11 - d.
+    ||fine[N:, :N] v_j|| of Ritz vector j > t it suffices that
+    sum_j c_j^2 / (theta_t - theta_j) <= theta_t - d.
     ||R||_2 is reported as `refinement_defect` and must stay under
     REFINEMENT_TOL plus the roundoff floor 16 eps max|diag| over the N + K
     modes, else
@@ -208,7 +210,10 @@ def eigen(profile: CosineSeries, N: int | None = None) -> SpectrumReport:
     vals = vals[order]
     coupling = np.concatenate(coupling, axis=1)[:, order]
 
+    gaps = np.abs(np.diff(vals))
     top = min(11, N)
+    while top < N and gaps[top - 1] < DEGENERACY_TOL:     # a gap this small separates nothing
+        top += 1
     defect = float(np.linalg.norm(coupling[:, :top], 2)) if K else 0.0
     # past the N kept modes the diagonal of the N + K truncation is
     # 12 w_0 - (2 pi k)^2, since w_2k = 0 there
@@ -220,8 +225,8 @@ def eigen(profile: CosineSeries, N: int | None = None) -> SpectrumReport:
             f"top Ritz residual {defect:.3e} at N = {N} exceeds the "
             f"truncation tolerance; increase N"
         )
-    # separation: the Ritz vectors past the top eleven, coupled to modes that
-    # lie below fine_top, must not lift the discarded spectrum above theta_11
+    # separation: the Ritz vectors past the top block, coupled to modes that
+    # lie below fine_top, must not lift the discarded spectrum above its last
     c2 = np.sum(coupling[:, top:] ** 2, axis=0)
     coupled = c2 > 0.0
     with np.errstate(divide="ignore"):
@@ -232,10 +237,7 @@ def eigen(profile: CosineSeries, N: int | None = None) -> SpectrumReport:
             f"modes past N = {N} may hold eigenvalues above the top {top}; increase N"
         )
 
-    gaps = np.abs(np.diff(vals))
-    degenerate = [
-        (i, i + 1, float(gaps[i])) for i in np.nonzero(gaps < DEGENERACY_TOL)[0]
-    ]
+    degenerate = [(i, i + 1, float(gaps[i])) for i in np.nonzero(gaps < DEGENERACY_TOL)[0]]
 
     return SpectrumReport(
         eigenvalues=vals,

@@ -60,9 +60,9 @@ def soliton(xi):
     return vals
 
 
-def soliton_poles(count: int = 3) -> list[complex]:
-    """First few poles on the positive imaginary axis: i pi sqrt2 (m + 1/2)."""
-    return [1j * math.pi * math.sqrt(2.0) * (m + 0.5) for m in range(count)]
+def soliton_poles() -> list[complex]:
+    """First three poles on the positive imaginary axis: i pi sqrt2 (m + 1/2)."""
+    return [1j * math.pi * math.sqrt(2.0) * (m + 0.5) for m in range(3)]
 
 
 @dataclass

@@ -48,7 +48,7 @@ def test_c01_no_identical_resonance():
 
 def test_c02_pythagorean_worst_cases():
     """First worst-case tuples are exact and obey the defining identity."""
-    cases = resonance.pythagorean_worst_cases(3)
+    cases = resonance.pythagorean_worst_cases()
     assert cases[0] == (5, 2, 29, 22)
     assert cases[1] == (12, 5, 169, 121)
     for a, b, n, d in cases:
@@ -136,13 +136,12 @@ def test_c06_scalar_ode_closed_forms():
 def test_c07_blowup_heteroclinic_dichotomy():
     """The two unstable directions at W_1(0.1) split into a monotone
     heteroclinic and a finite-time blow-up."""
-    down = evolve.heteroclinic_shoot(1, 0.1, "-", N=128, err_target=1e-8)
+    down = evolve.heteroclinic_shoot(1, 0.1, "-", N=128)
     assert down.outcome == "converged"
     assert down.final_distance < 1e-6
     assert down.monotone
 
-    up = evolve.heteroclinic_shoot(1, 0.1, "+", N=128, r_max=6.0,
-                                   err_target=1e-8)
+    up = evolve.heteroclinic_shoot(1, 0.1, "+", N=128, r_max=6.0)
     assert up.outcome == "blowup"
     assert up.record is not None and up.record.diverged
     assert math.isfinite(up.record.r_star_lower)
@@ -152,7 +151,7 @@ def test_c07_blowup_heteroclinic_dichotomy():
 def test_c08_schrodinger_structure():
     """Vertical rays are conjugate-reversible and monochromatic data is
     1/(2 pi) periodic."""
-    psi0 = evolve.cosine_field([0.3, 0.2 + 0.1j, 0.05j], N=64)
+    psi0 = evolve.cosine_field(elliptic.CosineSeries([0.3, 0.2 + 0.1j, 0.05j]), N=64)
     fwd = evolve.schrodinger_evolve(psi0.conjugate(), [0.05], 3.0,
                                     err_target=1e-9)
     bwd = evolve.schrodinger_evolve(psi0, [-0.05], 3.0, err_target=1e-9)
@@ -163,7 +162,7 @@ def test_c08_schrodinger_structure():
     period = 1.0 / (2.0 * math.pi)
     mono = evolve.monochromatic_field(amp, N=64)
     run = evolve.schrodinger_evolve(mono, [period], 0.0, err_target=1e-8)
-    assert run.status == evolve.REASON_HORIZON
+    assert run.reason == evolve.REASON_HORIZON
     back = run.fields[0].coeffs - mono.coeffs
     assert evolve.ComplexField(back, mono.basis).h1_norm() < 1e-6
 

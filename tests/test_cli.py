@@ -395,6 +395,16 @@ class TestExitCodes:
         assert err.startswith("domain error: ") and "norm_threshold" in err
 
     @pytest.mark.parametrize("argv", [
+        ["trees", "--d-min", "5", "--d-max", "3"],
+        ["trees", "--d-min", "5", "--d-max", "3", "--enumerate"],
+    ])
+    def test_empty_degree_range_is_a_usage_error(self, argv):
+        rc, out, err = run_cli(argv)
+        assert rc == 64
+        assert out == ""
+        assert err == "usage error: argument --d-min: 5 is past --d-max 3\n"
+
+    @pytest.mark.parametrize("argv", [
         ["trees", "--d-max", "17", "--enumerate"],
         ["trees", "--codes", "17"],
     ])
@@ -753,6 +763,14 @@ class TestSubcommandSmoke:
         assert rc == 0
         _, rows = parse_csv(out)
         assert all(math.isfinite(float(r["mu"])) and int(r["morse_index"]) > 0 for r in rows)
+
+    def test_spectrum_on_a_high_index_branch(self):
+        # W_25(0.5): its top 13 eigenvalues agree to 1e-9, across the eleventh
+        rc, out, err = run_cli(["spectrum", "--n", "25", "--h", "0.5", "--count", "26"])
+        assert rc == 0, err
+        _, rows = parse_csv(out)
+        assert [float(r["mu"]) > 0.0 for r in rows] == [True] * 25 + [False]
+        assert all(r["morse_index"] == "25" for r in rows)
 
     def test_spectrum_at_lambda_zero(self):
         rc, out, _ = run_cli(["spectrum", "--lambda", "0", "--count", "3"])

@@ -41,7 +41,7 @@ class TestComplexField:
 
     def test_values_match_direct_cosine_sum(self):
         coeffs = np.array([0.5, -0.2, 0.0, 0.1 + 0.05j])
-        f = evolve.cosine_field(coeffs, N=16)
+        f = evolve.cosine_field(elliptic.CosineSeries(coeffs), N=16)
         M = 4 * f.N
         vals = f.values()
         x = np.arange(M) / M
@@ -59,7 +59,7 @@ class TestComplexField:
         assert grad == pytest.approx(2.0 * math.pi * abs(a), rel=1e-14)
 
     @pytest.mark.parametrize("make", [
-        lambda: evolve.cosine_field([0.3, 0.2 + 0.1j, -0.05j], N=16),
+        lambda: evolve.cosine_field(elliptic.CosineSeries([0.3, 0.2 + 0.1j, -0.05j]), N=16),
         lambda: evolve.monochromatic_field(0.4 + 0.3j, N=16),
     ])
     def test_conjugate_is_pointwise(self, make):
@@ -75,7 +75,7 @@ class TestComplexField:
         g = evolve.cosine_field(prof, N=64)
         assert np.allclose(g.coeffs[: len(prof.coeffs)], prof.coeffs)
         with pytest.raises(DomainError):
-            evolve.cosine_field(np.ones(20), N=8)
+            evolve.cosine_field(elliptic.CosineSeries(np.ones(20)), N=8)
         m = evolve.monochromatic_field(1.0, N=16)
         assert m.basis == evolve.PERIODIC_UNIT and m.theta == -math.pi / 2
 
@@ -94,17 +94,18 @@ class TestComplexField:
         # relative size 5e-14 are dropped, of 2e-13 refused
         head = [1.0, 0.5] + [0.0] * 6
         whole = math.sqrt(1.0 / 2.0 + 0.25 / 4.0)
-        f = evolve.cosine_field(np.array(head + [1e-13 * whole]), N=8)
+        f = evolve.cosine_field(elliptic.CosineSeries(head + [1e-13 * whole]), N=8)
         assert np.array_equal(f.coeffs, head)
         with pytest.raises(DomainError):
-            evolve.cosine_field(np.array(head + [4e-13 * whole]), N=8)
+            evolve.cosine_field(elliptic.CosineSeries(head + [4e-13 * whole]), N=8)
         with pytest.raises(DomainError):
-            evolve.cosine_field(np.ones(20), N=0)
+            evolve.cosine_field(elliptic.CosineSeries(np.ones(20)), N=0)
 
     def test_sectorial_flag(self):
-        assert evolve.constant_field(0.0, theta=0.0).sectorial
-        assert evolve.constant_field(0.0, theta=1.0).sectorial
-        assert not evolve.constant_field(0.0, theta=-math.pi / 2).sectorial
+        zero = evolve.constant_field(0.0).coeffs
+        assert evolve.ComplexField(zero, theta=0.0).sectorial
+        assert evolve.ComplexField(zero, theta=1.0).sectorial
+        assert not evolve.ComplexField(zero, theta=-math.pi / 2).sectorial
 
 
 class TestStep:
@@ -137,7 +138,7 @@ class TestStep:
 
     def test_fixed_step_order_about_four(self):
         def run(nsteps):
-            u = evolve.cosine_field([0.2, 0.1, 0.05], N=32).coeffs[None]
+            u = evolve.cosine_field(elliptic.CosineSeries([0.2, 0.1, 0.05]), N=32).coeffs[None]
             dr = 0.1 / nsteps
             for _ in range(nsteps):
                 u = evolve.step(u, evolve.NEUMANN_HALF, 0.0, (dr,), 4.0)
@@ -190,7 +191,7 @@ class TestTables:
 
         monkeypatch.setattr(evolve, "step", counted)
         before = evolve._etdrk4_tables.cache_info()
-        evolve._run([evolve.constant_field(1.0, N=8), evolve.cosine_field([0.5, 0.2], N=8)],
+        evolve._run([evolve.constant_field(1.0, N=8), evolve.cosine_field(elliptic.CosineSeries([0.5, 0.2]), N=8)],
                     [0.02, 0.05], 0.0)
         evolve.detect_blowup(evolve.constant_field(1.5, N=8), 6.0, 0.2)
         after = evolve._etdrk4_tables.cache_info()
@@ -258,7 +259,7 @@ class TestSquareCalls:
         evolve.step(u, basis, 0.3, (1e-3, 2e-3), 2.0)
         assert squares == [4]
 
-    @pytest.mark.parametrize("ray", [evolve.cosine_field([1.0, 0.4, 0.1j], N=16),
+    @pytest.mark.parametrize("ray", [evolve.cosine_field(elliptic.CosineSeries([1.0, 0.4, 0.1j]), N=16),
                                      evolve.monochromatic_field(0.5, N=16),
                                      evolve.constant_field(1.5, N=16)],
                              ids=["cosine", "circle", "collapse"])
@@ -361,8 +362,8 @@ class TestHistorySup:
 
     @staticmethod
     def _rays():
-        return [evolve.cosine_field([1.0, 0.4, 0.1j], N=16),
-                evolve.cosine_field([0.5, 0.2j, 0.1], N=16),
+        return [evolve.cosine_field(elliptic.CosineSeries([1.0, 0.4, 0.1j]), N=16),
+                evolve.cosine_field(elliptic.CosineSeries([0.5, 0.2j, 0.1]), N=16),
                 evolve.constant_field(1.5, N=16)]
 
     @staticmethod
@@ -428,7 +429,7 @@ class TestHistoryBytes:
 class TestNonConstantBytes:
     # Constant data never leaves mode 0, so the CLI goldens of constant runs
     # do not see the quadratic product on other modes; these digests do.
-    DATA = [0.3, 0.2 + 0.1j, 0.05j]
+    DATA = elliptic.CosineSeries([0.3, 0.2 + 0.1j, 0.05j])
 
     @staticmethod
     def _digest(run):
@@ -473,9 +474,9 @@ class TestStack:
 
     @staticmethod
     def _rays():
-        return [evolve.constant_field(1.5, N=16),                 # NORM_THRESHOLD near 0.134
-                evolve.cosine_field([2.0, 0.5, 0.2j], N=16),      # NORM_THRESHOLD near 0.09
-                evolve.cosine_field([1.0, 0.4, 0.1j], N=16)]      # HORIZON at 0.3
+        return [evolve.constant_field(1.5, N=16),                                    # NORM_THRESHOLD near 0.134
+                evolve.cosine_field(elliptic.CosineSeries([2.0, 0.5, 0.2j]), N=16),  # NORM_THRESHOLD near 0.09
+                evolve.cosine_field(elliptic.CosineSeries([1.0, 0.4, 0.1j]), N=16)]  # HORIZON at 0.3
 
     @staticmethod
     def _assert_same_run(run, alone):
@@ -514,9 +515,9 @@ class TestStack:
         # ends with the bytes of its run alone
         stops = [0.1, 0.3]
         rays = [evolve.ComplexField(ray.coeffs, ray.basis, theta=-math.pi / 2) for ray in
-                (evolve.constant_field(0.0, N=16),                # i tan(6 s): NORM_THRESHOLD near pi / 12
-                 evolve.cosine_field([1.0, 0.4, 0.1j], N=16),     # HORIZON at 0.3
-                 evolve.constant_field(1.5, N=16))]               # HORIZON at 0.3, on its closed form
+                (evolve.constant_field(0.0, N=16),                                    # i tan(6 s): NORM_THRESHOLD near pi / 12
+                 evolve.cosine_field(elliptic.CosineSeries([1.0, 0.4, 0.1j]), N=16),  # HORIZON at 0.3
+                 evolve.constant_field(1.5, N=16))]                                   # HORIZON at 0.3, on its closed form
         stacked = evolve._run(rays, stops, 6.0, norm_threshold=1e4)
         assert [run.reason for run in stacked] == [
             evolve.REASON_NORM, evolve.REASON_HORIZON, evolve.REASON_HORIZON]
@@ -529,7 +530,8 @@ class TestStack:
             self._assert_same_run(run, evolve._run(ray, stops, 6.0, norm_threshold=1e4))
 
     def test_stack_must_share_its_ray(self):
-        rays = [evolve.constant_field(0.5, N=16), evolve.constant_field(0.5, N=16, theta=0.3)]
+        flat = evolve.constant_field(0.5, N=16)
+        rays = [flat, evolve.ComplexField(flat.coeffs, theta=0.3)]
         with pytest.raises(DomainError):
             evolve._run(rays, 0.1, 0.0)
 
@@ -562,7 +564,7 @@ class TestDetectBlowup:
         # Along theta = -pi/2 the constant flow is i tan(6 s): a pole at
         # s = pi / 12 that the step controller pins to a few 1e-5.
         rec = evolve.detect_blowup(
-            evolve.constant_field(0.0, N=32, theta=-math.pi / 2), 6.0, 1.0)
+            evolve.ComplexField(evolve.constant_field(0.0, N=32).coeffs, theta=-math.pi / 2), 6.0, 1.0)
         assert rec.diverged
         assert not rec.sectorial
         assert rec.r_star_lower <= math.pi / 12.0
@@ -674,7 +676,7 @@ class TestOverflowRuns:
         "constant 2 + 0.3i, lambda 1": lambda t: [
             evolve.detect_blowup(evolve.constant_field(2.0 + 0.3j, N=16), 1.0, 1.0, norm_threshold=t)],
         "stack at lambda 3": lambda t: evolve._run(
-            [evolve.cosine_field([1.0, 0.4, 0.1j], N=16), evolve.constant_field(1.2, N=16)],
+            [evolve.cosine_field(elliptic.CosineSeries([1.0, 0.4, 0.1j]), N=16), evolve.constant_field(1.2, N=16)],
             [1.0], 3.0, norm_threshold=t),
     }
     WANT = {
@@ -725,7 +727,7 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("run", sorted(RUNS))
     def test_is_a_domain_error(self, run, data, lam):
         with pytest.raises(DomainError):
-            self.RUNS[run](evolve.cosine_field(data, N=8), lam)
+            self.RUNS[run](evolve.cosine_field(elliptic.CosineSeries(data), N=8), lam)
 
 
 class TestHorizons:
@@ -767,13 +769,13 @@ class TestSchrodinger:
     def test_reversibility(self):
         # Conjugating the data and running forward equals conjugating the
         # backward run.
-        psi0 = evolve.cosine_field([0.3, 0.2 + 0.1j, 0.05j], N=64)
+        psi0 = evolve.cosine_field(elliptic.CosineSeries([0.3, 0.2 + 0.1j, 0.05j]), N=64)
         fwd = evolve.schrodinger_evolve(psi0.conjugate(), [0.05], 3.0,
                                         err_target=1e-9)
         bwd = evolve.schrodinger_evolve(psi0, [-0.05], 3.0, err_target=1e-9)
-        assert fwd.status == bwd.status == evolve.REASON_HORIZON
-        assert fwd.s_reached == pytest.approx(0.05)
-        assert bwd.s_reached == pytest.approx(-0.05)
+        assert fwd.reason == bwd.reason == evolve.REASON_HORIZON
+        assert fwd.final_state.r == pytest.approx(0.05) and fwd.final_state.theta == -math.pi / 2
+        assert bwd.final_state.r == pytest.approx(0.05) and bwd.final_state.theta == math.pi / 2
         diff = fwd.fields[0].coeffs - bwd.fields[0].conjugate().coeffs
         assert evolve.ComplexField(diff, psi0.basis).h1_norm() < 1e-9
 
@@ -804,12 +806,13 @@ class TestSchrodinger:
         # from zero at lambda = 6 the vertical ray is i tan(6 s), with a pole at pi / 12
         run = evolve.schrodinger_evolve(evolve.constant_field(0.0, N=32),
                                         [0.2, 0.3], 6.0)
-        assert run.status == evolve.REASON_NORM
+        assert run.reason == evolve.REASON_NORM
         assert len(run.fields) == 1
         assert run.fields[0].r == pytest.approx(0.2)
-        assert 0.0 <= math.pi / 12.0 - run.s_reached < 1e-8
+        assert run.final_state.theta == -math.pi / 2
+        assert 0.0 <= math.pi / 12.0 - run.final_state.r < 1e-8
         w = abs(run.final_state.at_zero())
-        assert abs(math.pi / 12.0 - run.s_reached - math.atan(1.0 / w) / 6.0) < 1e-12
+        assert abs(math.pi / 12.0 - run.final_state.r - math.atan(1.0 / w) / 6.0) < 1e-12
 
 
 def _vertical_constant(w0, lam, s):
@@ -836,7 +839,8 @@ class TestVerticalRayOracles:
         for w0, lam in ((1.5, 6.0), (0.5, 0.0), (2.0 + 0.3j, 1.0))
     ], ids=["lambda6", "lambda0", "complex", "lambda6-default", "lambda0-default", "complex-default"])
     def test_constant_data_meets_the_closed_form(self, w0, lam, kw, tol):
-        run = evolve._run(evolve.constant_field(w0, N=16, theta=-math.pi / 2), [0.1, 0.2, 0.3], lam, **kw)
+        up = evolve.ComplexField(evolve.constant_field(w0, N=16).coeffs, theta=-math.pi / 2)
+        run = evolve._run(up, [0.1, 0.2, 0.3], lam, **kw)
         assert run.reason == evolve.REASON_HORIZON and len(run.fields) == 3
         for f in run.fields:
             exact = _vertical_constant(w0, lam, f.r)
@@ -877,7 +881,7 @@ class TestHeteroclinicShoot:
                 evolve.heteroclinic_shoot(1, 0.05, direction)
 
     def test_minus_direction_descends_to_constant(self):
-        res = evolve.heteroclinic_shoot(1, 0.05, "-", N=128, err_target=1e-8)
+        res = evolve.heteroclinic_shoot(1, 0.05, "-", N=128)
         assert res.direction == -1
         assert res.outcome == "converged"
         assert res.captured_r is not None and 0.0 < res.captured_r < 20.0
@@ -889,14 +893,14 @@ class TestHeteroclinicShoot:
 
     def test_shots_at_small_n_match_the_larger_basis(self):
         # the 92-mode ground state at W_1(0.1) fits 64 modes: its tail there is 1e-25
-        down = [evolve.heteroclinic_shoot(1, 0.1, "-", N=N, err_target=1e-8) for N in (64, 128)]
+        down = [evolve.heteroclinic_shoot(1, 0.1, "-", N=N) for N in (64, 128)]
         assert [d.outcome for d in down] == ["converged"] * 2
         assert down[0].captured_r == pytest.approx(down[1].captured_r, rel=1e-12)
         # the values of a 129 x N cosine table, matched by the grid transform
         assert [d.monotone for d in down] == [True] * 2
-        assert [d.max_increase for d in down] == pytest.approx([-7.41627544252369e-07, -7.416275440300686e-07],
+        assert [d.max_increase for d in down] == pytest.approx([-3.122308973606589e-07, -3.1223089738108257e-07],
                                                                rel=1e-12)
-        up = [evolve.heteroclinic_shoot(1, 0.1, "+", N=N, r_max=6.0, err_target=1e-8) for N in (64, 128)]
+        up = [evolve.heteroclinic_shoot(1, 0.1, "+", N=N, r_max=6.0) for N in (64, 128)]
         assert [u.outcome for u in up] == ["blowup"] * 2
         assert up[0].record.r_star_lower == pytest.approx(up[1].record.r_star_lower, abs=1e-6)
 
@@ -910,8 +914,7 @@ class TestHeteroclinicShoot:
         assert np.max(np.abs(got - table @ c)) < 1e-12 * np.sum(np.abs(c))
 
     def test_plus_direction_blows_up(self):
-        res = evolve.heteroclinic_shoot(1, 0.05, "+", N=128, r_max=6.0,
-                                        err_target=1e-8)
+        res = evolve.heteroclinic_shoot(1, 0.05, "+", N=128, r_max=6.0)
         assert res.direction == 1
         assert res.outcome == "blowup"
         assert res.record is not None and res.record.diverged
@@ -1030,14 +1033,14 @@ class TestBoundaryBytes:
 
     @staticmethod
     def _cosine_scan(N):
-        return evolve.analyticity_boundary(evolve.cosine_field([1.0, 0.4, 0.1j], N=N),
+        return evolve.analyticity_boundary(evolve.cosine_field(elliptic.CosineSeries([1.0, 0.4, 0.1j]), N=N),
                                            [-0.02, 0.0, 0.02, 0.05], 3.0, r_cap=1.0)
 
     @staticmethod
     def _real_leg(N):
         """The scan's s = 0 leg run alone: its peak sup norm, where the peak sits, and
         its final H^1 distance to the stable state -sqrt(lambda / 6)."""
-        leg = evolve.detect_blowup(evolve.cosine_field([1.0, 0.4, 0.1j], N=N), 3.0, 1.0)
+        leg = evolve.detect_blowup(evolve.cosine_field(elliptic.CosineSeries([1.0, 0.4, 0.1j]), N=N), 3.0, 1.0)
         assert leg.reason == evolve.REASON_HORIZON and leg.r_star_lower == 1.0
         sup, r = leg.history["sup"], leg.history["r"]
         stable = evolve.constant_field(-math.sqrt(3.0 / 6.0), N=N).coeffs
@@ -1084,7 +1087,7 @@ class TestRefineCrossing:
 
     def _pole_row_leg(self, norm_threshold):
         a = math.sqrt(self.LAM / 6.0)
-        up = evolve.constant_field(self.W0, N=16, theta=-math.pi / 2)
+        up = evolve.ComplexField(evolve.constant_field(self.W0, N=16).coeffs, theta=-math.pi / 2)
         run = evolve._run(up, math.pi / (6.0 * a), self.LAM, err_target=1e-10)
         assert run.reason == evolve.REASON_HORIZON
         top = run.final_state
@@ -1191,7 +1194,7 @@ class TestEndgame:
         # the same pole again at i pi / (6a): up the vertical ray, then along r
         w0, lam = 1.5, 6.0
         a = math.sqrt(lam / 6.0)
-        up = evolve._run(evolve.constant_field(w0, N=16, theta=-math.pi / 2),
+        up = evolve._run(evolve.ComplexField(evolve.constant_field(w0, N=16).coeffs, theta=-math.pi / 2),
                          math.pi / (6.0 * a), lam, err_target=1e-10)
         assert up.reason == evolve.REASON_HORIZON
         top = up.final_state
@@ -1203,7 +1206,8 @@ class TestEndgame:
         psi, lam = _gamma(0.129)
         runs = [evolve.schrodinger_evolve(psi, [0.1], lam, err_target=tol) for tol in (1e-9, 1e-10, 1e-11)]
         assert [run.reason for run in runs] == [evolve.REASON_NORM] * 3
-        s_star = [run.s_reached for run in runs]
+        assert [run.final_state.theta for run in runs] == [-math.pi / 2] * 3
+        s_star = [run.final_state.r for run in runs]
         assert max(s_star) - min(s_star) < 1e-6
         assert 0.0357 < s_star[0] < 0.0358
 
@@ -1220,27 +1224,28 @@ class TestEndgame:
         psi, lam = _gamma(0.131)
         run = evolve.schrodinger_evolve(psi, [0.045], lam)
         assert run.reason == evolve.REASON_HORIZON
-        assert run.s_reached == 0.045
+        assert run.final_state.r == 0.045 and run.final_state.theta == -math.pi / 2
 
     @pytest.mark.parametrize("err_target", [1e-9, 1e-11])
     def test_complex_start_passes_its_singularity(self, err_target):
         # w0 with a nonzero imaginary part misses the real-time singularity
         # (as w' = 6 w^2 does) and relaxes to the stable state
-        rec = evolve.detect_blowup(evolve.cosine_field([1.0, 0.4, 0.1j], N=16), 3.0, 1.0,
-                                   err_target=err_target)
+        w0 = evolve.cosine_field(elliptic.CosineSeries([1.0, 0.4, 0.1j]), N=16)
+        rec = evolve.detect_blowup(w0, 3.0, 1.0, err_target=err_target)
         assert rec.reason == evolve.REASON_HORIZON
         assert rec.r_star_lower == 1.0
 
     def test_smooth_vertical_ray_at_a_tight_tolerance(self):
-        run = evolve.schrodinger_evolve(evolve.cosine_field([0.3, 0.2 + 0.1j, 0.05j], N=64), [0.05], 3.0,
-                                        err_target=1e-12)
+        psi0 = evolve.cosine_field(elliptic.CosineSeries([0.3, 0.2 + 0.1j, 0.05j]), N=64)
+        run = evolve.schrodinger_evolve(psi0, [0.05], 3.0, err_target=1e-12)
         assert run.reason == evolve.REASON_HORIZON
-        assert run.s_reached == 0.05
+        assert run.final_state.r == 0.05 and run.final_state.theta == -math.pi / 2
 
     @pytest.mark.parametrize("state", [
         evolve.constant_field(1.5, N=16),
         evolve.constant_field(3e4, N=16),
-        evolve.ComplexField(evolve.cosine_field([1.0, 0.4, 0.1j], N=32).coeffs, theta=-math.pi / 2),
+        evolve.ComplexField(evolve.cosine_field(elliptic.CosineSeries([1.0, 0.4, 0.1j]), N=32).coeffs,
+                            theta=-math.pi / 2),
         evolve.monochromatic_field(math.pi ** 2, N=64),
         evolve.cosine_field(elliptic.branch_point(1, 0.1).profile, N=128),
         evolve.ComplexField(evolve.cosine_field(elliptic.branch_point(1, 0.1).profile, N=128).coeffs,
@@ -1292,3 +1297,44 @@ class TestPrincipalSheet:
         shot = evolve.heteroclinic_shoot(1, 0.1, "+", N=64)
         assert shot.outcome == "blowup"
         assert abs(0.05 + sample.r_star - shot.record.r_star_lower) < 1e-6
+
+    # near misses: legs up to s = s_pole - d, then along theta = 0 to arclength
+    # 0.3, peak where they pass the singularity, as d^-a
+    NEAR_MISSES = (1e-3, 5e-4, 2e-4)
+
+    @classmethod
+    def _near_miss_exponents(cls, psi, lam, s_values):
+        """Local exponents of the legs' peak H^1 and sup norms between
+        consecutive d, and the arclength of each leg's H^1 peak."""
+        up = evolve.schrodinger_evolve(psi, s_values, lam)
+        assert up.reason == evolve.REASON_HORIZON
+        h1, sup, where = [], [], []
+        for top in up.fields:
+            leg = evolve.detect_blowup(evolve.ComplexField(top.coeffs.copy(), top.basis), lam, 0.3)
+            assert leg.reason == evolve.REASON_HORIZON
+            h1.append(leg.history["h1"].max())
+            sup.append(leg.history["sup"].max())
+            where.append(leg.history["r"][leg.history["h1"].argmax()])
+        ds = cls.NEAR_MISSES
+
+        def local(peaks):
+            return [math.log(peaks[i + 1] / peaks[i]) / math.log(ds[i] / ds[i + 1]) for i in range(len(ds) - 1)]
+        return local(h1), local(sup), where
+
+    def test_near_misses_see_a_blowup_branch_point(self):
+        # localized blow-up gives 5/4 for H^1 and 1 for sup, up to logarithms;
+        # 1.2457, 1.2464 and 0.9923, 0.9932 here
+        psi, lam = _gamma(0.05, N=64)
+        period = 2.0 * math.pi / self._mu()
+        h1, sup, _ = self._near_miss_exponents(psi, lam, [(0.5 - d) * period for d in self.NEAR_MISSES])
+        assert all(1.2 <= a <= 1.3 for a in h1), h1
+        assert all(0.95 <= a <= 1.02 for a in sup), sup
+
+    def test_near_misses_of_a_pole_give_one(self):
+        # constant 1.5 at lambda = 6 has a simple pole at (ln 5 / 12, pi / 6):
+        # both norms peak as 1 / d there, 1.0000 by this probe
+        s_pole, r_pole = math.pi / 6.0, math.log(5.0) / 12.0
+        h1, sup, where = self._near_miss_exponents(
+            evolve.constant_field(1.5, N=16), 6.0, [s_pole * (1.0 - d) for d in self.NEAR_MISSES])
+        assert all(abs(a - 1.0) <= 0.01 for a in h1 + sup), (h1, sup)
+        assert all(abs(r - r_pole) < 1e-4 for r in where), where

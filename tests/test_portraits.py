@@ -105,8 +105,8 @@ class TestTrace:
         assert [s.target for s in graph.separatrices] == [0, 2, 0, 1]
         assert graph.chord_code == "1010"
         # path on three vertices, source in the middle
-        assert graph.tree.degree(0) == 2
-        assert graph.tree.degree(1) == graph.tree.degree(2) == 1
+        assert len(graph.tree.neighbors[0]) == 2
+        assert len(graph.tree.neighbors[1]) == len(graph.tree.neighbors[2]) == 1
         assert graph.saddle_connections == []
 
     def test_quartic_cyclotomic_is_non_morse(self):
@@ -289,7 +289,7 @@ def test_one_vertex_tree_has_no_chord_diagram():
 
 def test_chord_to_tree_path_example():
     tree = portraits.chord_to_tree(portraits.ChordDiagram.from_code("1010"))
-    assert sorted(tree.degree(v) for v in tree.neighbors) == [1, 1, 2]
+    assert sorted(len(tree.neighbors[v]) for v in tree.neighbors) == [1, 1, 2]
 
 
 def test_planar_tree_validation():

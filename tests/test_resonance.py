@@ -79,7 +79,7 @@ def test_fast_bound_gap_argument():
 
 
 def test_pythagorean_worst_cases_first_tuples():
-    cases = resonance.pythagorean_worst_cases(3)
+    cases = resonance.pythagorean_worst_cases()
     assert cases[0] == (5, 2, 29, 22)
     assert cases[1] == (12, 5, 169, 121)
     assert cases[2] == (29, 12, 985, 698)
@@ -87,7 +87,7 @@ def test_pythagorean_worst_cases_first_tuples():
 
 @pytest.mark.parametrize("count", [1, 4])
 def test_pythagorean_identity_and_tightness(count):
-    for a, b, n, d in resonance.pythagorean_worst_cases(count):
+    for a, b, n, d in resonance.pythagorean_worst_cases()[:count]:
         assert (d - 2) ** 2 + (d - 1) ** 2 == n * n
         assert d >= 1 + n / math.sqrt(2.0)
         # just past the gap bound, by exactly one odd integer

@@ -4,6 +4,7 @@ import ast
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "eternal_kit"
@@ -36,8 +37,7 @@ def test_every_err_target_defaults_to_one_constant():
             pairs += zip(node.args.kwonlyargs, node.args.kw_defaults)
             defaults.update((node.name, ast.unparse(d)) for a, d in pairs if a.arg == "err_target")
     assert defaults == dict.fromkeys(
-        ["_advance", "detect_blowup", "schrodinger_evolve", "heteroclinic_shoot", "analyticity_boundary"],
-        "ERR_TARGET")
+        ["_advance", "detect_blowup", "schrodinger_evolve", "analyticity_boundary"], "ERR_TARGET")
 
     cli = ast.parse((SRC / "cli.py").read_text())
     flags = [call for call in ast.walk(cli) if isinstance(call, ast.Call)
@@ -56,17 +56,16 @@ SETTABLE = {
     "cli.py": ("_positive_int.low", "main.argv"),
     "elliptic.py": ("default_truncation.tail_tol", "branch_point.tail_tol"),
     "errors.py": ("__init__.subsets",),
-    "evolve.py": ("constant_field.N", "constant_field.theta", "cosine_field.N", "monochromatic_field.N",
+    "evolve.py": ("constant_field.N", "cosine_field.N", "monochromatic_field.N",
                   "_advance.err_target", "_advance.norm_threshold", "_advance.on_accept",
                   "detect_blowup.norm_threshold", "detect_blowup.err_target",
                   "schrodinger_evolve.err_target", "heteroclinic_shoot.N", "heteroclinic_shoot.r_max",
-                  "heteroclinic_shoot.err_target", "analyticity_boundary.r_cap",
-                  "analyticity_boundary.err_target"),
+                  "analyticity_boundary.r_cap", "analyticity_boundary.err_target"),
     "portraits.py": ("ev.j",),
-    "resonance.py": ("pythagorean_worst_cases.count",),
+    "resonance.py": (),
     "scalar_ode.py": ("integrate.t_eval_per_unit",),
     "spectrum.py": ("eigen.N", "homogeneous_spectrum.count", "homogeneous_spectrum.equilibrium"),
-    "waves.py": ("soliton_poles.count",),
+    "waves.py": (),
 }
 
 
@@ -128,7 +127,8 @@ def test_every_public_name_has_a_caller():
     # dead code with a test around it; it needs a caller in src/, demos/ or
     # bench/, a README entry, or a place among the REFERENCES.  Names are
     # matched as words, so a member that shares its name with another is
-    # taken as called
+    # taken as called here; test_shared_member_names_name_their_caller
+    # checks those by owner
     root = SRC.parents[1]
     outside = set()
     for path in sorted((root / "demos").glob("*.py")) + sorted((root / "bench").glob("*.py")):
@@ -157,3 +157,59 @@ def test_every_public_name_has_a_caller():
     assert sorted(uncalled) == sorted(REFERENCES), (
         f"no caller outside tests: {sorted(set(uncalled) - set(REFERENCES))}; "
         f"references that have one now: {sorted(set(REFERENCES) - set(uncalled))}")
+
+
+#: owner.member of each public method or property whose name a word match
+#: cannot place (another src/ member has it, or dict, list, str, ndarray or
+#: complex does), with the function outside the tests that reaches it
+SHARED_NAME_CALLERS = {
+    "evolve.ComplexField.N": "evolve._advance",
+    "evolve.ComplexField.sectorial": "evolve._advance",
+    "evolve.ComplexField.values": "evolve.ComplexField.sup_norm",
+    "evolve.ComplexField.conjugate": "bench.workloads.schrodinger_pass",
+    "evolve.ComplexField.copy": "evolve.detect_blowup",
+    "evolve.RayRun.diverged": "evolve.analyticity_boundary",
+    "evolve.RayRun.sectorial": "cli._cmd_evolve",
+    "portraits.DiskField.degree": "portraits.DiskField.saddle_angles",
+    "portraits.DiskField.saddle_angles": "portraits.trace_and_extract",
+    "scalar_ode.PolyField.coeffs": "scalar_ode.integrate",
+    "scalar_ode.PolyField.degree": "scalar_ode.integrate",
+    "scalar_ode.PolyField.eta": "scalar_ode.period_lattice",
+}
+
+
+def _definition(qualname):
+    # "module.Class.function" in src/, or "bench.module.function" and
+    # "demos.module.function" outside it
+    parts = qualname.split(".")
+    if parts[0] in ("bench", "demos"):
+        path, parts = SRC.parents[1] / parts[0] / f"{parts[1]}.py", parts[2:]
+    else:
+        path, parts = SRC / f"{parts[0]}.py", parts[1:]
+    node = ast.parse(path.read_text())
+    for name in parts:
+        node = next(n for n in node.body if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == name)
+    return node
+
+
+def test_shared_member_names_name_their_caller():
+    # a word match takes PlanarTree.degree as called when only PolyField.degree
+    # is; so each member whose name is shared names the function that reaches it
+    members = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.parse(path.read_text()).body:
+            if isinstance(cls, ast.ClassDef):
+                for m in cls.body:
+                    if isinstance(m, ast.FunctionDef):
+                        members.append((f"{path.stem}.{cls.name}", m.name, not cls.name.startswith("_")
+                                        and not m.name.startswith("_")))
+                    elif isinstance(m, ast.AnnAssign) and isinstance(m.target, ast.Name):
+                        members.append((f"{path.stem}.{cls.name}", m.target.id, False))
+    builtin = set().union(*(dir(t) for t in (dict, list, str, np.ndarray, complex)))
+    shared = sorted(f"{owner}.{name}" for owner, name, public in members if public and (
+        name in builtin or any(n == name and o != owner for o, n, _ in members)))
+    assert shared == sorted(SHARED_NAME_CALLERS), (
+        f"unlisted: {sorted(set(shared) - set(SHARED_NAME_CALLERS))}; "
+        f"no longer shared or gone: {sorted(set(SHARED_NAME_CALLERS) - set(shared))}")
+    for member, caller in SHARED_NAME_CALLERS.items():
+        assert caller != member and member.rsplit(".", 1)[1] in _mentions(_definition(caller)), (member, caller)

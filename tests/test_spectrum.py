@@ -461,3 +461,13 @@ def test_rescaled_branch_spectrum_is_n_squared_times_branch_one(n, h):
               if np.abs(v.coeffs[off]).max() < 1e-8][:8]
     err = np.abs(np.array(lifted) - n * n * top) / np.maximum(1.0, np.abs(lifted))
     assert err.max() < 1e-11, err.max()
+
+
+def test_a_degenerate_cluster_across_the_eleventh_eigenvalue_certifies():
+    # the n spikes of W_25(0.5) split its top eigenvalues by less than
+    # DEGENERACY_TOL: theta_11 = theta_12 to the bit, so the certified block
+    # runs on through the cluster instead of dividing by a zero gap
+    rep = spectrum.eigen(elliptic.branch_point(25, 0.5).profile)
+    assert rep.morse_index == 25
+    assert rep.refinement_defect < 1e-14
+    assert (10, 11) in [(i, j) for i, j, _ in rep.degenerate_pairs]

@@ -45,18 +45,18 @@ def test_soliton_first_integral():
 
 
 def test_soliton_complex_evaluation_grows_near_pole():
-    pole = waves.soliton_poles(1)[0]
+    pole = waves.soliton_poles()[0]
     val = waves.soliton(pole + 0.3)
     assert abs(val) > 50
 
 
 def test_soliton_pole_guard():
     with pytest.raises(PoleSignal):
-        waves.soliton(waves.soliton_poles(1)[0])
+        waves.soliton(waves.soliton_poles()[0])
 
 
 def test_soliton_poles_locations():
-    poles = waves.soliton_poles(3)
+    poles = waves.soliton_poles()
     assert poles[0] == pytest.approx(1j * math.pi / SQRT2)
     for p in poles:
         assert abs(cmath.cosh(p / SQRT2)) < 1e-12

@@ -18,19 +18,22 @@ profiles the coefficients decay geometrically and eigenvalues converge
 superexponentially in N; `eigen` certifies the top eleven, and a cluster
 across the eleventh, by their Ritz residuals.  Since w_l = 0 for l > K
 and N >= 2K, the N kept modes couple only to the K modes N .. N + K - 1
-past them, so each `eigen` call assembles the N + K rows and N columns of
-those modes from Hankel and Toeplitz views of the coefficients.  Its
-leading N x N block is the N-mode matrix byte for byte, and its last K rows give every residual in every
+past them.  The leading N x N block of those N + K rows and N columns is
+the N-mode matrix, and their last K rows give every residual in every
 larger truncation.
 
 If the nonzero w_l (l >= 1) all sit on multiples of g, as they do for the
 branch profiles W_n = n^2 W_1(n x) with g = n, then w_{k+l} and w_{|k-l|}
 vanish unless l = +-k (mod g), and the matrix splits into floor(g/2) + 1
-blocks, one per class {k : k = +-r (mod g)}.  `eigen` solves each block
-alone: about g/2 blocks of 2N/g modes, or 4/g^2 of the flops of one
-N x N solve.  For g <= 1 the one block is the whole N x N matrix.  The
-reported eigenvectors, zero off their class, are built from their class's
-block one at a time, when read.
+blocks, one per class {k : k = +-r (mod g)}.  `eigen` builds each class's
+n_c x n_c block, and then its K rows past N, straight from Hankel and
+Toeplitz views of the coefficients, entry for entry the bytes of
+`assemble_operator`, and never forms the (N + K) x N matrix: it holds
+O(sum n_c^2 + K max n_c) floats, about 2 N^2 / g for W_n.  Blocks of one
+size share one stacked eigh: about g/2 blocks of 2N/g modes, or 4/g^2 of
+the flops of one N x N solve.  For g <= 1 the one block is the whole
+N x N matrix.  The reported eigenvectors, zero off their class, are built
+from their class's block one at a time, when read.
 
 At the homogeneous equilibria +-sqrt(lam/6) the matrix is diagonal with
 eigenvalues +-2 sqrt(6 lam) - (2 pi k)^2, reproduced exactly.
@@ -81,27 +84,48 @@ def assemble_operator(profile: CosineSeries, N: int) -> np.ndarray:
     n x n block of the N-mode matrix is the n-mode matrix, byte for byte.
     """
     _require_modes(profile.K, N)
-    return _assemble(profile, N, N)
-
-
-def _assemble(profile: CosineSeries, rows: int, N: int) -> np.ndarray:
-    """Rows 0 .. rows - 1 and columns 0 .. N - 1 (rows >= N) of the Galerkin
-    matrix on `rows` or more modes, byte for byte."""
-    w = np.zeros(rows + N, dtype=profile.coeffs.dtype)
+    w = np.zeros(2 * N, dtype=profile.coeffs.dtype)
     w[: profile.K + 1] = profile.coeffs
-    # read-only views: hankel[i, j] = w[i + j], toeplitz[i, j] = w[|i - j|]
-    hankel = sliding_window_view(w[: rows + N - 1], N)
-    toeplitz = sliding_window_view(np.concatenate((w[rows - 1 : 0 : -1], w[:N])), N)[::-1]
-    M = hankel + toeplitz
+    return _blocks(_views(w, N, N), w, np.arange(N)[None])[0]
+
+
+def _views(w: np.ndarray, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only rows x cols views hankel[i, j] = w[i + j] and
+    toeplitz[i, j] = w[|i - j|]."""
+    hankel = sliding_window_view(w[: rows + cols - 1], cols)
+    toeplitz = sliding_window_view(np.concatenate((w[rows - 1 : 0 : -1], w[:cols])), cols)[::-1]
+    return hankel, toeplitz
+
+
+def _blocks(views: tuple[np.ndarray, np.ndarray], w: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The Galerkin matrix at idx[j] x idx[j] for each row j of an (m, n)
+    array of ascending modes, byte for byte: views are `_views` of w, the
+    zero-padded profile coefficients, and w reaches 2 idx.max()."""
+    hankel, toeplitz = views
+    at = idx[:, :, None], idx[:, None, :]
+    M = hankel[at]
+    M += toeplitz[at]
     M /= 2.0
-    M[1:, 0] = w[1:rows] / math.sqrt(2.0)
-    M[0, 1:] = M[1:N, 0]
-    M[0, 0] = w[0]
-    d = np.arange(1, N)
-    M[d, d] = w[0] + w[2 * d] / 2.0
+    diag = M.reshape(len(M), -1)[:, :: idx.shape[1] + 1]
+    diag[...] = w[0] + w[2 * idx] / 2.0
+    for j in np.flatnonzero(idx[:, 0] == 0):     # the class of mode 0
+        M[j, :, 0] = w[idx[j]] / math.sqrt(2.0)
+        M[j, 0, :] = M[j, :, 0]
+        M[j, 0, 0] = w[0]
     M *= 12.0
-    idx = np.arange(N)
-    M[idx, idx] -= (_TWO_PI * idx) ** 2
+    diag -= (_TWO_PI * idx) ** 2
+    return M
+
+
+def _rows_past(toeplitz: np.ndarray, N: int, idx: np.ndarray) -> np.ndarray:
+    """Rows N .. N + K - 1 of the Galerkin matrix at the modes idx < N, byte
+    for byte, from the `_views` toeplitz of N + K rows.  With N >= 2K every
+    w_{k+l} there is +0.0, and so is the mode-0 column w_k / sqrt(2), so each
+    entry is (0.0 + w_{k-l}) / 2 * 12, kept row-major as the product with
+    the eigenvectors needs for its bytes."""
+    M = np.add(toeplitz[N:, idx], 0.0, order="C")
+    M /= 2.0
+    M *= 12.0
     return M
 
 
@@ -151,13 +175,20 @@ def eigen(profile: CosineSeries, N: int | None = None) -> SpectrumReport:
     """Spectrum of the linearization at `profile`.
 
     N defaults to 4 K + 32.  Eigenvalues, Morse index and eigenvectors all
-    come from the N-mode matrix, the leading block of the one assembly of
-    N + K rows and N columns.  With g the gcd of the indices l >= 1 of the
-    nonzero profile coefficients, each class of modes k = +-r (mod g),
-    r = 0 .. floor(g/2), gets its own eigh; the pairs are merged in
-    descending order.  For g <= 1 (W_1, constants, generic profiles) that is
-    one eigh of the whole N x N block.  Each eigenvector is built from its
-    class's block when it is read.
+    come from the N-mode matrix, built class by class and never whole.  With
+    g the gcd of the indices l >= 1 of the nonzero profile coefficients,
+    each class of modes k = +-r (mod g), r = 0 .. floor(g/2), gets its own
+    block, built from the profile coefficients; blocks of one size go
+    through one stacked eigh, and the pairs are merged in descending order.
+    For g <= 1 (W_1, constants, generic profiles) that is one eigh of the
+    whole N x N matrix.  A second pass over the classes forms each one's K
+    rows past N and keeps only what the certificate below reads, so the
+    peak is O(sum n_c^2 + K max n_c) floats.  On W_22(0.49) (N = 4,520),
+    W_25(0.5) (5,332) and W_50(0.5) (10,632) the `spectrum` command peaks at
+    66, 72 and 113 MB resident in 0.6, 0.7 and 1.4 s, where the whole
+    (N + K) x N matrix took 369, 498 and 1,811 MB and 1.1, 1.1 and 3.4 s
+    (2-core x86-64 host, numpy 2.4.6 with OpenBLAS).  Each eigenvector is
+    built from its class's block when it is read.
 
     The top t Ritz pairs (theta_i, v_i) are certified against every larger
     truncation and the operator itself, with t = 11 carried on through every
@@ -165,8 +196,9 @@ def eigen(profile: CosineSeries, N: int | None = None) -> SpectrumReport:
     eigenvalues by less than 1e-9): Cauchy interlacing gives
     lambda_i >= theta_i, and Kahan's theorem for a Rayleigh-Ritz block
     (Parlett, The Symmetric Eigenvalue Problem, 11.5) gives
-    lambda_i - theta_i <= ||R||_2 with R = fine[N:, :N] @ V[:, :t]
-    (formed class by class, as fine[N:, class] @ V[class, :]), once
+    lambda_i - theta_i <= ||R||_2 with R = fine[N:, :N] @ V[:, :t], fine
+    the Galerkin matrix of the N + K truncation (formed class by class, as
+    fine[N:, class] @ V[class, :]), once
     the operator restricted to the complement of those t Ritz vectors
     has no eigenvalue above theta_t.  That separation
     is checked without a solve: the modes past N lie below
@@ -187,39 +219,62 @@ def eigen(profile: CosineSeries, N: int | None = None) -> SpectrumReport:
     if N is None:
         N = 4 * K + 32
     _require_modes(K, N)
-    fine = _assemble(profile, N + K, N)
+    w = np.zeros(2 * N + K)
+    w[: K + 1] = profile.coeffs
+    views = _views(w, N + K, N)
     # W on multiples of g couples cosine mode k only to the modes l = +-k
-    # (mod g): one eigh per class, each Ritz vector zero off its class
-    w = profile.coeffs
-    g = max(1, math.gcd(*(np.flatnonzero(w[1:]) + 1).tolist()))
+    # (mod g): one block per class, each Ritz vector zero off its class
+    coeffs = profile.coeffs
+    g = max(1, math.gcd(*(np.flatnonzero(coeffs[1:]) + 1).tolist()))
     modes = np.arange(N)
     residue = np.minimum(modes % g, -modes % g)
     classes = [np.flatnonzero(residue == r) for r in range(g // 2 + 1)]
-    vals, blocks, coupling = [], [], []
-    for idx in classes:
-        block_vals, block = np.linalg.eigh(fine[np.ix_(idx, idx)])
-        down = np.argsort(block_vals)[::-1]
-        vals.append(block_vals[down])
-        blocks.append(block[:, down])
-        # the class's Ritz residuals, with fine's rows kept row-major and the
-        # block's columns in descending order, so that one class gives the
-        # bytes of the unsplit fine[N:, :N] @ V
-        coupling.append(fine[N:].take(idx, axis=1) @ blocks[-1])
+    sizes = [len(idx) for idx in classes]
+    vals, blocks = [None] * len(classes), [None] * len(classes)
+    top_diag = 0.0
+    # one eigh per block size: a stack of equal-size blocks gives each the
+    # bytes of its own eigh
+    for size in set(sizes):
+        members = [c for c in range(len(classes)) if sizes[c] == size]
+        idx = np.array([classes[c] for c in members])
+        stack = _blocks(views, w, idx)
+        top_diag = max(top_diag, float(np.abs(np.diagonal(stack, axis1=1, axis2=2)).max()))
+        stack_vals, stack_vecs = np.linalg.eigh(stack)
+        del stack     # before the sorted copies: the peak holds one stack less
+        # eigh's column-major vectors stay column-major, which sets the
+        # bytes of the Ritz residuals below
+        for c, block_vals, block, down in zip(members, stack_vals, stack_vecs,
+                                              np.argsort(stack_vals, axis=1)[:, ::-1]):
+            vals[c], blocks[c] = block_vals[down], block[:, down]
     vals = np.concatenate(vals)
     order = np.argsort(vals)[::-1]
     vals = vals[order]
-    coupling = np.concatenate(coupling, axis=1)[:, order]
 
     gaps = np.abs(np.diff(vals))
     top = min(11, N)
     while top < N and gaps[top - 1] < DEGENERACY_TOL:     # a gap this small separates nothing
         top += 1
-    defect = float(np.linalg.norm(coupling[:, :top], 2)) if K else 0.0
+    # the Ritz residuals R = fine[N:, :N] @ V, class by class as
+    # fine[N:, class] @ V[class, :] with fine's K rows past N kept whole, so
+    # that each column has the bytes of the unsplit product: keep every
+    # column's squared norm and the columns in the top block
+    position = np.empty(N, dtype=int)
+    position[order] = modes
+    c2 = np.zeros(N)
+    head = np.zeros((K, top))
+    start = 0
+    for idx, block in zip(classes, blocks):
+        coupling = _rows_past(views[1], N, idx) @ block
+        at = position[start : start + len(idx)]
+        start += len(idx)
+        c2[at] = np.sum(coupling ** 2, axis=0)
+        kept = at < top
+        head[:, at[kept]] = coupling[:, kept]
+    defect = float(np.linalg.norm(head, 2)) if K else 0.0
     # past the N kept modes the diagonal of the N + K truncation is
     # 12 w_0 - (2 pi k)^2, since w_2k = 0 there
-    past = 12.0 * w[0] - (_TWO_PI * np.arange(N, N + K)) ** 2
-    diagonal = np.concatenate((np.diag(fine), past))
-    noise_floor = 16.0 * np.finfo(float).eps * float(np.abs(diagonal).max())
+    past_diag = np.abs(12.0 * w[0] - (_TWO_PI * np.arange(N, N + K)) ** 2)
+    noise_floor = 16.0 * np.finfo(float).eps * max(top_diag, float(past_diag.max(initial=0.0)))
     if defect >= REFINEMENT_TOL + noise_floor:
         raise ConvergenceError(
             f"top Ritz residual {defect:.3e} at N = {N} exceeds the "
@@ -227,11 +282,11 @@ def eigen(profile: CosineSeries, N: int | None = None) -> SpectrumReport:
         )
     # separation: the Ritz vectors past the top block, coupled to modes that
     # lie below fine_top, must not lift the discarded spectrum above its last
-    c2 = np.sum(coupling[:, top:] ** 2, axis=0)
+    c2 = c2[top:]
     coupled = c2 > 0.0
     with np.errstate(divide="ignore"):
         spill = float(np.sum(c2[coupled] / (vals[top - 1] - vals[top:][coupled])))
-    fine_top = 12.0 * float(w[0] + np.abs(w[1:]).sum()) - (_TWO_PI * N) ** 2
+    fine_top = 12.0 * float(coeffs[0] + np.abs(coeffs[1:]).sum()) - (_TWO_PI * N) ** 2
     if not spill <= vals[top - 1] - fine_top:
         raise ConvergenceError(
             f"modes past N = {N} may hold eigenvalues above the top {top}; increase N"

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -147,12 +148,23 @@ def test_assembly_is_byte_equal_to_the_index_formula(n, h):
 
 @pytest.mark.parametrize("n,h", [(1, 0.05), (2, 0.1), (6, 0.05), (20, 3e-5), (23, -6e-5)])
 def test_eigen_assembly_is_the_leading_columns_of_the_index_formula(n, h):
-    # eigen reads only the N kept columns of the N + K truncation
+    # eigen reads only the N kept columns of the N + K truncation, one class
+    # k = +-r (mod n) at a time: its block and its K rows past N
     profile = elliptic.branch_point(n, h).profile
     K = profile.K
     for N in (2 * K, 4 * K + 32):
-        want = np.ascontiguousarray(reference_operator(profile, N + K)[:, :N])
-        assert spectrum._assemble(profile, N + K, N).tobytes() == want.tobytes(), N
+        fine = reference_operator(profile, N + K)
+        w = np.zeros(2 * N + K)
+        w[: K + 1] = profile.coeffs
+        modes = np.arange(N)
+        past = np.arange(N, N + K)
+        views = spectrum._views(w, N + K, N)
+        for r in range(n // 2 + 1):
+            idx = np.flatnonzero(np.minimum(modes % n, -modes % n) == r)
+            assert spectrum._blocks(views, w, idx[None])[0].tobytes() == \
+                fine[np.ix_(idx, idx)].tobytes(), (N, r)
+            assert spectrum._rows_past(views[1], N, idx).tobytes() == \
+                fine[np.ix_(past, idx)].tobytes(), (N, r)
 
 
 @pytest.mark.parametrize("n,h", [(1, 0.05), (2, 0.05), (3, 0.08), (4, 0.02),
@@ -401,12 +413,12 @@ EXACT_WORKLOAD_SPECTRA = (
 )
 
 
-def spectrum_digest(pairs):
+def spectrum_digest(pairs, vectors=None):
     h = hashlib.sha256()
     for n, x in pairs:
         rep = spectrum.eigen(elliptic.branch_point(n, x).profile)
         h.update(rep.eigenvalues.tobytes())
-        for v in rep.eigenvectors:
+        for v in rep.eigenvectors[:vectors]:
             h.update(v.coeffs.tobytes())
         h.update(float(rep.refinement_defect).hex().encode())
         h.update(str(rep.morse_index).encode())
@@ -424,6 +436,17 @@ def spectrum_digest(pairs):
 ])
 def test_branch_spectra_bytes(h, n_max, want):
     assert spectrum_digest([(n, h) for n in range(1, n_max + 1)]) == want
+
+
+# the high-index regime of the paper's non-resonance argument, N = 4,520 and
+# 5,332: every eigenvalue, the residual bound, the Morse index and the first
+# 40 eigenvectors, to the last bit
+@pytest.mark.parametrize("n, h, want", [
+    (22, 0.49, "63ce29406cb5d6ce94474c3b65086c456ec2b36cb19d7d1f6995c6811d24888f"),
+    (25, 0.5, "9ffc07453ecd573d91e56bc11b4f903c3b34620cd7c0c85982447684e08a921a"),
+])
+def test_high_index_spectra_bytes(n, h, want):
+    assert spectrum_digest([(n, h)], vectors=40) == want
 
 
 def test_every_exact_workload_spectrum_certifies_below_1e_12():
@@ -466,8 +489,17 @@ def test_rescaled_branch_spectrum_is_n_squared_times_branch_one(n, h):
 def test_a_degenerate_cluster_across_the_eleventh_eigenvalue_certifies():
     # the n spikes of W_25(0.5) split its top eigenvalues by less than
     # DEGENERACY_TOL: theta_11 = theta_12 to the bit, so the certified block
-    # runs on through the cluster instead of dividing by a zero gap
-    rep = spectrum.eigen(elliptic.branch_point(25, 0.5).profile)
+    # runs on through the cluster instead of dividing by a zero gap.  At
+    # N = 5,332 its 13 class blocks hold 18 MB and eigen peaks at 35 MB
+    # traced, where the (N + K) x N matrix alone would take 284 MB
+    profile = elliptic.branch_point(25, 0.5).profile
+    tracemalloc.start()
+    try:
+        rep = spectrum.eigen(profile)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6, peak
     assert rep.morse_index == 25
     assert rep.refinement_defect < 1e-14
     assert (10, 11) in [(i, j) for i, j, _ in rep.degenerate_pairs]
